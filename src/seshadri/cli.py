@@ -31,7 +31,6 @@ from .constants import (
 )
 from .geometry import (
     PointError,
-    StabilizationError,
     cut_out_degree,
     line_scheme,
     normalize_point,
@@ -117,6 +116,7 @@ class Instance:
         self.ambient_homogeneous = bool(raw.get("ambient_homogeneous", False))
         self.primes = tuple(int(q) for q in raw.get("primes", DEFAULT_PRIMES))
         self.seed = int(raw.get("seed", 0))
+        # read by nothing: echoed into the report flags so reports stay stable
         self.max_m = int(raw.get("max_m", 24))
         self.component = tuple(raw.get("component", []))
 
@@ -230,7 +230,7 @@ def _cmd_classify(instance, args):
     out = {"seshadri": _report_from_seshadri(report)}
     ambient = ci.ambient
     out["ambient"] = {
-        "cut_out_degree": cut_out_degree(ambient),
+        "cut_out_degree": ambient.d_p,
         "line_scheme_dimension": line_scheme(ambient).dimension,
     }
     if report.status == "LOWER_BOUND_ONLY" and ci.degrees[-1] == 1:
@@ -259,18 +259,12 @@ def _cmd_classify(instance, args):
 def _cmd_curve(instance, args):
     ci = instance.ci_input(validate=args.validate)
     component = instance.component_ideal(ci.ambient)
-    cert = seshadri_curve(
-        ci, component=component, seed=args.seed, retries=args.retries,
-        max_m=args.max_m,
-    )
+    cert = seshadri_curve(ci, component=component, seed=args.seed, retries=args.retries)
     return {"certificate": _report_from_certificate(cert)}
 
 
 def _cmd_sharpness(args):
-    max_m = args.max_m if args.max_m is not None else 24
-    X, cert = sharpness_example(
-        args.n, args.d, seed=args.seed, retries=args.retries, max_m=max_m
-    )
+    X, cert = sharpness_example(args.n, args.d, seed=args.seed, retries=args.retries)
     return {
         "variety": {
             "generators": [str(g) for g in X.ideal.generators],
@@ -352,7 +346,8 @@ def build_parser():
         p.add_argument("--primes", type=lambda s: [int(q) for q in s.split(",")],
                        default=None, help="comma-separated primes for the oracle")
         p.add_argument("--max-m", dest="max_m", type=int, default=None,
-                       help="truncation cap for local invariants")
+                       help="accepted and ignored (mult and ord are exact); "
+                            "echoed into the report flags")
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the machine-readable report here")
         p.add_argument("--validate", action="store_true",
@@ -412,7 +407,7 @@ def run(argv=None):
             }[args.command]
             report["result"] = handler(instance, args)
         code = EXIT_OK
-    except (InputError, ParseError, PointError, StabilizationError, ValueError) as exc:
+    except (InputError, ParseError, PointError, ValueError) as exc:
         if isinstance(exc, HypothesisError):
             report["error"] = {"kind": "hypothesis", "message": str(exc),
                                "condition": exc.condition}

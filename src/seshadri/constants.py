@@ -22,7 +22,6 @@ from .groebner import Ideal, graded_piece, hilbert_data, monomials_of_degree
 from .geometry import (
     PointedVariety,
     cone_ideal,
-    cut_out_degree,
     line_scheme,
     multiplicity_at,
     normalize_point,
@@ -170,7 +169,7 @@ def lower_bound(X):
             line_scheme_dimension=scheme.dimension,
             assumptions=("line through the point (verified)",),
         )
-    d = cut_out_degree(X)
+    d = X.d_p
     if d == 1:
         raise InconsistencyError(
             "cut-out degree 1 with an empty line scheme: a linear space "
@@ -192,7 +191,7 @@ def aux_divisors(X):
     Returns (divisors, common_zero_flag); the flag says whether X meets the
     intersection of all the divisors in the base point alone.
     """
-    d = cut_out_degree(X)
+    d = X.d_p
     basis = graded_piece(X.normalized_ideal, d) if X.normalized_ideal.generators else []
     divisors = []
     common = list(X.normalized_ideal.generators)
@@ -241,7 +240,7 @@ def classify_ci(ci):
         )
     assumptions.append("ii: ambient line scheme large enough (verified)")
 
-    d_p_y = cut_out_degree(Y)
+    d_p_y = Y.d_p
     if d_r >= 2:
         if d_p_y > d_r:
             raise HypothesisError(
@@ -349,7 +348,7 @@ def _lift_slice(piece, ring):
     return piece.map_ring(ring, {k: k + 1 for k in range(ring.nvars - 1)})
 
 
-def seshadri_curve(ci, component=None, seed=0, retries=4, max_m=24):
+def seshadri_curve(ci, component=None, seed=0, retries=4):
     """Cut a curve certificate out of the cone over a component of F_p(Y).
 
     `component` must be an irreducible component of maximal dimension of
@@ -401,7 +400,7 @@ def seshadri_curve(ci, component=None, seed=0, retries=4, max_m=24):
             last_failure = f"attempt {attempt}: curve dimension {data.dimension}"
             continue
         pointed = normalize_point(curve, _origin_point(Y.ring))
-        mult = multiplicity_at(pointed, max_m=max_m)
+        mult = multiplicity_at(pointed)
         ratio = Fraction(data.degree, mult)
         certificate = CurveCertificate(
             ideal=curve,
@@ -430,7 +429,7 @@ def _origin_point(ring):
     return (ring.field.one,) + (ring.field.zero,) * (ring.nvars - 1)
 
 
-def sharpness_example(n, d, seed=0, retries=8, max_m=24):
+def sharpness_example(n, d, seed=0, retries=8):
     """A degree-d hypersurface of dimension n with an empty line scheme at
     the point, together with a curve certificate of ratio d/(d-1).
 
@@ -467,7 +466,7 @@ def sharpness_example(n, d, seed=0, retries=8, max_m=24):
             last_failure = f"attempt {attempt}: curve dimension {data.dimension}"
             continue
         pointed = normalize_point(curve, _origin_point(ring))
-        mult = multiplicity_at(pointed, max_m=max_m)
+        mult = multiplicity_at(pointed)
         ratio = Fraction(data.degree, mult)
         if ratio != Fraction(d, d - 1):
             last_failure = f"attempt {attempt}: ratio {ratio}"

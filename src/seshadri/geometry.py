@@ -3,17 +3,18 @@ decompositions, the scheme of lines through the point, the local cut-out
 degree, and the local invariants mult_p and ord_p.
 
 A pointed variety carries a saturated homogeneous ideal together with an
-invertible coordinate change sending the base point to [1:0:...:0].  All
-local computations happen in the normalized chart x_0 = 1, where the
-quotient by (ideal + m^m) is supported at the origin alone, so truncated
-quotients compute local-ring data exactly, with no localization correction.
+invertible coordinate change sending the base point to [1:0:...:0].  Both
+local invariants come from one reduced Groebner basis of the normalized
+ideal for the order that compares x_0 degrees first: its top x_0 slices
+generate the tangent cone at the point, which gives mult_p, and reduction
+by it is a local normal form, which gives ord_p.  Both answers are exact;
+no truncation level or cap is involved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
 
 from . import linalg
 from .groebner import (
@@ -21,23 +22,24 @@ from .groebner import (
     Ideal,
     graded_piece,
     hilbert_data,
+    hilbert_function,
     ideal_quotient,
     saturate,
     saturate_variable,
-    monomials_of_degree,
-    _choose,
 )
-from .polynomials import Monomial, Polynomial, PolynomialRing, QQ, substitute_linear
+from .polynomials import (
+    Monomial,
+    MonomialOrder,
+    Polynomial,
+    PolynomialRing,
+    substitute_linear,
+)
 
 INFINITE = math.inf
 
 
 class PointError(ValueError):
     """The base point is invalid for the requested construction."""
-
-
-class StabilizationError(RuntimeError):
-    """A truncation cap was exhausted before the invariant stabilized."""
 
 
 def slice_ring(ring):
@@ -119,9 +121,7 @@ class PointedVariety:
         "normalized_ideal",
         "_hilbert",
         "_line_scheme",
-        "_affine",
-        "_affine_ideal",
-        "_truncations",
+        "_d_p",
     )
 
     def __init__(self, ring, ideal, point, basis_matrix, transform, normalized_ideal):
@@ -133,9 +133,7 @@ class PointedVariety:
         self.normalized_ideal = normalized_ideal
         self._hilbert = None
         self._line_scheme = None
-        self._affine = None
-        self._affine_ideal = None
-        self._truncations = {}
+        self._d_p = None
 
     @property
     def ambient_dimension(self):
@@ -155,34 +153,16 @@ class PointedVariety:
     def degree(self):
         return self.hilbert.degree
 
+    @property
+    def d_p(self):
+        """The local cut-out degree, computed once per variety."""
+        if self._d_p is None:
+            self._d_p = cut_out_degree(self)
+        return self._d_p
+
     def normalized_point(self):
         field = self.ring.field
         return (field.one,) + (field.zero,) * (self.ring.nvars - 1)
-
-    def affine_generators(self):
-        """Normalized generators with x_0 = 1, in the chart ring x_1..x_N."""
-        if self._affine is None:
-            target = slice_ring(self.ring)
-            out = []
-            for g in self.normalized_ideal.generators:
-                terms = [(m.exponents[1:], c) for m, c in g.terms]
-                out.append(target.from_terms(terms))
-            self._affine = tuple(out)
-        return self._affine
-
-    def affine_ideal(self):
-        if self._affine_ideal is None:
-            gens = [g for g in self.affine_generators() if g]
-            ring = gens[0].ring if gens else slice_ring(self.ring)
-            self._affine_ideal = Ideal(ring, gens)
-        return self._affine_ideal
-
-    def _truncation(self, cap):
-        if cap not in self._truncations:
-            self._truncations[cap] = _Truncation(
-                self.affine_generators(), slice_ring(self.ring), cap
-            )
-        return self._truncations[cap]
 
     def __repr__(self):
         return f"PointedVariety(point={self.point}, ideal={self.ideal})"
@@ -270,7 +250,9 @@ def cut_out_degree(X, validate=False):
 
     Degree d qualifies when the quotient of the degree-d subideal by the
     full ideal has a generator not vanishing at the point; the loop is
-    bounded by the degree of X.
+    bounded by the degree of X.  Each call recomputes, and runs the
+    saturation check whenever `validate` asks for it; `X.d_p` keeps the
+    unvalidated value.
     """
     I = X.normalized_ideal
     ring = X.ring
@@ -353,155 +335,61 @@ def singular_locus_is_empty(X):
     return hilbert_data(K).is_empty
 
 
-# -- truncated local quotients ----------------------------------------------------
+# -- local invariants -------------------------------------------------------------
 
 
-def _integer_rows(poly):
-    """Clear denominators: (exponents -> int) dict, content removed."""
-    den = 1
-    for _, c in poly.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    entries = {m: int(c * den) for m, c in poly.terms}
-    content = 0
-    for v in entries.values():
-        content = gcd(content, abs(v))
-    if content > 1:
-        entries = {m: v // content for m, v in entries.items()}
-    return entries
+def _local_basis(X):
+    """The order putting x_0 degree first, and the normalized ideal's basis.
 
-
-class _Truncation:
-    """Row-echelon model of (ideal + m^cap) inside Q[x]/m^cap.
-
-    Columns are monomials of degree < cap sorted by increasing degree, so a
-    row's pivot is its lowest-order form; truncating the model at any level
-    m <= cap stays exact.
+    For homogeneous generators this basis is Lazard's standard basis for the
+    local degree order at [1:0:...:0] (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, sec. 1.7), and its top x_0 slices
+    generate the ideal of lowest forms (Sturmfels, Groebner Bases and Convex
+    Polytopes, Prop. 1.13).
     """
-
-    def __init__(self, gens, ring, cap):
-        if ring.field != QQ:
-            raise ValueError("truncated quotients are computed over Q")
-        self.ring = ring
-        self.cap = cap
-        monos = []
-        for d in range(cap):
-            monos.extend(Monomial(e) for e in monomials_of_degree(ring.nvars, d))
-        self.monos = monos
-        self.index = {m: i for i, m in enumerate(monos)}
-        self.degrees = [m.degree for m in monos]
-        self.pivots = {}
-        rows = []
-        for g in gens:
-            if not g:
-                continue
-            base = _integer_rows(g)
-            low = min(m.degree for m in base)
-            for t_degree in range(cap - low):
-                for exps in monomials_of_degree(ring.nvars, t_degree):
-                    t = Monomial(exps)
-                    row = {}
-                    for m, v in base.items():
-                        prod = t * m
-                        if prod.degree < cap:
-                            row[self.index[prod]] = v
-                    if row:
-                        rows.append(row)
-        rows.sort(key=lambda r: min(r))
-        for row in rows:
-            self._insert(row)
-
-    def _insert(self, row):
-        while row:
-            lead = min(row)
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                content = 0
-                for v in row.values():
-                    content = gcd(content, abs(v))
-                if content > 1:
-                    row = {k: v // content for k, v in row.items()}
-                self.pivots[lead] = row
-                return
-            row = _eliminate(row, pivot, lead)
-
-    def hilbert_samuel(self, m):
-        """dim of R/(ideal + m^m) for 1 <= m <= cap."""
-        total = _choose(m - 1 + self.ring.nvars, self.ring.nvars)
-        hit = sum(1 for lead in self.pivots if self.degrees[lead] < m)
-        return total - hit
-
-    def contains(self, poly, m):
-        """Membership of poly in (ideal + m^m), m <= cap."""
-        row = _integer_rows(poly) if poly else {}
-        row = {self.index[mo]: v for mo, v in row.items() if mo.degree < m}
-        while row:
-            lead = min(row)
-            if self.degrees[lead] >= m:
-                return True
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                return False
-            row = _eliminate(row, pivot, lead)
-        return True
+    order = MonomialOrder.elimination(X.ring.nvars, 1)
+    return order, X.normalized_ideal.groebner_basis(order)
 
 
-def _eliminate(row, pivot, lead):
-    a = pivot[lead]
-    b = row[lead]
-    out = {}
-    for k, v in row.items():
-        out[k] = a * v
-    for k, v in pivot.items():
-        value = out.get(k, 0) - b * v
-        if value:
-            out[k] = value
-        elif k in out:
-            del out[k]
-    content = 0
-    for v in out.values():
-        content = gcd(content, abs(v))
-    if content > 1:
-        out = {k: v // content for k, v in out.items()}
-    return out
+def multiplicity_at(X):
+    """Hilbert-Samuel multiplicity of the local ring of X at its base point.
 
-
-def _finite_difference(values, k):
-    seq = list(values)
-    for _ in range(k):
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-    return seq
-
-
-def multiplicity_at(X, max_m=24):
-    """Hilbert-Samuel multiplicity of X at its base point.
-
-    Computes H(m) = dim of the ambient chart ring modulo (ideal + m^m) and
-    returns the stabilized (dim X)-th finite difference; stabilization
-    requires three consecutive equal values before the cap.
+    The tangent cone TC, generated by the top x_0 slices of the local
+    basis, has the local dimension of X at the point, which may be lower
+    than dim X.  mult_p is the degree of Proj(TC); when TC is primary to
+    the maximal ideal the point is isolated and mult_p is the length
+    sum_d H(TC, d).
     """
-    dim = X.dimension
-    if dim < 0:
-        raise ValueError("variety is empty")
-    cap = min(max_m, max(dim + 6, 8))
-    while True:
-        truncation = X._truncation(cap)
-        values = [truncation.hilbert_samuel(m) for m in range(1, cap + 1)]
-        diffs = _finite_difference(values, dim)
-        if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
-            return diffs[-1]
-        if cap >= max_m:
-            raise StabilizationError(
-                f"multiplicity did not stabilize below the cap m <= {max_m}"
-            )
-        cap = min(max_m, cap + 4)
+    _, basis = _local_basis(X)
+    chart = slice_ring(X.ring)
+    lowest = []
+    for g in basis:
+        top = g.leading_monomial().exponents[0]
+        terms = [(m.exponents[1:], c) for m, c in g.terms if m.exponents[0] == top]
+        lowest.append(chart.from_terms(terms))
+    cone = Ideal(chart, lowest)
+    data = hilbert_data(cone)
+    if not data.is_empty:
+        return data.degree
+    length = 0
+    d = 0
+    while (h := hilbert_function(cone, d)) > 0:
+        length += h
+        d += 1
+    return length
 
 
-def ord_at(f, X, max_m=24, normalized=False):
-    """Largest m with f lying in (ideal + m^m) in the chart at the point.
+def ord_at(f, X, normalized=False):
+    """Largest m with f in (ideal + m^m) in the local ring at the point.
 
-    0 means f does not vanish at the point; INFINITE means f restricts to
-    zero near the point (membership in the affine ideal).  Raises when the
-    cap is exhausted without deciding.
+    0 means f does not vanish at the point; INFINITE means f is zero in the
+    local ring, that is, some generator of (ideal : f) misses the point.
+    Otherwise x_0^k f is reduced by the local basis for k = 0, A, 2A, ...,
+    where A is the largest x_0 power among the basis' leading monomials,
+    until the remainder's leading x_0 power b reaches A.  The remainder's
+    lowest form then has a leading monomial outside the tangent cone's
+    initial ideal, so ord = deg f + k - b.  The loop ends because ord is
+    finite (Krull's intersection theorem).
     """
     if not f.is_homogeneous():
         raise ValueError("ord_at needs a homogeneous polynomial")
@@ -509,26 +397,22 @@ def ord_at(f, X, max_m=24, normalized=False):
         return INFINITE
     if not normalized:
         f = substitute_linear(f, X.basis_matrix)
-    chart = slice_ring(X.ring)
-    f_aff = chart.from_terms(((m.exponents[1:], c) for m, c in f.terms))
-    if f_aff.is_zero():
-        return INFINITE
-    constant = f_aff.coefficient((0,) * chart.nvars)
-    if not chart.field.is_zero(constant):
+    ring = X.ring
+    field = ring.field
+    e0 = X.normalized_point()
+    if not field.is_zero(f.evaluate(e0)):
         return 0
-    cap = min(max_m, 8)
-    order = 1
+    I = X.normalized_ideal
+    quotient = ideal_quotient(I, Ideal(ring, (f,)))
+    if any(not field.is_zero(g.evaluate(e0)) for g in quotient.generators):
+        return INFINITE
+    order, basis = _local_basis(X)
+    A = max((g.leading_monomial().exponents[0] for g in basis), default=0)
+    k = 0
     while True:
-        truncation = X._truncation(cap)
-        while order + 1 <= cap:
-            if truncation.contains(f_aff, order + 1):
-                order += 1
-            else:
-                return order
-        if cap >= max_m:
-            if X.affine_ideal().contains(f_aff):
-                return INFINITE
-            raise StabilizationError(
-                f"vanishing order did not resolve below the cap m <= {max_m}"
-            )
-        cap = min(max_m, cap + 4)
+        shifted = f.mul_term(field.one, Monomial((k,) + (0,) * (ring.nvars - 1)))
+        remainder = I.normal_form(shifted, order)
+        b = max(m.exponents[0] for m, _ in remainder.terms)
+        if b >= A:
+            return f.total_degree() + k - b
+        k += A

@@ -6,14 +6,14 @@ restricting generators to the parametrized line directly; conics come from
 a randomized search; plane-curve multiplicities read off the lowest form
 after translating the point to the affine origin.
 
-Direction enumeration is partitioned across workers and merged in sorted
-order, so the result is independent of the worker count.
+Direction enumeration is sequential, since the interpreter lock would
+serialise threads over this pure-Python scan; the directions found come
+back in sorted order.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from . import linalg
 from .polynomials import (
@@ -127,7 +127,7 @@ class LineCount:
 ENUMERATION_LIMIT = 2_000_000
 
 
-def count_lines_mod_q(instance, workers=1, sample=None, seed=0):
+def count_lines_mod_q(instance, sample=None, seed=0):
     """Count of lines on X through the point over F_q.
 
     Enumerates every direction of the projective space of lines through
@@ -165,22 +165,9 @@ def count_lines_mod_q(instance, workers=1, sample=None, seed=0):
         exhaustive = True
         candidates = list(_directions(point, nvars, q))
 
-    def scan(chunk):
-        found = []
-        for v in chunk:
-            if all(_line_vanishes(g, point, v, q) for g in gens):
-                found.append(v)
-        return found
-
-    if workers <= 1:
-        hits = scan(candidates)
-    else:
-        size = (len(candidates) + workers - 1) // workers
-        chunks = [candidates[i : i + size] for i in range(0, len(candidates), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, chunks))
-        hits = [v for part in parts for v in part]
-    hits.sort()
+    hits = sorted(
+        v for v in candidates if all(_line_vanishes(g, point, v, q) for g in gens)
+    )
     return LineCount(count=len(hits), directions=tuple(hits), exhaustive=exhaustive)
 
 

@@ -128,7 +128,7 @@ def test_criterion_04_grassmannian_hyperplane_sections():
 
 def test_criterion_05_sharpness_family():
     failures = []
-    for n, d in ((1, 2), (2, 3), (2, 4), (3, 4)):
+    for n, d in ((1, 2), (2, 3), (2, 4), (3, 4), (4, 5)):
         for seed in (1, 2, 3):
             X, certificate = sharpness_example(n, d, seed=seed)
             if certificate.ratio != Fraction(d, d - 1):

@@ -173,12 +173,19 @@ class TestMultiplicity:
         X = normalize_point(Ideal(ring3, []), (1, 0, 0))
         assert multiplicity_at(X) == 1
 
-    def test_cap_can_be_exhausted(self, ring3):
-        X = conic_variety(ring3)
-        from seshadri.geometry import StabilizationError
+    def test_point_on_a_lower_dimensional_component(self, ring4):
+        # V(x1*x3, x2*x3) is the plane x3 = 0 plus the line x1 = x2 = 0;
+        # [0:0:0:1] lies on the line only, so the local ring is regular
+        X = normalize_point(
+            Ideal(ring4, [ring4.parse("x1*x3"), ring4.parse("x2*x3")]), (0, 0, 0, 1)
+        )
+        assert X.dimension == 2
+        assert multiplicity_at(X) == 1
 
-        with pytest.raises(StabilizationError):
-            multiplicity_at(X, max_m=2)
+    def test_fat_points_have_their_length(self, ring3):
+        for gens, length in ((("x1^2", "x2"), 2), (("x1^2", "x1*x2", "x2^2"), 3)):
+            X = normalize_point(Ideal(ring3, [ring3.parse(g) for g in gens]), (1, 0, 0))
+            assert multiplicity_at(X) == length
 
 
 class TestOrdAt:
@@ -189,6 +196,10 @@ class TestOrdAt:
     def test_squared_linear_form(self, ring3):
         X = normalize_point(Ideal(ring3, []), (1, 0, 0))
         assert ord_at(ring3.parse("x1^2"), X) == 2
+
+    def test_cubed_linear_form(self, ring3):
+        X = normalize_point(Ideal(ring3, []), (1, 0, 0))
+        assert ord_at(ring3.parse("x1^3"), X) == 3
 
     def test_doubling_on_the_conic(self, ring3):
         # x2 agrees with x1^2 on the conic, so its order jumps to 2 and no
@@ -203,6 +214,14 @@ class TestOrdAt:
     def test_member_is_infinite(self, ring3):
         X = conic_variety(ring3)
         assert ord_at(ring3.parse("x0*x2 - x1^2"), X) == INFINITE
+
+    def test_zero_in_the_local_ring_is_infinite(self, ring3):
+        # V(x1, x2^2 - x0*x2) is two reduced points; near [1:0:0] the
+        # ideal is (x1, x2), so x2 vanishes there although it is no member
+        X = normalize_point(
+            Ideal(ring3, [ring3.parse("x1"), ring3.parse("x2^2 - x0*x2")]), (1, 0, 0)
+        )
+        assert ord_at(ring3.parse("x2"), X) == INFINITE
 
     def test_zero_polynomial_is_infinite(self, ring3):
         X = conic_variety(ring3)

@@ -56,12 +56,6 @@ class TestCountLines:
         for q in (5, 7, 11):
             assert count_lines_mod_q(modular_instance(X, q)).count == 2
 
-    def test_worker_count_does_not_change_the_result(self, ring4):
-        inst = modular_instance(quadric_surface(ring4), 7)
-        baseline = count_lines_mod_q(inst)
-        for workers in (2, 3, 5):
-            assert count_lines_mod_q(inst, workers=workers) == baseline
-
     def test_directions_satisfy_slices_at_a_general_point(self, ring4):
         # cross-module consistency: directions found in the original
         # coordinates, mapped through the normalizing transform, satisfy
