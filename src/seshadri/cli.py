@@ -31,12 +31,11 @@ from .constants import (
 )
 from .geometry import (
     PointError,
-    cut_out_degree,
     line_scheme,
     normalize_point,
     slice_ring,
 )
-from .groebner import Ideal, saturate
+from .groebner import Ideal, ideal_quotient
 from .oracle import (
     DEFAULT_PRIMES,
     BadReductionError,
@@ -82,6 +81,8 @@ class Instance:
     """Parsed instance file: ring, ambient generators, cuts, point, flags."""
 
     def __init__(self, raw, path="<memory>"):
+        if not isinstance(raw, dict):
+            raise InputError(f"{path}: an instance must be a JSON object")
         self.raw = raw
         self.path = path
         try:
@@ -97,8 +98,13 @@ class Instance:
             self.ambient_generators = tuple(
                 self.ring.parse(expr) for expr in raw.get("ambient", [])
             )
+            entries = raw.get("cutting", [])
+            if not isinstance(entries, list):
+                raise InputError(f"{path}: cutting must be a list")
             cutting = []
-            for entry in raw.get("cutting", []):
+            for entry in entries:
+                if not (isinstance(entry, dict) and "expression" in entry and "degree" in entry):
+                    raise InputError(f"{path}: a cutting entry needs an expression and a degree")
                 poly = self.ring.parse(entry["expression"])
                 declared = int(entry["degree"])
                 if poly.total_degree() != declared:
@@ -217,9 +223,9 @@ def _cmd_fano(instance, args):
 
 def _cmd_dp(instance, args):
     X = instance.variety()
-    d = cut_out_degree(X, validate=args.validate)
+    _maybe_validate(X, args)
     return {
-        "cut_out_degree": d,
+        "cut_out_degree": X.d_p,
         "variety": _hilbert_dict(X.hilbert),
     }
 
@@ -308,8 +314,9 @@ def _cmd_oracle(instance, args):
 def _maybe_validate(X, args):
     if not args.validate:
         return
-    irrelevant = Ideal(X.ring, X.ring.variables())
-    if not saturate(X.normalized_ideal, irrelevant).equals(X.normalized_ideal):
+    # I is saturated iff I : m = I, for m the irrelevant ideal
+    I = X.normalized_ideal
+    if not I.contains_ideal(ideal_quotient(I, Ideal(X.ring, X.ring.variables()))):
         raise InputError("ideal is not saturated")
 
 

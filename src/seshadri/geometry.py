@@ -1,14 +1,16 @@
 """Pointed-variety constructions: normalization of the base point, slice
 decompositions, the scheme of lines through the point, the local cut-out
-degree, and the local invariants mult_p and ord_p.
+degree d_p, and the local invariants mult_p and ord_p.
 
 A pointed variety carries a saturated homogeneous ideal together with an
-invertible coordinate change sending the base point to [1:0:...:0].  Both
-local invariants come from one reduced Groebner basis of the normalized
-ideal for the order that compares x_0 degrees first: its top x_0 slices
-generate the tangent cone at the point, which gives mult_p, and reduction
-by it is a local normal form, which gives ord_p.  Both answers are exact;
-no truncation level or cap is involved.
+invertible coordinate change sending the base point to [1:0:...:0].  The
+local answers come from reduced Groebner bases for the order comparing x_0
+degrees first, which are local standard bases at the point: the top x_0
+slices of the normalized ideal's basis generate the tangent cone (mult_p),
+reduction by it is a local normal form (ord_p), and equal local leading
+ideals show that a subideal cuts out the same scheme near the point (d_p,
+and ord_p = INFINITE).  Every answer is exact; no truncation level, cap or
+degree bound is involved.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from . import linalg
 from .groebner import (
     HilbertData,
     Ideal,
-    graded_piece,
     hilbert_data,
     hilbert_function,
-    ideal_quotient,
-    saturate,
     saturate_variable,
 )
 from .polynomials import (
@@ -206,26 +205,18 @@ def normalize_point(ideal, point):
     return PointedVariety(ring, ideal, point, basis, transform, normalized)
 
 
-def line_scheme(X, local_gens=None):
-    """The scheme of lines on X through the base point, defined by all slices.
-
-    `local_gens`, when given, must define X near the point in normalized
-    coordinates; the default uses the full saturated generator set, which
-    always qualifies.
-    """
-    default = local_gens is None
-    if default and X._line_scheme is not None:
+def line_scheme(X):
+    """The scheme of lines on X through the base point, defined by all slices
+    of the normalized generators; computed once per variety."""
+    if X._line_scheme is not None:
         return X._line_scheme
-    gens = X.normalized_ideal.generators if default else local_gens
     target = slice_ring(X.ring)
     slices = []
-    for g in gens:
+    for g in X.normalized_ideal.generators:
         slices.extend(s for s in slice_decomposition(g).slices if s)
     scheme_ideal = Ideal(target, slices)
-    scheme = LineScheme(scheme_ideal, hilbert_data(scheme_ideal))
-    if default:
-        X._line_scheme = scheme
-    return scheme
+    X._line_scheme = LineScheme(scheme_ideal, hilbert_data(scheme_ideal))
+    return X._line_scheme
 
 
 def cone_ideal(Z, ambient_ring=None):
@@ -245,36 +236,27 @@ def cone_ideal(Z, ambient_ring=None):
     return Ideal(ambient_ring, [g.map_ring(ambient_ring, shift) for g in Z.generators])
 
 
-def cut_out_degree(X, validate=False):
+def cut_out_degree(X):
     """The least d at which degree-d members of the ideal cut X out at p.
 
-    Degree d qualifies when the quotient of the degree-d subideal by the
-    full ideal has a generator not vanishing at the point; the loop is
-    bounded by the degree of X.  Each call recomputes, and runs the
-    saturation check whenever `validate` asks for it; `X.d_p` keeps the
-    unvalidated value.
+    Only the distinct generator degrees d of the normalized ideal I need a
+    test: the generators of degree <= d span I_<=d, which agrees near the
+    point with the ideal of I_d because x_0 is a unit there.  The first d at
+    which I_<=d and I agree at the point is returned; the top degree always
+    qualifies.  On a scheme that is reducible or non-reduced at the point
+    the answer may exceed deg X.  Each call recomputes; `X.d_p` caches.
     """
     I = X.normalized_ideal
-    ring = X.ring
-    if validate:
-        irrelevant = Ideal(ring, ring.variables())
-        if not saturate(I, irrelevant).equals(I):
-            raise ValueError("ideal is not saturated")
     if X.hilbert.is_empty:
         raise ValueError("variety is empty")
-    bound = X.degree
-    e0 = X.normalized_point()
-    field = ring.field
-    for d in range(1, bound + 1):
-        piece = graded_piece(I, d) if I.generators else []
-        J = Ideal(ring, piece)
-        if all(J.contains(g) for g in I.generators):
-            # J contains the whole ideal, so the quotient is the unit ideal
+    degrees = sorted({g.total_degree() for g in I.generators})
+    if not degrees:
+        return 1
+    for d in degrees[:-1]:
+        J = Ideal(X.ring, [g for g in I.generators if g.total_degree() <= d])
+        if _agree_at_point(J, I):
             return d
-        quotient = ideal_quotient(J, I)
-        if any(not field.is_zero(g.evaluate(e0)) for g in quotient.generators):
-            return d
-    raise RuntimeError("cut-out degree exceeded the degree bound")
+    return degrees[-1]
 
 
 def supported_only_at_basepoint(K):
@@ -338,8 +320,8 @@ def singular_locus_is_empty(X):
 # -- local invariants -------------------------------------------------------------
 
 
-def _local_basis(X):
-    """The order putting x_0 degree first, and the normalized ideal's basis.
+def _local_basis(ideal):
+    """The order putting x_0 degree first, and the ideal's reduced basis.
 
     For homogeneous generators this basis is Lazard's standard basis for the
     local degree order at [1:0:...:0] (Greuel-Pfister, A Singular
@@ -347,8 +329,21 @@ def _local_basis(X):
     generate the ideal of lowest forms (Sturmfels, Groebner Bases and Convex
     Polytopes, Prop. 1.13).
     """
-    order = MonomialOrder.elimination(X.ring.nvars, 1)
-    return order, X.normalized_ideal.groebner_basis(order)
+    order = MonomialOrder.elimination(ideal.ring.nvars, 1)
+    return order, ideal.groebner_basis(order)
+
+
+def _local_leads(ideal):
+    """Leading monomials of the local basis with x_0 dropped; they generate
+    the leading ideal of the ideal in the local ring at [1:0:...:0]."""
+    return [Monomial(g.leading_monomial().exponents[1:]) for g in _local_basis(ideal)[1]]
+
+
+def _agree_at_point(J, I):
+    """Whether J inside I generate the same ideal at [1:0:...:0], that is, their
+    local leading ideals coincide (Greuel-Pfister, sec. 1.6)."""
+    leads_J = _local_leads(J)
+    return all(any(a.divides(b) for a in leads_J) for b in _local_leads(I))
 
 
 def multiplicity_at(X):
@@ -360,7 +355,7 @@ def multiplicity_at(X):
     the maximal ideal the point is isolated and mult_p is the length
     sum_d H(TC, d).
     """
-    _, basis = _local_basis(X)
+    _, basis = _local_basis(X.normalized_ideal)
     chart = slice_ring(X.ring)
     lowest = []
     for g in basis:
@@ -383,7 +378,7 @@ def ord_at(f, X, normalized=False):
     """Largest m with f in (ideal + m^m) in the local ring at the point.
 
     0 means f does not vanish at the point; INFINITE means f is zero in the
-    local ring, that is, some generator of (ideal : f) misses the point.
+    local ring, that is, ideal + (f) agrees with the ideal at the point.
     Otherwise x_0^k f is reduced by the local basis for k = 0, A, 2A, ...,
     where A is the largest x_0 power among the basis' leading monomials,
     until the remainder's leading x_0 power b reaches A.  The remainder's
@@ -403,10 +398,9 @@ def ord_at(f, X, normalized=False):
     if not field.is_zero(f.evaluate(e0)):
         return 0
     I = X.normalized_ideal
-    quotient = ideal_quotient(I, Ideal(ring, (f,)))
-    if any(not field.is_zero(g.evaluate(e0)) for g in quotient.generators):
+    if _agree_at_point(I, Ideal(ring, I.generators + (f,))):
         return INFINITE
-    order, basis = _local_basis(X)
+    order, basis = _local_basis(I)
     A = max((g.leading_monomial().exponents[0] for g in basis), default=0)
     k = 0
     while True:

@@ -5,11 +5,6 @@ selection; inputs are desk scale, so no signature-based machinery.  On top
 of reduced Groebner bases sit normal forms, ideal quotients via the
 one-tag-variable intersection trick, saturation by iterated quotients,
 Hilbert series data of homogeneous ideals, and graded pieces.
-
-Groebner computation for a single ideal is sequential; distinct ideals may
-be processed concurrently.  The per-ideal basis cache is written with a
-single atomic dict assignment per (order) key, so readers never observe a
-partial basis.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from seshadri.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INPUT,
@@ -187,6 +189,39 @@ class TestExitCodes:
         code = main(["curve", str(bad), "--retries", "1"])
         capsys.readouterr()
         assert code == EXIT_INTERNAL
+
+    def test_validate_rejects_unsaturated_ideal(self, tmp_path):
+        # (x0*x1, x1^2, x1*x2) = x1 * (x0, x1, x2) has saturation (x1)
+        bad = tmp_path / "unsaturated.json"
+        bad.write_text(json.dumps({
+            "variables": ["x0", "x1", "x2"],
+            "ambient": ["x0*x1", "x1^2", "x1*x2"],
+            "cutting": [],
+            "point": ["1", "0", "0"],
+        }))
+        for command in ("dp", "bound"):
+            report, code = run_report([command, str(bad), "--validate"])
+            assert code == EXIT_INPUT
+            assert report["error"] == {"kind": "input", "message": "ideal is not saturated"}
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            ["x0", "x1"],
+            {"variables": ["x0", "x1"], "cutting": "x1", "point": ["1", "0"]},
+            {"variables": ["x0", "x1"], "cutting": ["x1"], "point": ["1", "0"]},
+            {"variables": ["x0", "x1"], "cutting": [{"degree": 1}], "point": ["1", "0"]},
+            {"variables": ["x0", "x1"], "cutting": [{"expression": "x1"}], "point": ["1", "0"]},
+        ],
+        ids=["top-level-list", "cutting-not-list", "entry-not-object",
+             "entry-without-expression", "entry-without-degree"],
+    )
+    def test_malformed_instance_shapes(self, tmp_path, capsys, raw):
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(raw))
+        code = main(["dp", str(bad)])
+        capsys.readouterr()
+        assert code == EXIT_INPUT
 
     def test_classify_needs_cuts(self, capsys):
         code = main(["classify", bundled("twisted-cubic")])

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from seshadri.cli import load_instance
 from seshadri.polynomials import PolynomialRing, PrimeField, restrict_to_line
-from seshadri.groebner import Ideal, hilbert_data
+from seshadri.groebner import Ideal, graded_piece, hilbert_data, ideal_quotient, intersect
 from seshadri.geometry import (
     INFINITE,
     PointError,
@@ -20,7 +21,7 @@ from seshadri.geometry import (
 )
 from seshadri.oracle import count_lines_mod_q, modular_instance
 
-from conftest import random_homogeneous
+from conftest import bundled, random_homogeneous
 
 
 def conic_variety(ring3, point=(1, 0, 0)):
@@ -152,9 +153,22 @@ class TestCutOutDegree:
         X = normalize_point(Ideal(ring4, []), (1, 0, 0, 0))
         assert cut_out_degree(X) == 1
 
-    def test_validation_accepts_saturated_input(self, ring4):
-        X = normalize_point(Ideal(ring4, [ring4.parse("x0*x3 - x1*x2")]), (1, 0, 0, 0))
-        assert cut_out_degree(X, validate=True) == 2
+    def test_plane_and_line_beyond_the_degree(self, ring4):
+        # V(x1*x3, x2*x3) is the plane x3 = 0 plus the line x1 = x2 = 0, both
+        # through [1:0:0:0]; no linear form cuts it out there, and d_p = 2
+        # exceeds deg X = 1
+        X = normalize_point(
+            Ideal(ring4, [ring4.parse("x1*x3"), ring4.parse("x2*x3")]), (1, 0, 0, 0)
+        )
+        assert X.degree == 1
+        assert cut_out_degree(X) == 2
+
+    def test_line_with_an_embedded_point(self, ring3):
+        X = normalize_point(
+            Ideal(ring3, [ring3.parse("x1^2"), ring3.parse("x1*x2")]), (1, 0, 0)
+        )
+        assert X.degree == 1
+        assert cut_out_degree(X) == 2
 
 
 class TestMultiplicity:
@@ -226,6 +240,55 @@ class TestOrdAt:
     def test_zero_polynomial_is_infinite(self, ring3):
         X = conic_variety(ring3)
         assert ord_at(ring3.zero(), X) == INFINITE
+
+
+def _quotient_misses_point(J, I, X):
+    e0 = X.normalized_point()
+    return any(g.evaluate(e0) != 0 for g in ideal_quotient(J, I).generators)
+
+
+def _reference_cut_out_degree(X):
+    """The least d with (ideal(I_d) : I) not inside the point's ideal."""
+    I = X.normalized_ideal
+    top = max(g.total_degree() for g in I.generators)
+    for d in range(1, top + 1):
+        if _quotient_misses_point(Ideal(X.ring, graded_piece(I, d)), I, X):
+            return d
+    raise AssertionError("the top generator degree always cuts X out")
+
+
+def test_local_answers_match_the_quotient_route(ring4):
+    """d_p and the INFINITE case of ord_p against ideal quotients."""
+    rng = random.Random(3)
+    parse = ring4.parse
+
+    def through_p(degree):
+        return random_homogeneous(ring4, degree, rng, spread=2, through_origin=True)
+
+    # components missing [1:0:0:0]: a line and the point [0:0:0:1]
+    far = [
+        Ideal(ring4, [parse("x0 - x1"), parse("x2 + x3")]),
+        Ideal(ring4, [parse("x0"), parse("x1"), parse("x2")]),
+    ]
+    ideals = [Ideal(ring4, [through_p(d) for d in degrees])
+              for degrees in ((2,), (2, 2), (2, 3), (3,))]
+    for component in far:
+        for degrees in ((2,), (2, 2)):
+            near = Ideal(ring4, [through_p(d) for d in degrees])
+            ideals.append(intersect(near, component))
+    for gens in (("x1*x3", "x2*x3"), ("x1^2", "x1*x2", "x1*x3"), ("x1^2", "x1*x2", "x2^2")):
+        ideals.append(Ideal(ring4, [parse(g) for g in gens]))
+    varieties = [normalize_point(I, (1, 0, 0, 0)) for I in ideals]
+    for name in ("fermat-cubic", "gr24-hyperplanes", "gr25-pluecker", "quadric-surface",
+                 "quadric-threefold", "quartic-threefold", "twisted-cubic", "two-quadrics-p4"):
+        bundled_variety = load_instance(bundled(name)).variety()
+        assert cut_out_degree(bundled_variety) == _reference_cut_out_degree(bundled_variety)
+    for X in varieties:
+        assert cut_out_degree(X) == _reference_cut_out_degree(X)
+        I = X.normalized_ideal
+        for f in [parse("x1"), parse("x2"), parse("x3")] + list(I.generators[:2]):
+            expected = _quotient_misses_point(I, Ideal(ring4, (f,)), X)
+            assert (ord_at(f, X, normalized=True) == INFINITE) == expected
 
 
 class TestConeIdeal:
