@@ -96,7 +96,7 @@ class Instance:
         self.point = tuple(point)
         try:
             self.ambient_generators = tuple(
-                self.ring.parse(expr) for expr in raw.get("ambient", [])
+                self._parse(expr) for expr in raw.get("ambient", [])
             )
             entries = raw.get("cutting", [])
             if not isinstance(entries, list):
@@ -105,7 +105,7 @@ class Instance:
             for entry in entries:
                 if not (isinstance(entry, dict) and "expression" in entry and "degree" in entry):
                     raise InputError(f"{path}: a cutting entry needs an expression and a degree")
-                poly = self.ring.parse(entry["expression"])
+                poly = self._parse(entry["expression"])
                 declared = int(entry["degree"])
                 if poly.total_degree() != declared:
                     raise InputError(
@@ -125,6 +125,12 @@ class Instance:
         # read by nothing: echoed into the report flags so reports stay stable
         self.max_m = int(raw.get("max_m", 24))
         self.component = tuple(raw.get("component", []))
+
+    def _parse(self, expr):
+        poly = self.ring.parse(expr)
+        if not poly.is_homogeneous():
+            raise InputError(f"{self.path}: {expr!r} is not homogeneous")
+        return poly
 
     def variety(self):
         gens = list(self.ambient_generators) + list(self.cutting)

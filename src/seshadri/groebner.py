@@ -176,27 +176,25 @@ def buchberger(generators, order=None):
 
 
 def _interreduce(polys, order):
-    """Turn a Groebner generating set into the reduced monic basis."""
-    polys = [p.monic() for p in polys if p]
-    for _ in range(100):
-        polys.sort(key=lambda p: order.key(p.leading_monomial()))
-        minimal = []
-        for p in polys:
-            lm = p.leading_monomial()
-            if any(q.leading_monomial().divides(lm) for q in minimal):
-                continue
+    """Turn a Groebner generating set into the reduced monic basis.
+
+    Reducing an element of a minimal basis by the others keeps its leading
+    monomial, so a single pass leaves every element reduced.
+    """
+    polys = sorted(
+        (p.monic() for p in polys if p), key=lambda p: order.key(p.leading_monomial())
+    )
+    minimal = []
+    for p in polys:
+        lm = p.leading_monomial()
+        if not any(q.leading_monomial().divides(lm) for q in minimal):
             minimal.append(p)
-        reduced = []
-        for i, p in enumerate(minimal):
-            rest = minimal[:i] + minimal[i + 1 :]
-            r = normal_form_against(p, rest)
-            if r:
-                reduced.append(r.monic())
-        if [p.terms for p in reduced] == [p.terms for p in polys]:
-            reduced.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
-            return tuple(reduced)
-        polys = reduced
-    raise RuntimeError("interreduction failed to stabilize")
+    reduced = [
+        normal_form_against(p, minimal[:i] + minimal[i + 1 :]).monic()
+        for i, p in enumerate(minimal)
+    ]
+    reduced.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
+    return tuple(reduced)
 
 
 # -- ideals ----------------------------------------------------------------------
@@ -474,6 +472,15 @@ def _hilbert_numerator(gens, nvars):
     )
 
 
+def _leading_numerator(I):
+    """Hilbert-series numerator of R/I, read off the basis leading terms."""
+    if I.is_zero():
+        return [1]
+    return _hilbert_numerator(
+        [g.leading_monomial().exponents for g in I.groebner_basis()], I.ring.nvars
+    )
+
+
 def _strip_unit_root(numerator, nvars):
     """Divide out (1-t) factors; returns (quotient, D) with quotient(1) != 0."""
     divisions = 0
@@ -520,13 +527,7 @@ def hilbert_data(I):
     ring = I.ring
     if not I.is_homogeneous:
         raise NonHomogeneousError("hilbert_data needs a homogeneous ideal")
-    if I.is_zero():
-        numerator = [1]
-    else:
-        basis = I.groebner_basis()
-        numerator = _hilbert_numerator(
-            [g.leading_monomial().exponents for g in basis], ring.nvars
-        )
+    numerator = _leading_numerator(I)
     if not numerator:
         return HilbertData(-1, None, ())
     quotient, D = _strip_unit_root(numerator, ring.nvars)
@@ -553,13 +554,7 @@ def hilbert_function(I, d):
         raise NonHomogeneousError("hilbert_function needs a homogeneous ideal")
     if d < 0:
         return 0
-    if I.is_zero():
-        numerator = [1]
-    else:
-        basis = I.groebner_basis()
-        numerator = _hilbert_numerator(
-            [g.leading_monomial().exponents for g in basis], ring.nvars
-        )
+    numerator = _leading_numerator(I)
     n = ring.nvars
     total = 0
     for j, c in enumerate(numerator):

@@ -1,9 +1,10 @@
 """Independent finite-field brute-force checks.
 
 Everything here avoids the Groebner machinery on purpose: lines through
-the base point are found by enumerating all directions over F_q and
-restricting generators to the parametrized line directly; conics come from
-a randomized search; plane-curve multiplicities read off the lowest form
+the base point are found by enumerating every direction of the embedded
+tangent space ker J(p) over F_q (plain linear algebra) and restricting
+generators to the parametrized line directly; conics come from a
+randomized search; plane-curve multiplicities read off the lowest form
 after translating the point to the affine origin.
 
 Direction enumeration is sequential, since the interpreter lock would
@@ -13,6 +14,7 @@ back in sorted order.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from . import linalg
@@ -60,22 +62,26 @@ def modular_instance(X, q):
     return ModularInstance(prime=q, ring=ring, generators=gens, point=point)
 
 
-def _directions(point, nvars, q):
-    """Representatives of lines through the point: pivot coordinate zero,
-    first nonzero coordinate one, in lexicographic order."""
-    pivot = next(i for i, x in enumerate(point) if x % q != 0)
-    free = [i for i in range(nvars) if i != pivot]
-    total = len(free)
-    for lead in range(total):
-        tail = total - lead - 1
-        for packed in range(q ** tail):
-            coords = [0] * nvars
-            coords[free[lead]] = 1
-            rest = packed
-            for k in range(tail - 1, -1, -1):
-                coords[free[lead + 1 + k]] = rest % q
-                rest //= q
-            yield tuple(coords)
+def _gradient(instance):
+    """Rows of the Jacobian matrix of the generators at the point."""
+    point = instance.point
+    return [
+        [g.derivative(i).evaluate(point) for i in range(instance.ring.nvars)]
+        for g in instance.generators
+    ]
+
+
+def _directions(rows, q):
+    """Representatives of the points of P(span of rows), for reduced echelon
+    rows: r_i + sum_{j>i} c_j*r_j, whose first nonzero coordinate is one."""
+    for i, lead in enumerate(rows):
+        tail = rows[i + 1 :]
+        for coeffs in itertools.product(range(q), repeat=len(tail)):
+            v = lead
+            for c, row in zip(coeffs, tail):
+                if c:
+                    v = [(a + c * b) % q for a, b in zip(v, row)]
+            yield tuple(v)
 
 
 def _binomials(n):
@@ -119,56 +125,41 @@ def _convolve(a, b, q):
 class LineCount:
     count: int
     directions: tuple
-    exhaustive: bool = True
 
 
-# full enumeration is O(q^(N-1)); beyond this many directions the caller
-# must lower q or opt into heuristic sampling
+# the scan visits q^0 + ... + q^(k-1) directions, k = dim ker J(p) - 1;
+# beyond this many the caller must lower q
 ENUMERATION_LIMIT = 2_000_000
 
 
-def count_lines_mod_q(instance, sample=None, seed=0):
+def count_lines_mod_q(instance):
     """Count of lines on X through the point over F_q.
 
-    Enumerates every direction of the projective space of lines through
-    the point and keeps those on which all generators restrict to the zero
-    polynomial; returns the count and the sorted direction list.  When
-    `sample` is given, only that many random directions are tried and the
-    result is marked non-exhaustive (a heuristic, never a proof of
-    absence).
+    A line through p with direction v lies in the embedded tangent space:
+    the s^(d-1)*t coefficient of g(s*p + t*v) is grad g(p) . v, for every
+    homogeneous part of g.  So only the directions of ker J(p) with pivot
+    coordinate zero (the pivot is the first coordinate of p nonzero mod q)
+    are scanned, normalized to first nonzero coordinate one; those on which
+    all generators restrict to the zero polynomial are kept.  Returns the
+    count and the sorted direction list.
     """
     q = instance.prime
-    gens = instance.generators
-    point = instance.point
+    field = instance.ring.field
     nvars = instance.ring.nvars
-    total = sum(q ** k for k in range(nvars - 1))
-    if sample is None and total > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"{total} directions exceed the enumeration limit; lower q or "
-            "pass sample= to accept a heuristic search"
-        )
-    if sample is not None and sample < total:
-        exhaustive = False
-        pivot = next(i for i, x in enumerate(point) if x % q != 0)
-        rng = random.Random(seed)
-        seen = set()
-        while len(seen) < sample:
-            coords = [rng.randrange(q) for _ in range(nvars)]
-            coords[pivot] = 0
-            lead = next((i for i, x in enumerate(coords) if x), None)
-            if lead is None:
-                continue
-            inv = pow(coords[lead], -1, q)
-            seen.add(tuple(x * inv % q for x in coords))
-        candidates = sorted(seen)
-    else:
-        exhaustive = True
-        candidates = list(_directions(point, nvars, q))
-
+    point = instance.point
+    pivot = next(i for i, x in enumerate(point) if x % q != 0)
+    rows = _gradient(instance) + [[int(i == pivot) for i in range(nvars)]]
+    _, kernel = linalg.solve_affine(rows, [0] * len(rows), field)
+    basis, _ = linalg.rref(kernel, field)
+    total = sum(q**k for k in range(len(basis)))
+    if total > ENUMERATION_LIMIT:
+        raise ValueError(f"{total} directions exceed the enumeration limit; lower q")
     hits = sorted(
-        v for v in candidates if all(_line_vanishes(g, point, v, q) for g in gens)
+        v
+        for v in _directions(basis, q)
+        if all(_line_vanishes(g, point, v, q) for g in instance.generators)
     )
-    return LineCount(count=len(hits), directions=tuple(hits), exhaustive=exhaustive)
+    return LineCount(count=len(hits), directions=tuple(hits))
 
 
 @dataclass(frozen=True)
@@ -206,16 +197,9 @@ def find_conic_mod_q(instance, budget=200, seed=0):
     nvars = instance.ring.nvars
     point = list(instance.point)
     gens = instance.generators
-    gradient = [
-        [g.derivative(i).evaluate(point) for i in range(nvars)] for g in gens
-    ]
-    if gradient:
-        solved = linalg.solve_affine(gradient, [0] * len(gens), field)
-        if solved is None:
-            return ConicSearchResult(False, None, 0)
-        _, tangent_basis = solved
-    else:
-        tangent_basis = [list(row) for row in linalg.identity(nvars, field)]
+    # with no generators the zero row leaves the whole space tangent
+    gradient = _gradient(instance) or [[0] * nvars]
+    _, tangent_basis = linalg.solve_affine(gradient, [0] * len(gradient), field)
     if not tangent_basis:
         return ConicSearchResult(False, None, 0)
 

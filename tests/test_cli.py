@@ -74,6 +74,12 @@ class TestCommands:
         for q in ("5", "7", "11"):
             assert report["result"]["oracle"][q]["line_count"] == 2
 
+    def test_oracle_gr25_lines(self):
+        # Gr(2,5) has (q + 1)(q^2 + q + 1) lines through a point over F_q
+        report, code = run_report(["oracle", bundled("gr25-pluecker"), "--primes", "7"])
+        assert code == EXIT_OK
+        assert report["result"]["oracle"]["7"]["line_count"] == 456
+
     def test_oracle_with_conics(self):
         report, code = run_report(
             ["oracle", bundled("gr24-hyperplanes"), "--conics", "--primes", "11"]
@@ -222,6 +228,43 @@ class TestExitCodes:
         code = main(["dp", str(bad)])
         capsys.readouterr()
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "ambient, cutting",
+        [
+            (["x0*x2 - x1"], []),
+            ([], [{"expression": "x0*x3 - x1*x2 + x1", "degree": 2}]),
+        ],
+        ids=["ambient", "cutting"],
+    )
+    def test_inhomogeneous_expression_is_rejected(self, tmp_path, ambient, cutting):
+        expression = (ambient or [cutting[0]["expression"]])[0]
+        nvars = 3 if ambient else 4
+        bad = tmp_path / "inhomogeneous.json"
+        bad.write_text(json.dumps({
+            "variables": [f"x{i}" for i in range(nvars)],
+            "ambient": ambient,
+            "cutting": cutting,
+            "point": ["1"] + ["0"] * (nvars - 1),
+        }))
+        for command in ("oracle", "bound"):
+            report, code = run_report([command, str(bad)])
+            assert code == EXIT_INPUT
+            message = report["error"]["message"]
+            assert str(bad) in message and repr(expression) in message
+
+    def test_oracle_enumeration_limit(self, tmp_path):
+        # P^9 at q = 101 has about 10^16 tangent directions
+        big = tmp_path / "p9.json"
+        big.write_text(json.dumps({
+            "variables": [f"x{i}" for i in range(10)],
+            "ambient": [],
+            "cutting": [],
+            "point": ["1"] + ["0"] * 9,
+        }))
+        report, code = run_report(["oracle", str(big), "--primes", "101"])
+        assert code == EXIT_INPUT
+        assert "exceed the enumeration limit" in report["error"]["message"]
 
     def test_classify_needs_cuts(self, capsys):
         code = main(["classify", bundled("twisted-cubic")])

@@ -1,9 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from seshadri.polynomials import BadReductionError, PolynomialRing, PrimeField
+from seshadri.polynomials import (
+    BadReductionError,
+    PolynomialRing,
+    PrimeField,
+    restrict_to_line,
+)
 from seshadri.groebner import Ideal, monomials_of_degree
 from seshadri.geometry import multiplicity_at, normalize_point
 from seshadri.oracle import (
@@ -13,6 +19,20 @@ from seshadri.oracle import (
     lowest_form_mult,
     modular_instance,
 )
+
+
+def _every_line_direction(inst):
+    """Directions of P^3 (pivot coordinate zero, first nonzero coordinate
+    one) whose line through the point lies on X, in lexicographic order."""
+    q = inst.prime
+    pivot = next(i for i, x in enumerate(inst.point) if x % q)
+    found = []
+    for v in itertools.product(range(q), repeat=4):
+        if v[pivot] or next((x for x in v if x), None) != 1:
+            continue
+        if all(restrict_to_line(g, inst.point, v).is_zero() for g in inst.generators):
+            found.append(v)
+    return tuple(found)
 
 
 def quadric_surface(ring4, point=(1, 0, 0, 0)):
@@ -77,13 +97,33 @@ class TestCountLines:
                 reduced = chart.from_terms(((m.exponents, c) for m, c in g.terms))
                 assert reduced.evaluate(mapped[1:]) == 0
 
-    def test_sampling_mode_is_flagged(self, ring4):
-        inst = modular_instance(quadric_surface(ring4), 11)
-        sampled = count_lines_mod_q(inst, sample=40, seed=3)
-        full = count_lines_mod_q(inst)
-        assert not sampled.exhaustive
-        assert full.exhaustive
-        assert set(sampled.directions) <= set(full.directions)
+    def test_tangent_scan_matches_a_scan_of_every_direction(self, ring4, rng):
+        # the scan only visits ker J(p); a scan of all of P^3 must find the
+        # same lines, also where X is singular at p or a cone with vertex p
+        ideals = [
+            quadric_surface(ring4, (2, 6, 1, 3)),
+            normalize_point(Ideal(ring4, [ring4.parse("x1*x2 - x3^2")]), (1, 0, 0, 0)),
+        ]
+        for singular in (False, True, True, False, True, False):
+            degree = rng.choice((2, 3))
+            top = degree - 2 if singular else degree - 1
+            gens = [
+                ring4.from_terms(
+                    (exps, rng.randint(-2, 2))
+                    for exps in monomials_of_degree(4, degree)
+                    if exps[0] <= top
+                )
+                for _ in range(rng.choice((1, 2)))
+            ]
+            ideals.append(normalize_point(Ideal(ring4, gens), (1, 0, 0, 0)))
+        for q in (2, 3, 5):
+            for X in ideals:
+                inst = modular_instance(X, q)
+                result = count_lines_mod_q(inst)
+                assert result.directions == _every_line_direction(inst)
+                assert result.count == len(result.directions)
+            # the cone over a smooth conic has one line per conic point
+            assert count_lines_mod_q(modular_instance(ideals[1], q)).count == q + 1
 
     def test_bad_reduction_in_point(self, ring4):
         X = quadric_surface(ring4, (Fraction(1, 5), 1, 1, 5))
