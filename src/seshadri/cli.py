@@ -77,12 +77,49 @@ def _render_value(value):
     return value
 
 
+# instance fields that hold lists: (field, accepted element types, wording)
+_LIST_FIELDS = (
+    ("variables", str, "strings"),
+    ("point", (str, int, float), "numbers or strings"),
+    ("ambient", str, "strings"),
+    ("cutting", dict, "objects"),
+    ("primes", int, "integers"),
+    ("component", str, "strings"),
+)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_types(raw, path):
+    """Reject a JSON value of the wrong type before anything is parsed."""
+    for field, kinds, wording in _LIST_FIELDS:
+        value = raw.get(field, [])
+        if not (
+            isinstance(value, list)
+            and all(isinstance(x, kinds) and not isinstance(x, bool) for x in value)
+        ):
+            raise InputError(f"{path}: {field} must be a list of {wording}")
+    for entry in raw.get("cutting", []):
+        if not (isinstance(entry.get("expression"), str) and _is_int(entry.get("degree"))):
+            raise InputError(
+                f"{path}: a cutting entry needs a string expression and an integer degree"
+            )
+    for field in ("seed", "max_m"):
+        if not _is_int(raw.get(field, 0)):
+            raise InputError(f"{path}: {field} must be an integer")
+    if not isinstance(raw.get("ambient_homogeneous", False), bool):
+        raise InputError(f"{path}: ambient_homogeneous must be true or false")
+
+
 class Instance:
     """Parsed instance file: ring, ambient generators, cuts, point, flags."""
 
     def __init__(self, raw, path="<memory>"):
         if not isinstance(raw, dict):
             raise InputError(f"{path}: an instance must be a JSON object")
+        _check_types(raw, path)
         self.raw = raw
         self.path = path
         try:
@@ -98,15 +135,10 @@ class Instance:
             self.ambient_generators = tuple(
                 self._parse(expr) for expr in raw.get("ambient", [])
             )
-            entries = raw.get("cutting", [])
-            if not isinstance(entries, list):
-                raise InputError(f"{path}: cutting must be a list")
             cutting = []
-            for entry in entries:
-                if not (isinstance(entry, dict) and "expression" in entry and "degree" in entry):
-                    raise InputError(f"{path}: a cutting entry needs an expression and a degree")
+            for entry in raw.get("cutting", []):
                 poly = self._parse(entry["expression"])
-                declared = int(entry["degree"])
+                declared = entry["degree"]
                 if poly.total_degree() != declared:
                     raise InputError(
                         f"{path}: declared degree {declared} does not match "
@@ -119,11 +151,11 @@ class Instance:
         if degrees != sorted(degrees):
             raise InputError(f"{path}: cutting degrees must be ascending")
         self.cutting = tuple(cutting)
-        self.ambient_homogeneous = bool(raw.get("ambient_homogeneous", False))
-        self.primes = tuple(int(q) for q in raw.get("primes", DEFAULT_PRIMES))
-        self.seed = int(raw.get("seed", 0))
+        self.ambient_homogeneous = raw.get("ambient_homogeneous", False)
+        self.primes = tuple(raw.get("primes", DEFAULT_PRIMES))
+        self.seed = raw.get("seed", 0)
         # read by nothing: echoed into the report flags so reports stay stable
-        self.max_m = int(raw.get("max_m", 24))
+        self.max_m = raw.get("max_m", 24)
         self.component = tuple(raw.get("component", []))
 
     def _parse(self, expr):

@@ -5,12 +5,26 @@ selection; inputs are desk scale, so no signature-based machinery.  On top
 of reduced Groebner bases sit normal forms, ideal quotients via the
 one-tag-variable intersection trick, saturation by iterated quotients,
 Hilbert series data of homogeneous ideals, and graded pieces.
+
+Division (`normal_form_against`, and so every S-pair reduction) runs on
+exponent tuples rather than `Polynomial` values, after Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors" (2007): the pending terms live in a dict keyed by exponents plus
+a max-heap of flat order keys with lazy deletion, so a step touches only
+the terms of the reducer.  Over Q the division is fraction-free on the
+primitive integer forms of the divisors, with the accumulated scale kept
+so that each remainder coefficient is the exact rational; over F_q it
+uses field operations on monic divisors.  `buchberger` converts each basis
+element to its integer form once, when the element arrives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, le, neg, sub
 
 from . import linalg
 from .polynomials import (
@@ -29,34 +43,152 @@ class NonHomogeneousError(ValueError):
 # -- division ------------------------------------------------------------------
 
 
+class _Reducers:
+    """The divisors of one division run, in the form the kernel reduces with.
+
+    Each divisor becomes (leading exponents, leading coefficient, tail) under
+    `order`, the tail a list of (exponents, coefficient) pairs.  Over Q the
+    coefficients are those of the primitive integer multiple; over F_q the
+    tail is that of the monic multiple, negated.  `buchberger` grows one of
+    these as basis elements arrive, so each element is converted once per
+    run.
+    """
+
+    __slots__ = ("order", "rational", "forms")
+
+    def __init__(self, order, field, polys=()):
+        self.order = order
+        self.rational = field == QQ
+        self.forms = []
+        for g in polys:
+            self.append(g)
+
+    def append(self, g):
+        if not g:
+            return
+        if self.rational:
+            terms = [(m.exponents, c.numerator) for m, c in g.primitive().terms]
+        else:
+            terms = [(m.exponents, c) for m, c in g.terms]
+        if g.ring.order != self.order:
+            key = self.order.exponent_key
+            terms.sort(key=lambda t: key(t[0]), reverse=True)
+        (lm, lc), tail = terms[0], terms[1:]
+        if not self.rational:
+            field = g.ring.field
+            factor = field.neg(field.invert(lc))
+            tail = [(e, field.mul(c, factor)) for e, c in tail]
+        self.forms.append((lm, lc, tail))
+
+    def without(self, index):
+        """The same divisors minus the one at `index` (no conversion redone)."""
+        other = _Reducers.__new__(_Reducers)
+        other.order = self.order
+        other.rational = self.rational
+        other.forms = self.forms[:index] + self.forms[index + 1 :]
+        return other
+
+
+def _divide_rational(terms, forms, exponent_key):
+    """Fraction-free division over Q; the remainder terms, largest first.
+
+    The pending polynomial is P / scale with P integral.  Each step is
+    P <- a*P - b*x^u*g with a = lc / gcd(lc, c), b = c / gcd(lc, c), which
+    is the field step p - (c/lc)*x^u*g scaled by a, so every remainder term
+    c / scale is the exact rational the field step would give.
+    """
+    scale = 1
+    for _, c in terms:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    pending = {m.exponents: c.numerator * (scale // c.denominator) for m, c in terms}
+    heap = [(tuple(map(neg, exponent_key(e))), e) for e in pending]
+    heapify(heap)
+    remainder = []
+    while heap:
+        m = heappop(heap)[1]
+        c = pending.pop(m, None)
+        if c is None:  # cancelled after it was pushed
+            continue
+        for lm, lc, tail in forms:
+            if all(map(le, lm, m)):
+                break
+        else:
+            remainder.append((m, Fraction(c, scale)))
+            continue
+        u = tuple(map(sub, m, lm))
+        common = gcd(lc, c)
+        a, b = lc // common, c // common
+        if a != 1:
+            scale *= a
+            pending = {e: v * a for e, v in pending.items()}
+        for e, gc in tail:
+            e = tuple(map(add, e, u))
+            v = pending.get(e)
+            if v is None:
+                pending[e] = -b * gc
+                heappush(heap, (tuple(map(neg, exponent_key(e))), e))
+            else:
+                v -= b * gc
+                if v:
+                    pending[e] = v
+                else:
+                    del pending[e]
+    return remainder
+
+
+def _divide_modular(terms, forms, exponent_key, q):
+    """Division over F_q with monic divisors; the remainder terms, largest first."""
+    pending = {m.exponents: c for m, c in terms}
+    heap = [(tuple(map(neg, exponent_key(e))), e) for e in pending]
+    heapify(heap)
+    remainder = []
+    while heap:
+        m = heappop(heap)[1]
+        c = pending.pop(m, None)
+        if c is None:  # cancelled after it was pushed
+            continue
+        for lm, _, tail in forms:
+            if all(map(le, lm, m)):
+                break
+        else:
+            remainder.append((m, c))
+            continue
+        u = tuple(map(sub, m, lm))
+        for e, gc in tail:
+            e = tuple(map(add, e, u))
+            v = pending.get(e)
+            if v is None:
+                pending[e] = c * gc % q
+                heappush(heap, (tuple(map(neg, exponent_key(e))), e))
+            else:
+                v = (v + c * gc) % q
+                if v:
+                    pending[e] = v
+                else:
+                    del pending[e]
+    return remainder
+
+
 def normal_form_against(f, basis, order=None):
     """Full remainder of f under multivariate division by `basis`.
 
     Every term of the result is divisible by no leading monomial of the
-    basis; with a Groebner basis this is the canonical normal form.
+    basis; with a Groebner basis this is the canonical normal form.  The
+    leading term is always reduced by the first basis element whose
+    leading monomial divides it.
     """
     ring = f.ring
-    if order is not None and order != ring.order:
-        work = ring.with_order(order)
-        f = work.from_terms(f.terms)
-        basis = [work.from_terms(g.terms) for g in basis]
-    field = f.ring.field
-    reducers = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis if g]
-    remainder = []
-    p = f
-    while p.terms:
-        mono, coeff = p.terms[0]
-        for lm, lc, g in reducers:
-            if lm.divides(mono):
-                p = p.sub_scaled(field.mul(coeff, field.invert(lc)), mono / lm, g)
-                break
-        else:
-            remainder.append((mono, coeff))
-            p = Polynomial(p.ring, p.terms[1:])
-    result = Polynomial(f.ring, tuple(remainder))
-    if order is not None and order != ring.order:
-        result = ring.from_terms(result.terms)
-    return result
+    if order is None:
+        order = ring.order
+    if not isinstance(basis, _Reducers):
+        basis = _Reducers(order, ring.field, basis)
+    if basis.rational:
+        remainder = _divide_rational(f.terms, basis.forms, order.exponent_key)
+    else:
+        remainder = _divide_modular(f.terms, basis.forms, order.exponent_key, ring.field.q)
+    if order != ring.order:
+        return ring.from_terms(remainder)
+    return Polynomial(ring, tuple((Monomial(e), c) for e, c in remainder))
 
 
 def divide_exact(f, g):
@@ -91,8 +223,12 @@ def _normalize(p):
     return p.primitive() if p.ring.field == QQ else p.monic()
 
 
-def _update_pairs(pairs, lms, t):
-    """Gebauer-Moeller criteria when basis element with index t arrives."""
+def _update_pairs(pairs, lms, sugars, t, order):
+    """Gebauer-Moeller criteria when basis element with index t arrives.
+
+    A pair is (i, j, lcm, rank) with rank = (sugar, key(lcm)), fixed when
+    the pair is created.
+    """
     lmt = lms[t]
     lcms = [lms[i].lcm(lmt) for i in range(t)]
     survivors = []
@@ -108,28 +244,22 @@ def _update_pairs(pairs, lms, t):
     seen = set()
     fresh = []
     for i in survivors:
-        key = lcms[i].exponents
-        if key in seen:
+        lcm = lcms[i]
+        if lcm.exponents in seen:
             continue
-        seen.add(key)
+        seen.add(lcm.exponents)
         if not lms[i].is_coprime(lmt):
-            fresh.append((i, t))
-    kept = []
-    for i, j in pairs:
-        lij = lms[i].lcm(lms[j])
-        if lmt.divides(lij) and lcms[i] != lij and lcms[j] != lij:
-            continue
-        kept.append((i, j))
+            sugar = max(
+                sugars[i] + lcm.degree - lms[i].degree, sugars[t] + lcm.degree - lmt.degree
+            )
+            fresh.append((i, t, lcm, (sugar, order.key(lcm))))
+    kept = [
+        pair
+        for pair in pairs
+        if not (lmt.divides(pair[2]) and lcms[pair[0]] != pair[2] and lcms[pair[1]] != pair[2])
+    ]
     kept.extend(fresh)
     return kept
-
-
-def _pair_sugar(i, j, lms, sugars):
-    lcm = lms[i].lcm(lms[j])
-    return max(
-        sugars[i] + lcm.degree - lms[i].degree,
-        sugars[j] + lcm.degree - lms[j].degree,
-    ), lcm
 
 
 def buchberger(generators, order=None):
@@ -148,30 +278,30 @@ def buchberger(generators, order=None):
         work = ring.with_order(order)
         gens = [work.from_terms(g.terms) for g in gens]
     basis = []
+    reducers = _Reducers(order, ring.field)
     lms = []
     sugars = []
     pairs = []
-    for g in sorted((_normalize(g) for g in gens), key=lambda p: order.key(p.leading_monomial())):
+
+    def add_element(g, sugar):
+        nonlocal pairs
         basis.append(g)
+        reducers.append(g)
         lms.append(g.leading_monomial())
-        sugars.append(g.total_degree())
-        pairs = _update_pairs(pairs, lms, len(basis) - 1)
+        sugars.append(sugar)
+        pairs = _update_pairs(pairs, lms, sugars, len(basis) - 1, order)
+
+    for g in sorted((_normalize(g) for g in gens), key=lambda p: order.key(p.leading_monomial())):
+        add_element(g, g.total_degree())
     while pairs:
-        ranked = [
-            (sugar, order.key(lcm), k)
-            for k, (sugar, lcm) in enumerate(_pair_sugar(i, j, lms, sugars) for i, j in pairs)
-        ]
-        sugar, _, best = min(ranked)
-        i, j = pairs.pop(best)
+        # the first pair of least rank, as a stable sort would give
+        best = min(range(len(pairs)), key=lambda k: pairs[k][3])
+        i, j, _, (sugar, _) = pairs.pop(best)
         s = s_polynomial(basis[i], basis[j])
-        r = normal_form_against(s, basis)
-        if not r:
-            continue
-        r = _normalize(r)
-        basis.append(r)
-        lms.append(r.leading_monomial())
-        sugars.append(max(sugar, r.total_degree()))
-        pairs = _update_pairs(pairs, lms, len(basis) - 1)
+        r = normal_form_against(s, reducers)
+        if r:
+            r = _normalize(r)
+            add_element(r, max(sugar, r.total_degree()))
     return _interreduce(basis, order)
 
 
@@ -189,9 +319,9 @@ def _interreduce(polys, order):
         lm = p.leading_monomial()
         if not any(q.leading_monomial().divides(lm) for q in minimal):
             minimal.append(p)
+    reducers = _Reducers(order, minimal[0].ring.field, minimal)
     reduced = [
-        normal_form_against(p, minimal[:i] + minimal[i + 1 :]).monic()
-        for i, p in enumerate(minimal)
+        normal_form_against(p, reducers.without(i)).monic() for i, p in enumerate(minimal)
     ]
     reduced.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
     return tuple(reduced)
@@ -461,14 +591,17 @@ def _hilbert_numerator(gens, nvars):
             if e:
                 counts[i] += 1
     pivot = max(range(nvars), key=lambda i: counts[i])
-    e_pivot = tuple(1 if i == pivot else 0 for i in range(nvars))
+    # split on x_pivot^k, k the least pivot exponent of a mixed generator:
+    # the recursion depth then does not grow with the exponents
+    k = min(g[pivot] for g in mixed if g[pivot])
+    e_pivot = tuple(k if i == pivot else 0 for i in range(nvars))
     plus = gens + [e_pivot]
     quotient = [
-        tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(g)) for g in gens
+        tuple(max(e - k, 0) if i == pivot else e for i, e in enumerate(g)) for g in gens
     ]
     return _poly_add(
         _hilbert_numerator(plus, nvars),
-        _poly_shift(_hilbert_numerator(quotient, nvars), 1),
+        _poly_shift(_hilbert_numerator(quotient, nvars), k),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import neg
 
 from . import linalg
 
@@ -85,16 +86,37 @@ class RationalField:
 QQ = RationalField()
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster 2017, "Strong pseudoprimes to
+# twelve prime bases"); the first 12 bases alone are exact only below
+# 3.18 * 10^23.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Exact primality test; raises ValueError above the certified range."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is too large to certify as a prime")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -192,17 +214,15 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
-def _grevlex_key(exponents):
-    return (sum(exponents), tuple(-e for e in reversed(exponents)))
-
-
 class MonomialOrder:
     """A multiplicative total well-order on monomials.
 
-    ``key`` maps a monomial to a tuple that sorts ascending with the order,
-    so "larger" monomials have larger keys.  The optional permutation maps
-    key slots to variable indices, letting any variable play the role of
-    the grevlex-smallest one.
+    ``exponent_key`` maps an exponent tuple to a flat tuple of integers
+    that sorts ascending with the order, so "larger" monomials have larger
+    keys; ``key`` applies it to a monomial.  The key is additive,
+    key(m * x^u) = key(m) + key(x^u) slot by slot.  The optional
+    permutation maps key slots to variable indices, letting any variable
+    play the role of the grevlex-smallest one.
     """
 
     __slots__ = ("kind", "nvars", "split", "permutation")
@@ -234,15 +254,18 @@ class MonomialOrder:
             raise ValueError("split must cut the variables into two nonempty blocks")
         return cls("elimination", nvars, split=split, permutation=permutation)
 
-    def key(self, monomial):
-        exps = monomial.exponents
+    def exponent_key(self, exps):
         if self.permutation is not None:
             exps = tuple(exps[i] for i in self.permutation)
         if self.kind == "grevlex":
-            return _grevlex_key(exps)
+            return (sum(exps), *map(neg, reversed(exps)))
         if self.kind == "lex":
-            return exps
-        return (_grevlex_key(exps[: self.split]), _grevlex_key(exps[self.split :]))
+            return tuple(exps)
+        head, tail = exps[: self.split], exps[self.split :]
+        return (sum(head), *map(neg, reversed(head)), sum(tail), *map(neg, reversed(tail)))
+
+    def key(self, monomial):
+        return self.exponent_key(monomial.exponents)
 
     def greater(self, a, b):
         return self.key(a) > self.key(b)
@@ -752,12 +775,12 @@ def compose(f, images):
     if len(images) != f.ring.nvars:
         raise ValueError("one image per variable is required")
     target = images[0].ring if images else f.ring
-    powers = [{0: target.one()} for _ in images]
+    powers = [[target.one()] for _ in images]  # powers[i][e] = images[i]^e
 
     def power(i, e):
         cache = powers[i]
-        if e not in cache:
-            cache[e] = power(i, e - 1) * images[i]
+        while len(cache) <= e:
+            cache.append(cache[-1] * images[i])
         return cache[e]
 
     total = target.zero()

@@ -218,9 +218,14 @@ class TestExitCodes:
             {"variables": ["x0", "x1"], "cutting": ["x1"], "point": ["1", "0"]},
             {"variables": ["x0", "x1"], "cutting": [{"degree": 1}], "point": ["1", "0"]},
             {"variables": ["x0", "x1"], "cutting": [{"expression": "x1"}], "point": ["1", "0"]},
+            {"variables": ["x0", "x1"], "cutting": [], "point": 5},
+            {"variables": ["x0", "x1"], "ambient": [7], "point": ["1", "0"]},
+            {"variables": ["x0", "x1"], "cutting": [{"expression": 5, "degree": 1}],
+             "point": ["1", "0"]},
         ],
         ids=["top-level-list", "cutting-not-list", "entry-not-object",
-             "entry-without-expression", "entry-without-degree"],
+             "entry-without-expression", "entry-without-degree", "point-not-list",
+             "ambient-entry-not-string", "expression-not-string"],
     )
     def test_malformed_instance_shapes(self, tmp_path, capsys, raw):
         bad = tmp_path / "malformed.json"
@@ -263,6 +268,14 @@ class TestExitCodes:
             "point": ["1"] + ["0"] * 9,
         }))
         report, code = run_report(["oracle", str(big), "--primes", "101"])
+        assert code == EXIT_INPUT
+        assert "exceed the enumeration limit" in report["error"]["message"]
+
+    def test_oracle_prime_beyond_trial_division(self):
+        # 2^61 - 1 is certified prime at once; its direction count is refused
+        report, code = run_report(
+            ["oracle", bundled("quadric-surface"), "--primes", str(2**61 - 1)]
+        )
         assert code == EXIT_INPUT
         assert "exceed the enumeration limit" in report["error"]["message"]
 

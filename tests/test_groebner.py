@@ -4,7 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from seshadri.polynomials import Monomial, MonomialOrder, PolynomialRing
+from seshadri.polynomials import (
+    QQ,
+    Monomial,
+    MonomialOrder,
+    Polynomial,
+    PolynomialRing,
+    PrimeField,
+)
 from seshadri.groebner import (
     Ideal,
     NonHomogeneousError,
@@ -94,6 +101,125 @@ class TestNormalForm:
         for _ in range(10):
             f = random_poly(ring3, 3, rng)
             assert ideal.contains(f - ideal.normal_form(f))
+
+
+# -- reference division: the term-list loop the heap kernel replaced ---------
+
+
+def reference_key(order, monomial):
+    """The nested order key the flat `MonomialOrder.exponent_key` replaced."""
+
+    def grevlex(exps):
+        return (sum(exps), tuple(-e for e in reversed(exps)))
+
+    exps = monomial.exponents
+    if order.permutation is not None:
+        exps = tuple(exps[i] for i in order.permutation)
+    if order.kind == "grevlex":
+        return grevlex(exps)
+    if order.kind == "lex":
+        return exps
+    return (grevlex(exps[: order.split]), grevlex(exps[order.split :]))
+
+
+def reference_normal_form(f, basis, order=None):
+    """Division on sorted term lists: one `_merge` of the whole remainder per
+    step, and a copy of it for every term moved to the result."""
+    ring = f.ring
+    if order is not None and order != ring.order:
+        work = ring.with_order(order)
+        f = work.from_terms(f.terms)
+        basis = [work.from_terms(g.terms) for g in basis]
+    field = f.ring.field
+    reducers = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis if g]
+    remainder = []
+    p = f
+    while p.terms:
+        mono, coeff = p.terms[0]
+        for lm, lc, g in reducers:
+            if lm.divides(mono):
+                p = p.sub_scaled(field.mul(coeff, field.invert(lc)), mono / lm, g)
+                break
+        else:
+            remainder.append((mono, coeff))
+            p = Polynomial(p.ring, p.terms[1:])
+    result = Polynomial(f.ring, tuple(remainder))
+    if order is not None and order != ring.order:
+        result = ring.from_terms(result.terms)
+    return result
+
+
+KERNEL_ORDERS = [
+    MonomialOrder.grevlex(4),
+    MonomialOrder.lex(4),
+    MonomialOrder.elimination(4, 1),
+    MonomialOrder.grevlex(4, permutation=(2, 0, 3, 1)),
+]
+ORDER_IDS = ["grevlex", "lex", "elimination", "permuted-grevlex"]
+
+
+def _random_rational_poly(ring, max_degree, rng, density=0.35):
+    terms = []
+    for d in range(max_degree + 1):
+        for exps in monomials_of_degree(ring.nvars, d):
+            if rng.random() < density:
+                terms.append((exps, Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+    return ring.from_terms(terms)
+
+
+class TestDivisionKernel:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
+    def test_matches_the_reference_division(self, field, order):
+        # divisor lists of 1-4 random inhomogeneous polynomials are rarely
+        # Groebner bases, so the remainder depends on which divisor reduces
+        # each term; the kernel must pick the same (first) one every time
+        rng = random.Random(f"{field!r} {order!r}")
+        names = ("x0", "x1", "x2", "x3")
+        for ring in (PolynomialRing(names, field), PolynomialRing(names, field, order)):
+            for _ in range(12):
+                f = _random_rational_poly(ring, 5, rng)
+                basis = [_random_rational_poly(ring, 3, rng, 0.3) for _ in range(rng.randint(1, 4))]
+                expected = reference_normal_form(f, basis, order)
+                assert normal_form_against(f, basis, order) == expected
+                if ring.order == order:
+                    assert normal_form_against(f, basis) == expected
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    def test_matches_the_reference_against_a_groebner_basis(self, field, rng):
+        for order in KERNEL_ORDERS:
+            ring = PolynomialRing(("x0", "x1", "x2", "x3"), field, order)
+            gens = [random_homogeneous(ring, 2, rng) for _ in range(3)]
+            basis = list(Ideal(ring, gens).groebner_basis())
+            for _ in range(5):
+                f = _random_rational_poly(ring, 4, rng)
+                assert normal_form_against(f, basis) == reference_normal_form(f, basis)
+
+    def test_non_groebner_divisors_depend_on_their_order(self):
+        # Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sec. 3
+        ring = PolynomialRing(("x", "y"), order=MonomialOrder.lex(2))
+        f = ring.parse("x^2*y + x*y^2 + y^2")
+        first = [ring.parse("x*y - 1"), ring.parse("y^2 - 1")]
+        assert normal_form_against(f, first) == ring.parse("x + y + 1")
+        assert normal_form_against(f, first[::-1]) == ring.parse("2*x + 1")
+        for basis in (first, first[::-1]):
+            assert normal_form_against(f, basis) == reference_normal_form(f, basis)
+
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
+    def test_flat_key_sorts_like_the_nested_key(self, order):
+        monomials = [Monomial(e) for d in range(5) for e in monomials_of_degree(4, d)]
+        by_flat = sorted(monomials, key=order.key)
+        assert by_flat == sorted(monomials, key=lambda m: reference_key(order, m))
+        assert len({order.key(m) for m in monomials}) == len(monomials)
+
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
+    def test_flat_key_is_additive(self, order, rng):
+        for _ in range(50):
+            a = tuple(rng.randint(0, 4) for _ in range(4))
+            b = tuple(rng.randint(0, 4) for _ in range(4))
+            total = tuple(x + y for x, y in zip(a, b))
+            summed = tuple(x + y for x, y in zip(order.exponent_key(a), order.exponent_key(b)))
+            assert order.exponent_key(total) == summed
 
 
 def assert_same_ideal(computed, expected_gens):

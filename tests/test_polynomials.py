@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from seshadri.polynomials import (
     PolynomialRing,
     PrimeField,
     QQ,
+    _is_prime,
     parse_polynomial,
     restrict_to_line,
     substitute_linear,
@@ -202,11 +204,39 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             PrimeField(10)
 
+    def test_large_prime_is_certified_quickly(self):
+        # trial division would take minutes on the Mersenne prime 2^61 - 1
+        start = time.perf_counter()
+        assert PrimeField(2**61 - 1).q == 2**61 - 1
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(2**61 + 1)
+        # strong pseudoprime to the bases 2, 3, ..., 37 (psi_12)
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(318665857834031151167461)
+        assert time.perf_counter() - start < 1
+
+    def test_prime_beyond_the_certified_range(self):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(2**89 - 1)
+
+    def test_primality_agrees_with_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        for n in list(range(-3, 3000)) + [3215031751, 2152302898747]:
+            assert _is_prime(n) == trial(n), n
+
     def test_polynomials_over_gf(self):
         ring = PolynomialRing(("x", "y"), field=PrimeField(5))
         f = ring.parse("3*x + 4*y")
         g = f + f
         assert g == ring.parse("x + 3*y")
+
+
+def test_substitution_of_a_high_power(ring2):
+    # powers are built iteratively: no recursion depth grows with the degree
+    swapped = substitute_linear(ring2.parse("x0^1500"), [[0, 1], [1, 0]])
+    assert swapped == ring2.parse("x1^1500")
 
 
 def test_restrict_to_line_vanishes_on_ruling(ring4):
