@@ -39,6 +39,7 @@ from .groebner import Ideal, ideal_quotient
 from .oracle import (
     DEFAULT_PRIMES,
     BadReductionError,
+    EnumerationLimitError,
     count_lines_mod_q,
     find_conic_mod_q,
     modular_instance,
@@ -323,14 +324,20 @@ def _cmd_oracle(instance, args):
     primes = tuple(args.primes) if args.primes else instance.primes
     results = {}
     good = 0
+    refused = None
     for q in primes:
         try:
             inst = modular_instance(X, q)
         except BadReductionError as exc:
             results[str(q)] = {"error": f"bad reduction: {exc}"}
             continue
+        try:
+            lines = count_lines_mod_q(inst)
+        except EnumerationLimitError as exc:
+            results[str(q)] = {"error": str(exc)}
+            refused = exc
+            continue
         good += 1
-        lines = count_lines_mod_q(inst)
         entry = {
             "line_count": lines.count,
             "directions": [list(v) for v in lines.directions],
@@ -345,7 +352,7 @@ def _cmd_oracle(instance, args):
             }
         results[str(q)] = entry
     if not good:
-        raise InputError("all primes had bad reduction")
+        raise InputError(str(refused) if refused else "all primes had bad reduction")
     return {"oracle": results}
 
 
@@ -468,6 +475,13 @@ def run(argv=None):
         code = EXIT_INTERNAL
     except RuntimeError as exc:
         report["error"] = {"kind": "internal", "message": str(exc)}
+        code = EXIT_INTERNAL
+    except Exception as exc:
+        # last resort: any other failure is a bug of the program, reported
+        # as internal with the partial report kept; the traceback goes to
+        # the debug log
+        logger.debug("%s failed", args.command, exc_info=True)
+        report["error"] = {"kind": "internal", "message": f"{type(exc).__name__}: {exc}"}
         code = EXIT_INTERNAL
     logger.info("%s finished in %.2fs", args.command, time.monotonic() - started)
     return report, code, args

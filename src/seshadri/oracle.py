@@ -2,10 +2,12 @@
 
 Everything here avoids the Groebner machinery on purpose: lines through
 the base point are found by enumerating every direction of the embedded
-tangent space ker J(p) over F_q (plain linear algebra) and restricting
-generators to the parametrized line directly; conics come from a
-randomized search; plane-curve multiplicities read off the lowest form
-after translating the point to the affine origin.
+tangent space ker J(p) over F_q (plain linear algebra) and testing each
+generator on the binary form g(s*p + t*v) by its values at d + 1 points
+of P^1, the t^d coefficient g(v) first; conics come from a randomized
+search that expands g(p + t*v + t^2*w) on packed exponent keys;
+plane-curve multiplicities read off the lowest form after translating
+the point to the affine origin.  The hot loops run on plain ints mod q.
 
 Direction enumeration is sequential, since the interpreter lock would
 serialise threads over this pure-Python scan; the directions found come
@@ -14,16 +16,13 @@ back in sorted order.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from . import linalg
 from .polynomials import (
     BadReductionError,
-    Polynomial,
     PolynomialRing,
     PrimeField,
-    compose,
     substitute_linear,
 )
 
@@ -73,52 +72,131 @@ def _gradient(instance):
 
 def _directions(rows, q):
     """Representatives of the points of P(span of rows), for reduced echelon
-    rows: r_i + sum_{j>i} c_j*r_j, whose first nonzero coordinate is one."""
+    rows: r_i + sum_{j>i} c_j*r_j, whose first nonzero coordinate is one.
+
+    Each coset is walked as an odometer over (c_{i+1}, ..., c_k).  A step
+    that raises digit m and wraps every later digit from q - 1 to 0 adds
+    r_m plus one more copy of each wrapped row (q*r = 0), i.e. the suffix
+    sum r_m + ... + r_k: one vector addition per direction.
+    """
     for i, lead in enumerate(rows):
         tail = rows[i + 1 :]
-        for coeffs in itertools.product(range(q), repeat=len(tail)):
-            v = lead
-            for c, row in zip(coeffs, tail):
-                if c:
-                    v = [(a + c * b) % q for a, b in zip(v, row)]
-            yield tuple(v)
+        suffix = []
+        acc = [0] * len(lead)
+        for row in reversed(tail):
+            acc = [(a + b) % q for a, b in zip(acc, row)]
+            suffix.append(acc)
+        suffix.reverse()
+        digits = [0] * len(tail)
+        v = tuple(lead)
+        while True:
+            yield v
+            m = len(digits) - 1
+            while m >= 0 and digits[m] == q - 1:
+                digits[m] = 0
+                m -= 1
+            if m < 0:
+                break
+            digits[m] += 1
+            v = tuple([(a + b) % q for a, b in zip(v, suffix[m])])
 
 
-def _binomials(n):
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
+def _form(g):
+    """Terms of a polynomial over F_q as (coefficient, ((index, exponent), ...))."""
+    return [
+        (c, tuple((i, e) for i, e in enumerate(m.exponents) if e)) for m, c in g.terms
+    ]
 
 
-def _line_vanishes(g, point, direction, q):
-    """Whether g(s*point + t*direction) is the zero polynomial in (s, t)."""
-    degree = g.total_degree()
-    coeffs = [0] * (degree + 1)
-    for mono, c in g.terms:
-        term = [c]
-        for i, e in enumerate(mono.exponents):
-            if not e:
-                continue
-            p_i = point[i] % q
-            v_i = direction[i] % q
-            binom = _binomials(e)
-            factor = [
-                binom[j] * pow(p_i, e - j, q) * pow(v_i, j, q) % q for j in range(e + 1)
-            ]
-            term = _convolve(term, factor, q)
-        for k, value in enumerate(term):
-            coeffs[k] = (coeffs[k] + value) % q
-    return all(v == 0 for v in coeffs)
+def _value(form, x, q):
+    """The value mod q of a form at a vector of ints."""
+    total = 0
+    for c, factors in form:
+        for i, e in factors:
+            c *= x[i] if e == 1 else pow(x[i], e, q)
+        total += c
+    return total % q
 
 
-def _convolve(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
+def _times(f, g, q):
+    """Product mod q of two sparse polynomials {key: coefficient} whose
+    keys are additive monomial codes."""
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            out[k1 + k2] = (out.get(k1 + k2, 0) + c1 * c2) % q
+    return {k: c for k, c in out.items() if c}
+
+
+def _power(f, e, q):
+    """f^e mod q for a sparse polynomial with additive keys.
+
+    Over F_q, f^(q^j) is f with every key multiplied by q^j (Frobenius),
+    so f^e is the product of f^(e_j), keys scaled by q^j, over the base-q
+    digits e_j of e (Lucas): x1^200000 costs a handful of short products.
+    """
+    out = {0: 1}
+    place = 1
+    while e:
+        e, digit = divmod(e, q)
+        piece = {0: 1}
+        for _ in range(digit):
+            piece = _times(piece, f, q)
+        out = _times(out, {k * place: c for k, c in piece.items()}, q)
+        place *= q
     return out
+
+
+def _expand(form, images, q):
+    """g(images) mod q, each variable replaced by a sparse polynomial
+    {key: coefficient} with additive keys; zero coefficients are dropped."""
+    powers = {}
+    total = {}
+    for c, factors in form:
+        term = {0: c}
+        for i, e in factors:
+            if (i, e) not in powers:
+                powers[i, e] = _power(images[i], e, q)
+            term = _times(term, powers[i, e], q)
+        for k, x in term.items():
+            total[k] = (total.get(k, 0) + x) % q
+    return {k: x for k, x in total.items() if x}
+
+
+def _line_test(g, point, q):
+    """Predicate on directions v: whether g(point + t*v) is zero in F_q[t].
+
+    For a form g this says that g(s*point + t*v) is the zero binary form.
+    The t^d coefficient (d = deg g) is the top homogeneous part of g at v,
+    which rejects all but about 1/q of the directions.  A survivor is zero
+    iff it also vanishes at t = 0 and at t = 1, ..., d - 1: with t = oo
+    that is d + 1 points of P^1(F_q), enough for degree d when q >= d.
+    For q < d the coefficients are expanded instead.
+    """
+    form = _form(g)
+    if not form:
+        return lambda v: True
+    if _value(form, point, q):
+        return lambda v: False
+    degree = max(sum(e for _, e in factors) for _, factors in form)
+    top = [term for term in form if sum(e for _, e in term[1]) == degree]
+
+    def vanishes(v):
+        if _value(top, v, q):
+            return False
+        if q < degree:
+            images = [
+                {k: x for k, x in ((0, a), (1, b)) if x} for a, b in zip(point, v)
+            ]
+            return not _expand(form, images, q)
+        x = point
+        for _ in range(1, degree):
+            x = [(a + b) % q for a, b in zip(x, v)]
+            if _value(form, x, q):
+                return False
+        return True
+
+    return vanishes
 
 
 @dataclass(frozen=True)
@@ -132,6 +210,10 @@ class LineCount:
 ENUMERATION_LIMIT = 2_000_000
 
 
+class EnumerationLimitError(ValueError):
+    """The tangent directions at one prime exceed ENUMERATION_LIMIT."""
+
+
 def count_lines_mod_q(instance):
     """Count of lines on X through the point over F_q.
 
@@ -139,9 +221,10 @@ def count_lines_mod_q(instance):
     the s^(d-1)*t coefficient of g(s*p + t*v) is grad g(p) . v, for every
     homogeneous part of g.  So only the directions of ker J(p) with pivot
     coordinate zero (the pivot is the first coordinate of p nonzero mod q)
-    are scanned, normalized to first nonzero coordinate one; those on which
-    all generators restrict to the zero polynomial are kept.  Returns the
-    count and the sorted direction list.
+    are scanned, normalized to first nonzero coordinate one, each with one
+    vector addition (`_directions`); those on which every generator passes
+    `_line_test` are kept.  Returns the count and the sorted direction
+    list; raises EnumerationLimitError beyond ENUMERATION_LIMIT directions.
     """
     q = instance.prime
     field = instance.ring.field
@@ -153,12 +236,11 @@ def count_lines_mod_q(instance):
     basis, _ = linalg.rref(kernel, field)
     total = sum(q**k for k in range(len(basis)))
     if total > ENUMERATION_LIMIT:
-        raise ValueError(f"{total} directions exceed the enumeration limit; lower q")
-    hits = sorted(
-        v
-        for v in _directions(basis, q)
-        if all(_line_vanishes(g, point, v, q) for g in instance.generators)
-    )
+        raise EnumerationLimitError(
+            f"{total} directions exceed the enumeration limit; lower q"
+        )
+    tests = [_line_test(g, point, q) for g in instance.generators]
+    hits = sorted(v for v in _directions(basis, q) if all(test(v) for test in tests))
     return LineCount(count=len(hits), directions=tuple(hits))
 
 
@@ -184,31 +266,57 @@ def _rank(vectors, field):
     return len(rows)
 
 
+def _conic_buckets(form, point, v, q):
+    """The t-buckets of g(point + t*v + t^2*w) over F_q, for w symbolic.
+
+    Returns {t-degree: {w-factors: coefficient}} without zero entries,
+    where w-factors is ((index, exponent), ...) as in `_form`.  While
+    expanding, w^c*t^k is the integer key k + span*sum c_i*base^i
+    (base > deg g bounds each c_i, span > 2 deg g bounds k), so a product
+    of monomials is a sum of keys.
+    """
+    degree = max((sum(e for _, e in factors) for _, factors in form), default=0)
+    base, span = degree + 1, 2 * degree + 1
+    images = [
+        {k: x for k, x in ((0, a), (1, b), (span * base**i + 2, 1)) if x}
+        for i, (a, b) in enumerate(zip(point, v))
+    ]
+    buckets = {}
+    for key, x in _expand(form, images, q).items():
+        code, k = divmod(key, span)
+        factors = []
+        i = 0
+        while code:
+            code, e = divmod(code, base)
+            if e:
+                factors.append((i, e))
+            i += 1
+        buckets.setdefault(k, {})[tuple(factors)] = x
+    return buckets
+
+
 def find_conic_mod_q(instance, budget=200, seed=0):
     """Randomized search for a conic on X through the point over F_q.
 
-    Draws tangent directions from the Jacobian kernel at the point, solves
-    the linear part of the curvature constraints, fills the free choices at
-    random, and keeps a draw only if every restriction coefficient
-    vanishes and the three defining vectors are independent.
+    Draws tangent directions from the Jacobian kernel at the point and
+    expands each generator along p + t*v + t^2*w with w symbolic
+    (`_conic_buckets`).  Every t-coefficient of total degree at most one
+    in w is a linear constraint on w; the search solves those, fills the
+    free choices at random, and keeps a draw only if the remaining
+    coefficients vanish at w and the three vectors are independent.
     """
     q = instance.prime
     field = instance.ring.field
     nvars = instance.ring.nvars
     point = list(instance.point)
-    gens = instance.generators
+    forms = [_form(g) for g in instance.generators]
     # with no generators the zero row leaves the whole space tangent
     gradient = _gradient(instance) or [[0] * nvars]
     _, tangent_basis = linalg.solve_affine(gradient, [0] * len(gradient), field)
     if not tangent_basis:
         return ConicSearchResult(False, None, 0)
 
-    w_ring = PolynomialRing(
-        tuple(f"w{i}" for i in range(nvars)) + ("t",), field
-    )
-    t = w_ring.variable(nvars)
     rng = random.Random(seed)
-
     for attempt in range(1, budget + 1):
         v = [0] * nvars
         for vec in tangent_basis:
@@ -216,30 +324,20 @@ def find_conic_mod_q(instance, budget=200, seed=0):
             v = [(a + c * b) % q for a, b in zip(v, vec)]
         if all(x == 0 for x in v) or _rank([point, v], field) < 2:
             continue
-        images = [
-            w_ring.constant(point[i]) + t.scale(v[i]) + (t * t) * w_ring.variable(i)
-            for i in range(nvars)
-        ]
         linear_rows = []
         linear_rhs = []
         higher = []
-        for g in gens:
-            restricted = compose(g, images)
-            buckets = {}
-            for mono, c in restricted.terms:
-                k = mono.exponents[nvars]
-                buckets.setdefault(k, []).append(
-                    (mono.exponents[:nvars] + (0,), c)
-                )
-            for k, terms in buckets.items():
-                piece = w_ring.from_terms(terms)
-                if piece.total_degree() <= 1:
-                    row = [piece.coefficient(tuple(1 if j == i else 0 for j in range(nvars)) + (0,)) for i in range(nvars)]
-                    const = piece.coefficient((0,) * (nvars + 1))
+        for form in forms:
+            for piece in _conic_buckets(form, point, v, q).values():
+                if all(sum(e for _, e in f) <= 1 for f in piece):
+                    row = [0] * nvars
+                    for f, c in piece.items():
+                        if f:
+                            row[f[0][0]] = c
                     linear_rows.append(row)
-                    linear_rhs.append(field.neg(const))
+                    linear_rhs.append(-piece.get((), 0) % q)
                 else:
-                    higher.append(piece)
+                    higher.append([(c, f) for f, c in piece.items()])
         if linear_rows:
             solved = linalg.solve_affine(linear_rows, linear_rhs, field)
             if solved is None:
@@ -254,8 +352,7 @@ def find_conic_mod_q(instance, budget=200, seed=0):
             w = [(a + c * b) % q for a, b in zip(w, vec)]
         if _rank([point, v, w], field) < 3:
             continue
-        w_point = [field.coerce(x) for x in w] + [0]
-        if all(field.is_zero(h.evaluate(w_point)) for h in higher):
+        if not any(_value(h, w, q) for h in higher):
             witness = (tuple(point), tuple(v), tuple(w))
             return ConicSearchResult(True, witness, attempt)
     return ConicSearchResult(False, None, budget)

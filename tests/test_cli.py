@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from seshadri import cli
 from seshadri.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INPUT,
@@ -76,9 +77,37 @@ class TestCommands:
 
     def test_oracle_gr25_lines(self):
         # Gr(2,5) has (q + 1)(q^2 + q + 1) lines through a point over F_q
-        report, code = run_report(["oracle", bundled("gr25-pluecker"), "--primes", "7"])
+        report, code = run_report(
+            ["oracle", bundled("gr25-pluecker"), "--primes", "7,11"]
+        )
         assert code == EXIT_OK
-        assert report["result"]["oracle"]["7"]["line_count"] == 456
+        for q, count in (("7", 456), ("11", 1596)):
+            assert report["result"]["oracle"][q]["line_count"] == count
+
+    def test_oracle_exponents_above_q(self, tmp_path):
+        # q = 5 < degree: the line test expands coefficients, and the base-5
+        # digits of 20000 keep (p_i + v_i*t)^20000 short; the 6 lines are
+        # the directions in x0 = x1 = 0
+        high = tmp_path / "high.json"
+        high.write_text(json.dumps({
+            "variables": ["x0", "x1", "x2", "x3"],
+            "ambient": [],
+            "cutting": [{"expression": "x0^19999*x1 - x1^20000", "degree": 20000}],
+            "point": ["1", "0", "0", "0"],
+        }))
+        report, code = run_report(["oracle", str(high), "--primes", "5"])
+        assert code == EXIT_OK
+        assert report["result"]["oracle"]["5"]["line_count"] == 6
+
+    def test_oracle_limit_is_reported_per_prime(self):
+        large = 2**61 - 1
+        report, code = run_report(
+            ["oracle", bundled("quadric-surface"), "--primes", f"5,{large}"]
+        )
+        assert code == EXIT_OK
+        oracle = report["result"]["oracle"]
+        assert oracle["5"]["line_count"] == 2
+        assert "exceed the enumeration limit" in oracle[str(large)]["error"]
 
     def test_oracle_with_conics(self):
         report, code = run_report(
@@ -278,6 +307,17 @@ class TestExitCodes:
         )
         assert code == EXIT_INPUT
         assert "exceed the enumeration limit" in report["error"]["message"]
+
+    def test_unexpected_exception_is_internal(self, monkeypatch):
+        def broken(instance, args):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "_cmd_dp", broken)
+        report, code = run_report(["dp", bundled("quadric-surface")])
+        assert code == EXIT_INTERNAL
+        assert report["error"] == {"kind": "internal", "message": "KeyError: 'missing'"}
+        # the partial report survives
+        assert report["command"] == "dp" and report["instance"]["primes"] == [5, 7, 11]
 
     def test_classify_needs_cuts(self, capsys):
         code = main(["classify", bundled("twisted-cubic")])

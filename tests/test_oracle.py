@@ -4,21 +4,30 @@ from fractions import Fraction
 
 import pytest
 
+from seshadri import linalg
+from seshadri.cli import load_instance
 from seshadri.polynomials import (
     BadReductionError,
     PolynomialRing,
     PrimeField,
+    compose,
     restrict_to_line,
 )
 from seshadri.groebner import Ideal, monomials_of_degree
 from seshadri.geometry import multiplicity_at, normalize_point
 from seshadri.oracle import (
     ModularInstance,
+    _conic_buckets,
+    _directions,
+    _form,
+    _line_test,
     count_lines_mod_q,
     find_conic_mod_q,
     lowest_form_mult,
     modular_instance,
 )
+
+from conftest import bundled
 
 
 def _every_line_direction(inst):
@@ -33,6 +42,107 @@ def _every_line_direction(inst):
         if all(restrict_to_line(g, inst.point, v).is_zero() for g in inst.generators):
             found.append(v)
     return tuple(found)
+
+
+# -- the previous kernels, kept as the reference for the integer ones ---------
+
+
+def _binomials(n):
+    row = [1]
+    for _ in range(n):
+        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
+    return row
+
+
+def _convolve(a, b, q):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % q
+    return out
+
+
+def reference_directions(rows, q):
+    """r_i + sum_{j>i} c_j*r_j, each rebuilt from r_i, c in lexicographic order."""
+    for i, lead in enumerate(rows):
+        tail = rows[i + 1 :]
+        for coeffs in itertools.product(range(q), repeat=len(tail)):
+            v = lead
+            for c, row in zip(coeffs, tail):
+                if c:
+                    v = [(a + c * b) % q for a, b in zip(v, row)]
+            yield tuple(v)
+
+
+def reference_line_vanishes(g, point, direction, q):
+    """Whether g(point + t*direction) is the zero polynomial in t."""
+    degree = g.total_degree()
+    coeffs = [0] * (degree + 1)
+    for mono, c in g.terms:
+        term = [c]
+        for i, e in enumerate(mono.exponents):
+            if not e:
+                continue
+            p_i = point[i] % q
+            v_i = direction[i] % q
+            binom = _binomials(e)
+            factor = [
+                binom[j] * pow(p_i, e - j, q) * pow(v_i, j, q) % q for j in range(e + 1)
+            ]
+            term = _convolve(term, factor, q)
+        for k, value in enumerate(term):
+            coeffs[k] = (coeffs[k] + value) % q
+    return all(v == 0 for v in coeffs)
+
+
+def reference_conic_buckets(g, point, v):
+    """t-degree -> {w-factors: coefficient} of g(point + t*v + t^2*w), by
+    `compose` into a ring with variables w0, ..., w(n-1), t."""
+    ring = g.ring
+    nvars = ring.nvars
+    w_ring = PolynomialRing(tuple(f"w{i}" for i in range(nvars)) + ("t",), ring.field)
+    t = w_ring.variable(nvars)
+    images = [
+        w_ring.constant(point[i]) + t.scale(v[i]) + (t * t) * w_ring.variable(i)
+        for i in range(nvars)
+    ]
+    buckets = {}
+    for mono, c in compose(g, images).terms:
+        factors = tuple((i, e) for i, e in enumerate(mono.exponents[:nvars]) if e)
+        buckets.setdefault(mono.exponents[nvars], {})[factors] = c
+    return buckets
+
+
+def _random_form(ring, degree, rng):
+    q = ring.field.q
+    return ring.from_terms(
+        (exps, rng.randrange(q)) for exps in monomials_of_degree(ring.nvars, degree)
+    )
+
+
+def _linear(ring, coefficients):
+    return ring.from_terms(
+        (tuple(int(j == i) for j in range(ring.nvars)), c)
+        for i, c in enumerate(coefficients)
+    )
+
+
+def _line_through(q, rng):
+    """Independent p, v with every coordinate nonzero, the two linear forms
+    vanishing on their line, and S, T with S(p) = T(v) = 1 and
+    S(v) = T(p) = 0 (so a form in S, T restricts to the same binary form).
+    Over F_2 only (1, 1, 1, 1) has no zero coordinate, so there v has some."""
+    field = PrimeField(q)
+    while True:
+        p = [rng.randrange(1, q) for _ in range(4)]
+        v = [rng.randrange(int(q > 2), q) for _ in range(4)]
+        if len(linalg.rref([p, v], field)[0]) == 2:
+            break
+    _, ideal = linalg.solve_affine([p, v], [0, 0], field)
+    s, _ = linalg.solve_affine([p, v], [1, 0], field)
+    t, _ = linalg.solve_affine([p, v], [0, 1], field)
+    return p, v, ideal, s, t
 
 
 def quadric_surface(ring4, point=(1, 0, 0, 0)):
@@ -134,6 +244,123 @@ class TestCountLines:
         X = normalize_point(Ideal(ring3, []), (5, 5, 5))
         with pytest.raises(BadReductionError):
             modular_instance(X, 5)
+
+
+class TestIntegerKernels:
+    def test_direction_walk_matches_the_coset_formula(self, rng):
+        # the odometer keeps v = r_i + sum c_j*r_j for the current digits c,
+        # so it yields the reference's vectors in the reference's order
+        for q in (2, 3, 5):
+            field = PrimeField(q)
+            for size in range(1, 5):
+                matrix = [[rng.randrange(q) for _ in range(6)] for _ in range(size)]
+                rows, _ = linalg.rref(matrix, field)
+                walked = list(_directions(rows, q))
+                assert walked == list(reference_directions(rows, q))
+                assert len(set(walked)) == sum(q**k for k in range(len(rows)))
+
+    def test_predicate_matches_restriction_to_the_line(self, rng):
+        # forms of degree 1-5 on lines through p, v with no zero coordinate:
+        # generic ones, ones in the ideal of the line, ones that restrict to
+        # s^k*t^(d-k) (zero at [1:0] and [0:1] only) and, for d > q, ones
+        # that restrict to a multiple of s^q*t - s*t^q, which vanishes at
+        # every point of P^1(F_q) without being zero
+        for q in (2, 3, 5, 7):
+            ring = PolynomialRing(("x0", "x1", "x2", "x3"), PrimeField(q))
+            outcomes = set()
+            for _ in range(60):
+                p, v, ideal, s, t = _line_through(q, rng)
+                S, T = _linear(ring, s), _linear(ring, t)
+                degree = rng.randint(1, 5)
+                kind = rng.choice(("generic", "ideal", "monomial", "frobenius"))
+                if kind == "generic":
+                    g = _random_form(ring, degree, rng)
+                else:
+                    g = ring.zero()
+                    for coefficients in ideal:
+                        g = g + _linear(ring, coefficients) * _random_form(
+                            ring, degree - 1, rng
+                        )
+                    if kind == "monomial":
+                        k = rng.randint(1, degree)
+                        g = g + S ** (k - 1) * T ** (degree - k) * S
+                    elif kind == "frobenius" and degree > q:
+                        g = g + _random_form(ring, degree - q - 1, rng) * (
+                            S**q * T - S * T**q
+                        )
+                expected = restrict_to_line(g, p, v).is_zero()
+                assert _line_test(g, p, q)(v) == expected
+                assert reference_line_vanishes(g, p, v, q) == expected
+                outcomes.add((kind, degree > q, expected))
+            assert {True, False} == {expected for *_, expected in outcomes}
+            if q < 5:
+                # zero at every F_q-point of the line, yet not on X
+                assert ("frobenius", True, False) in outcomes
+
+    def test_inhomogeneous_generators_keep_their_answer(self, rng):
+        # g(p + t*v) = 0 in t, the affine test, for sums of forms of
+        # different degrees that may cancel along the line
+        for q in (2, 3, 5, 7):
+            ring = PolynomialRing(("x0", "x1", "x2", "x3"), PrimeField(q))
+            for _ in range(40):
+                p, v, ideal, s, t = _line_through(q, rng)
+                S, T = _linear(ring, s), _linear(ring, t)
+                low = rng.randint(1, 3)
+                high = low + rng.randint(1, 3)
+                # (S + T)^low*T restricts to (1 + t)^low*t at s = 1, which
+                # S^(high-low-1)*T*(S + T)^low matches in degree high
+                g = (S + T) ** low * T - S ** (high - low - 1) * T * (S + T) ** low
+                for coefficients in ideal:
+                    g = g + _linear(ring, coefficients) * _random_form(ring, low, rng)
+                if rng.random() < 0.5:
+                    g = g + _random_form(ring, rng.randint(1, high), rng)
+                expected = reference_line_vanishes(g, p, v, q)
+                assert _line_test(g, p, q)(v) == expected
+
+    def test_conic_buckets_match_composition(self, rng):
+        # degrees up to 7 at q = 5 and 7 take exponents with two base-q digits
+        for q in (5, 7, 11):
+            for nvars in (4, 5):
+                names = tuple(f"x{i}" for i in range(nvars))
+                ring = PolynomialRing(names, PrimeField(q))
+                for _ in range(6):
+                    g = ring.from_terms(
+                        (exps, rng.randrange(q))
+                        for exps in monomials_of_degree(nvars, rng.randint(1, 7))
+                        if rng.random() < 0.3
+                    )
+                    point = [rng.choice((0, rng.randrange(q))) for _ in range(nvars)]
+                    v = [rng.choice((0, rng.randrange(q))) for _ in range(nvars)]
+                    expected = reference_conic_buckets(g, point, v)
+                    assert _conic_buckets(_form(g), point, v, q) == expected
+
+    @pytest.mark.parametrize(
+        "name, q, found, attempts, witness",
+        [
+            ("quadric-surface", 5, True, 5, [[1, 0, 0, 0], [4, 1, 2, 0], [0, 4, 0, 2]]),
+            (
+                "gr25-pluecker",
+                11,
+                True,
+                1,
+                [
+                    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [6, 6, 0, 4, 8, 7, 6, 0, 0, 0],
+                    [4, 5, 0, 7, 1, 5, 9, 9, 4, 5],
+                ],
+            ),
+            ("quartic-threefold", 7, False, 200, None),
+        ],
+    )
+    def test_conic_search_is_pinned(self, name, q, found, attempts, witness):
+        # rng draws, attempt counts and witnesses of the Polynomial-based search
+        instance = load_instance(bundled(name))
+        result = find_conic_mod_q(
+            modular_instance(instance.variety(), q), seed=instance.seed
+        )
+        assert result.found is found
+        assert result.attempts == attempts
+        assert (result.witness and [list(x) for x in result.witness]) == witness
 
 
 class TestFindConic:
