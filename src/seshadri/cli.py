@@ -384,8 +384,30 @@ def render_human(report):
     return "\n".join(out)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error (exit 3); argparse
+    itself would exit 2, the code of a failed hypothesis."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _primes(text):
+    try:
+        return [int(q) for q in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
+def _non_negative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
+    return value
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="seshadri",
         description="Exact Seshadri-constant bounds, certificates and oracles",
     )
@@ -395,7 +417,7 @@ def build_parser():
         if needs_file:
             p.add_argument("file", help="instance file (JSON)")
         p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--primes", type=lambda s: [int(q) for q in s.split(",")],
+        p.add_argument("--primes", type=_primes,
                        default=None, help="comma-separated primes for the oracle")
         p.add_argument("--max-m", dest="max_m", type=int, default=None,
                        help="accepted and ignored (mult and ord are exact); "
@@ -404,7 +426,7 @@ def build_parser():
                        help="write the machine-readable report here")
         p.add_argument("--validate", action="store_true",
                        help="extra saturation/smoothness checks")
-        p.add_argument("--retries", type=int, default=4,
+        p.add_argument("--retries", type=_non_negative, default=4,
                        help="retry budget for random draws")
 
     for name in ("bound", "fano", "dp", "classify", "curve"):
@@ -412,7 +434,8 @@ def build_parser():
     oracle = sub.add_parser("oracle")
     common(oracle)
     oracle.add_argument("--conics", action="store_true", help="also search for conics")
-    oracle.add_argument("--budget", type=int, default=200, help="conic search draws")
+    oracle.add_argument("--budget", type=_non_negative, default=200,
+                        help="conic search draws")
     sharp = sub.add_parser("sharpness")
     sharp.add_argument("n", type=int, help="dimension")
     sharp.add_argument("d", type=int, help="degree (at least n + 1)")
@@ -421,11 +444,18 @@ def build_parser():
 
 
 def run(argv=None):
-    """Run one command; returns (report dict, exit code, parsed args)."""
+    """Run one command; returns (report dict, exit code, parsed args).
+
+    A command line that does not parse gives kind `input` and args None.
+    """
     level = os.environ.get("SESHADRI_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as exc:
+        report = {"command": None, "flags": {}, "result": {},
+                  "error": {"kind": "input", "message": str(exc)}}
+        return report, EXIT_INPUT, None
     started = time.monotonic()
     report = {"command": args.command, "flags": {}, "result": {}}
     try:

@@ -5,7 +5,9 @@ denominator) or integers in ``[0, q)`` for a prime field.  Variables are
 indexed; display names are metadata only, so coordinate changes permute
 indices rather than names.  Term lists are kept sorted, strictly decreasing
 in the ring's active monomial order; changing the order is explicit via
-``with_order`` and never happens implicitly.
+``with_order`` and never happens implicitly.  Every new term list goes
+through `_collect`, which sums like monomials in a dict and sorts once;
+maps that keep the term order (`scale`, negation, `mul_term`) skip it.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function.
@@ -14,6 +16,7 @@ threads; every operation is a pure function.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import neg
 
@@ -323,21 +326,17 @@ class PolynomialRing:
 
     def from_terms(self, terms):
         """Build a polynomial from (exponents-or-Monomial, coefficient) pairs."""
-        merged = {}
-        for mono, coeff in terms:
-            if not isinstance(mono, Monomial):
-                mono = Monomial(mono)
-            if len(mono) != self.nvars:
-                raise ValueError("exponent vector length does not match ring")
-            coeff = self.field.coerce(coeff)
-            if mono in merged:
-                merged[mono] = self.field.add(merged[mono], coeff)
-            else:
-                merged[mono] = coeff
-        key = self.order.key
-        cleaned = [(m, c) for m, c in merged.items() if not self.field.is_zero(c)]
-        cleaned.sort(key=lambda tc: key(tc[0]), reverse=True)
-        return Polynomial(self, tuple(cleaned))
+        nvars, coerce = self.nvars, self.field.coerce
+
+        def checked():
+            for mono, coeff in terms:
+                if not isinstance(mono, Monomial):
+                    mono = Monomial(mono)
+                if len(mono) != nvars:
+                    raise ValueError("exponent vector length does not match ring")
+                yield mono, coerce(coeff)
+
+        return _collect(self, checked())
 
     def parse(self, text):
         return parse_polynomial(text, self)
@@ -431,13 +430,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check_ring(other)
-        return _merge(self, self.ring.field.one, _UNIT_CACHE.setdefault(self.ring.nvars, Monomial((0,) * self.ring.nvars)), other, negate=False)
+        return _collect(self.ring, chain(self.terms, other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check_ring(other)
-        return _merge(self, self.ring.field.one, _UNIT_CACHE.setdefault(self.ring.nvars, Monomial((0,) * self.ring.nvars)), other, negate=True)
+        neg = self.ring.field.neg
+        return _collect(self.ring, chain(self.terms, ((m, neg(c)) for m, c in other.terms)))
 
     def __neg__(self):
         neg = self.ring.field.neg
@@ -447,20 +447,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        field = self.ring.field
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1 * m2
-                c = field.mul(c1, c2)
-                if m in acc:
-                    acc[m] = field.add(acc[m], c)
-                else:
-                    acc[m] = c
-        key = self.ring.order.key
-        cleaned = [(m, c) for m, c in acc.items() if not field.is_zero(c)]
-        cleaned.sort(key=lambda tc: key(tc[0]), reverse=True)
-        return Polynomial(self.ring, tuple(cleaned))
+        mul = self.ring.field.mul
+        return _collect(
+            self.ring,
+            ((m1 * m2, mul(c1, c2)) for m1, c1 in self.terms for m2, c2 in other.terms),
+        )
 
     __rmul__ = __mul__
 
@@ -502,9 +493,13 @@ class Polynomial:
         return self.ring.from_terms(terms)
 
     def sub_scaled(self, coeff, mono, other):
-        """Return self - coeff * x^mono * other, merging sorted term lists."""
+        """Return self - coeff * x^mono * other."""
         self._check_ring(other)
-        return _merge(self, coeff, mono, other, negate=True)
+        field = self.ring.field
+        coeff, mul = field.neg(field.coerce(coeff)), field.mul
+        return _collect(
+            self.ring, chain(self.terms, ((m * mono, mul(c, coeff)) for m, c in other.terms))
+        )
 
     def monic(self):
         if not self.terms:
@@ -534,12 +529,13 @@ class Polynomial:
         point = [field.coerce(x) for x in point]
         if len(point) != self.ring.nvars:
             raise ValueError("point length does not match variable count")
+        q = field.characteristic
         total = field.zero
         for mono, coeff in self.terms:
             value = coeff
             for x, e in zip(point, mono.exponents):
-                for _ in range(e):
-                    value = field.mul(value, x)
+                if e:
+                    value = field.mul(value, pow(x, e, q) if q else x**e)
             total = field.add(total, value)
         return total
 
@@ -603,41 +599,19 @@ class Polynomial:
         return f"<{self}>"
 
 
-_UNIT_CACHE: dict = {}
-
-
-def _merge(f, coeff, mono, g, negate):
-    """f + (-1)^negate * coeff * x^mono * g with a sorted merge."""
-    ring = f.ring
-    field = ring.field
-    coeff = field.coerce(coeff)
-    if negate:
-        coeff = field.neg(coeff)
-    if field.is_zero(coeff) or not g.terms:
-        return f
+def _collect(ring, pairs):
+    """The polynomial of `ring` summing (Monomial, coefficient) pairs: like
+    monomials add in a dict, zero sums drop, and one sort by the order key
+    makes the terms strictly decreasing."""
+    add, is_zero = ring.field.add, ring.field.is_zero
+    acc = {}
+    for mono, coeff in pairs:
+        prev = acc.get(mono)
+        acc[mono] = coeff if prev is None else add(prev, coeff)
     key = ring.order.key
-    fterms = f.terms
-    gterms = [(m * mono, field.mul(c, coeff)) for m, c in g.terms]
-    fkeys = [key(m) for m, _ in fterms]
-    gkeys = [key(m) for m, _ in gterms]
-    out = []
-    i = j = 0
-    while i < len(fterms) and j < len(gterms):
-        if fkeys[i] > gkeys[j]:
-            out.append(fterms[i])
-            i += 1
-        elif fkeys[i] < gkeys[j]:
-            out.append(gterms[j])
-            j += 1
-        else:
-            c = field.add(fterms[i][1], gterms[j][1])
-            if not field.is_zero(c):
-                out.append((fterms[i][0], c))
-            i += 1
-            j += 1
-    out.extend(fterms[i:])
-    out.extend(gterms[j:])
-    return Polynomial(ring, tuple(out))
+    terms = [(m, c) for m, c in acc.items() if not is_zero(c)]
+    terms.sort(key=lambda tc: key(tc[0]), reverse=True)
+    return Polynomial(ring, terms)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -710,17 +684,16 @@ class _Parser:
         return poly
 
     def expr(self):
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-        poly = self.term()
-        if sign < 0:
-            poly = -poly
-        while self.peek()[0] in ("+", "-"):
+        """Gather the terms of every summand, then sum them all at once."""
+        neg = self.ring.field.neg
+        pairs = []
+        op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
+        while True:
+            terms = self.term().terms
+            pairs.extend(terms if op == "+" else ((m, neg(c)) for m, c in terms))
+            if self.peek()[0] not in ("+", "-"):
+                return _collect(self.ring, pairs)
             op = self.advance()[0]
-            rhs = self.term()
-            poly = poly - rhs if op == "-" else poly + rhs
-        return poly
 
     def term(self):
         poly = self.factor()
@@ -783,14 +756,14 @@ def compose(f, images):
             cache.append(cache[-1] * images[i])
         return cache[e]
 
-    total = target.zero()
+    pairs = []
     for mono, coeff in f.terms:
         piece = target.constant(coeff)
         for i, e in enumerate(mono.exponents):
             if e:
                 piece = piece * power(i, e)
-        total = total + piece
-    return total
+        pairs.extend(piece.terms)
+    return _collect(target, pairs)
 
 
 def substitute_linear(f, matrix):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -122,7 +123,7 @@ class TestCommands:
         assert code == EXIT_OK
 
     def test_downgraded_classify_carries_conic_annotation(self, tmp_path):
-        raw = json.loads(open(bundled("gr24-hyperplanes")).read())
+        raw = json.loads(Path(bundled("gr24-hyperplanes")).read_text())
         raw["ambient_homogeneous"] = False
         unflagged = tmp_path / "unflagged.json"
         unflagged.write_text(json.dumps(raw))
@@ -217,7 +218,7 @@ class TestExitCodes:
     def test_internal_failure_on_bad_component(self, tmp_path, capsys):
         # a component ideal that is not a maximal component of the ambient
         # line scheme starves the cone construction: loud internal failure
-        raw = json.loads(open(bundled("two-quadrics-p4")).read())
+        raw = json.loads(Path(bundled("two-quadrics-p4")).read_text())
         raw["component"] = ["x2", "x3", "x4"]
         bad = tmp_path / "component.json"
         bad.write_text(json.dumps(raw))
@@ -318,6 +319,33 @@ class TestExitCodes:
         assert report["error"] == {"kind": "internal", "message": "KeyError: 'missing'"}
         # the partial report survives
         assert report["command"] == "dp" and report["instance"]["primes"] == [5, 7, 11]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dp"],
+            ["oracle", bundled("quadric-surface"), "--primes", "a,b"],
+            ["sharpness", "two", "3"],
+            ["no-such-command"],
+            ["curve", bundled("two-quadrics-p4"), "--retries", "-1"],
+            ["oracle", bundled("quadric-surface"), "--conics", "--budget", "-5"],
+        ],
+        ids=["missing-file", "non-integer-primes", "non-integer-n", "unknown-command",
+             "negative-retries", "negative-budget"],
+    )
+    def test_malformed_command_line_is_input(self, capsys, argv):
+        # argparse would exit 2, the code reserved for a failed hypothesis
+        report, code = run_report(argv)
+        assert code == EXIT_INPUT
+        assert report["error"]["kind"] == "input"
+        assert main(argv) == EXIT_INPUT
+        assert "error (input)" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage" in capsys.readouterr().out
 
     def test_classify_needs_cuts(self, capsys):
         code = main(["classify", bundled("twisted-cubic")])

@@ -123,8 +123,9 @@ def reference_key(order, monomial):
 
 
 def reference_normal_form(f, basis, order=None):
-    """Division on sorted term lists: one `_merge` of the whole remainder per
-    step, and a copy of it for every term moved to the result."""
+    """Textbook division on whole polynomials: each step subtracts a scaled
+    divisor from the working polynomial with `sub_scaled`, and a leading
+    term that no divisor's leading monomial divides moves to the remainder."""
     ring = f.ring
     if order is not None and order != ring.order:
         work = ring.with_order(order)

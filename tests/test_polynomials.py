@@ -14,6 +14,7 @@ from seshadri.polynomials import (
     PrimeField,
     QQ,
     _is_prime,
+    compose,
     parse_polynomial,
     restrict_to_line,
     substitute_linear,
@@ -80,6 +81,15 @@ class TestEvaluate:
     def test_length_mismatch(self, ring4):
         with pytest.raises(ValueError):
             ring4.parse("x0").evaluate([1, 0])
+
+    def test_high_powers_match_pow(self, ring2):
+        # one power per variable and term, not e multiplications for x^e
+        text = "x0^199999*x1 - x1^200000"
+        f = ring2.parse(text)
+        for a, b in ((2, 2), (1, -1)):
+            assert f.evaluate([a, b]) == pow(a, 199999) * b - pow(b, 200000)
+        f5 = ring2.with_field(PrimeField(5)).parse(text)
+        assert f5.evaluate([2, 3]) == (pow(2, 199999, 5) * 3 - pow(3, 200000, 5)) % 5
 
 
 class TestSubstituteLinear:
@@ -149,6 +159,93 @@ class TestAlgebraProperties:
             g = substitute_linear(f, matrix)
             degrees = {m.degree for m, _ in g.terms}
             assert degrees == {3}
+
+
+SUM_ORDERS = [
+    MonomialOrder.grevlex(3),
+    MonomialOrder.lex(3),
+    MonomialOrder.elimination(3, 1),
+    MonomialOrder.grevlex(3, permutation=(2, 0, 1)),
+]
+
+
+def _random_sparse(ring, rng, max_degree=3):
+    terms = []
+    for _ in range(rng.randint(0, 8)):
+        exps = tuple(rng.randint(0, max_degree) for _ in range(ring.nvars))
+        terms.append((exps, Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+    return ring.from_terms(terms)
+
+
+def _as_dict(poly):
+    return {m.exponents: c for m, c in poly.terms}
+
+
+def _reference_sum(field, pairs):
+    """Exponents -> coefficient of a sum of (exponents, coefficient) pairs."""
+    out = {}
+    for exps, c in pairs:
+        out[exps] = field.add(out.get(exps, field.zero), c)
+    return {e: c for e, c in out.items() if not field.is_zero(c)}
+
+
+def _reference_product(field, a, b):
+    return _reference_sum(
+        field,
+        (
+            (tuple(x + y for x, y in zip(ea, eb)), field.mul(ca, cb))
+            for ea, ca in a.items()
+            for eb, cb in b.items()
+        ),
+    )
+
+
+class TestSummation:
+    """Every term list is summed by one path; check it against plain dicts."""
+
+    @staticmethod
+    def check(result, expected):
+        keys = [result.ring.order.key(m) for m, _ in result.terms]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        assert not any(result.ring.field.is_zero(c) for _, c in result.terms)
+        assert _as_dict(result) == expected
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize(
+        "order", SUM_ORDERS, ids=["grevlex", "lex", "elimination", "permuted-grevlex"]
+    )
+    def test_operations_match_reference_dicts(self, field, order):
+        ring = PolynomialRing(("x0", "x1", "x2"), field, order)
+        rng = random.Random(4)
+        neg, mul = field.neg, field.mul
+        for _ in range(20):
+            f, g = _random_sparse(ring, rng), _random_sparse(ring, rng)
+            F, G = _as_dict(f), _as_dict(g)
+            self.check(f + g, _reference_sum(field, [*F.items(), *G.items()]))
+            negated = ((e, neg(c)) for e, c in G.items())
+            self.check(f - g, _reference_sum(field, [*F.items(), *negated]))
+            self.check(f * g, _reference_product(field, F, G))
+            coeff = field.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            shift = tuple(rng.randint(0, 2) for _ in range(3))
+            scaled = (
+                (tuple(x + y for x, y in zip(e, shift)), neg(mul(coeff, c)))
+                for e, c in G.items()
+            )
+            self.check(
+                f.sub_scaled(coeff, Monomial(shift), g),
+                _reference_sum(field, [*F.items(), *scaled]),
+            )
+            images = [_random_sparse(ring, rng, max_degree=1) for _ in range(3)]
+            expected = {}
+            for exps, c in F.items():
+                piece = {(0, 0, 0): c}
+                for image, e in zip(images, exps):
+                    for _ in range(e):
+                        piece = _reference_product(field, piece, _as_dict(image))
+                expected = _reference_sum(field, [*expected.items(), *piece.items()])
+            self.check(compose(f, images), expected)
+            self.check(ring.parse(str(f)), F)
+            assert (f - f).is_zero()
 
 
 def _random_monomial(nvars, rng, max_exp=4):
