@@ -6,16 +6,19 @@ of reduced Groebner bases sit normal forms, ideal quotients via the
 one-tag-variable intersection trick, saturation by iterated quotients,
 Hilbert series data of homogeneous ideals, and graded pieces.
 
-Division (`normal_form_against`, and so every S-pair reduction) runs on
-exponent tuples rather than `Polynomial` values, after Monagan and Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors" (2007): the pending terms live in a dict keyed by exponents plus
-a max-heap of flat order keys with lazy deletion, so a step touches only
-the terms of the reducer.  Over Q the division is fraction-free on the
-primitive integer forms of the divisors, with the accumulated scale kept
-so that each remainder coefficient is the exact rational; over F_q it
-uses field operations on monic divisors.  `buchberger` converts each basis
-element to its integer form once, when the element arrives.
+Division runs on exponent tuples rather than `Polynomial` values, after
+Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors" (2007): the pending terms live in a dict keyed by
+exponents plus a max-heap of flat order keys with lazy deletion, so a step
+touches only the terms of the reducer.  Over Q the division is
+fraction-free on the primitive integer forms of the divisors, with the
+accumulated scale kept so that each remainder coefficient is the exact
+rational; over F_q it uses field operations on monic divisors.
+`buchberger` runs entirely on these integer forms: each S-pair is formed
+from two forms straight into the pending terms of the division, each new
+basis element is made primitive (or monic) once on its integer remainder,
+and `Fraction`/`Polynomial` values are built only for the reduced basis it
+returns.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from operator import add, le, neg, sub
 
 from . import linalg
@@ -43,67 +46,55 @@ class NonHomogeneousError(ValueError):
 # -- division ------------------------------------------------------------------
 
 
-class _Reducers:
-    """The divisors of one division run, in the form the kernel reduces with.
-
-    Each divisor becomes (leading exponents, leading coefficient, tail) under
-    `order`, the tail a list of (exponents, coefficient) pairs.  Over Q the
-    coefficients are those of the primitive integer multiple; over F_q the
-    tail is that of the monic multiple, negated.  `buchberger` grows one of
-    these as basis elements arrive, so each element is converted once per
-    run.
-    """
-
-    __slots__ = ("order", "rational", "forms")
-
-    def __init__(self, order, field, polys=()):
-        self.order = order
-        self.rational = field == QQ
-        self.forms = []
-        for g in polys:
-            self.append(g)
-
-    def append(self, g):
+def _forms(polys, order, q):
+    """The `_form` under `order` of each nonzero polynomial, in the form the
+    division kernels reduce with; q is the characteristic, 0 over Q."""
+    key = order.exponent_key
+    forms = []
+    for g in polys:
         if not g:
-            return
-        if self.rational:
-            terms = [(m.exponents, c.numerator) for m, c in g.primitive().terms]
-        else:
+            continue
+        if q:
             terms = [(m.exponents, c) for m, c in g.terms]
-        if g.ring.order != self.order:
-            key = self.order.exponent_key
+        else:
+            den = lcm(*(c.denominator for _, c in g.terms))
+            terms = [(m.exponents, c.numerator * (den // c.denominator)) for m, c in g.terms]
+        if g.ring.order != order:
             terms.sort(key=lambda t: key(t[0]), reverse=True)
-        (lm, lc), tail = terms[0], terms[1:]
-        if not self.rational:
-            field = g.ring.field
-            factor = field.neg(field.invert(lc))
-            tail = [(e, field.mul(c, factor)) for e, c in tail]
-        self.forms.append((lm, lc, tail))
-
-    def without(self, index):
-        """The same divisors minus the one at `index` (no conversion redone)."""
-        other = _Reducers.__new__(_Reducers)
-        other.order = self.order
-        other.rational = self.rational
-        other.forms = self.forms[:index] + self.forms[index + 1 :]
-        return other
+        forms.append(_form(terms, q))
+    return forms
 
 
-def _divide_rational(terms, forms, exponent_key):
-    """Fraction-free division over Q; the remainder terms, largest first.
+def _form(terms, q):
+    """The form (lm, lc, tail) of nonzero integer terms, largest first.
 
-    The pending polynomial is P / scale with P integral.  Each step is
-    P <- a*P - b*x^u*g with a = lc / gcd(lc, c), b = c / gcd(lc, c), which
-    is the field step p - (c/lc)*x^u*g scaled by a, so every remainder term
-    c / scale is the exact rational the field step would give.
+    Over Q (q = 0) it is the primitive integer multiple with positive lc;
+    over F_q the monic multiple, lc = 1, with its tail negated.  The tail
+    is a list of (exponents, coefficient) pairs.
+    """
+    (lm, lc), tail = terms[0], terms[1:]
+    if q:
+        factor = q - pow(lc, -1, q)
+        return lm, 1, [(e, c * factor % q) for e, c in tail]
+    content = gcd(*(c for _, c in terms))
+    if lc < 0:
+        content = -content
+    return lm, lc // content, [(e, c // content) for e, c in tail]
+
+
+def _divide_integer(pending, forms, exponent_key):
+    """Fraction-free division over Q of the integer terms `pending`.
+
+    Returns (remainder, scale): remainder terms, largest first, with integer
+    coefficients whose quotients by scale are the exact remainder of the
+    division of `pending`.  Each step is P <- a*P - b*x^u*g with
+    a = lc / gcd(lc, c), b = c / gcd(lc, c), the field step
+    p - (c/lc)*x^u*g scaled by a.  `pending` is consumed.
     """
     scale = 1
-    for _, c in terms:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    pending = {m.exponents: c.numerator * (scale // c.denominator) for m, c in terms}
     heap = [(tuple(map(neg, exponent_key(e))), e) for e in pending]
     heapify(heap)
-    remainder = []
+    remainder = []  # (exponents, coefficient, scale when it left)
     while heap:
         m = heappop(heap)[1]
         c = pending.pop(m, None)
@@ -113,7 +104,7 @@ def _divide_rational(terms, forms, exponent_key):
             if all(map(le, lm, m)):
                 break
         else:
-            remainder.append((m, Fraction(c, scale)))
+            remainder.append((m, c, scale))
             continue
         u = tuple(map(sub, m, lm))
         common = gcd(lc, c)
@@ -133,12 +124,14 @@ def _divide_rational(terms, forms, exponent_key):
                     pending[e] = v
                 else:
                     del pending[e]
-    return remainder
+    return [(m, c if s == scale else c * (scale // s)) for m, c, s in remainder], scale
 
 
-def _divide_modular(terms, forms, exponent_key, q):
-    """Division over F_q with monic divisors; the remainder terms, largest first."""
-    pending = {m.exponents: c for m, c in terms}
+def _divide_modular(pending, forms, exponent_key, q):
+    """Division over F_q of the terms `pending` by monic divisors.
+
+    Returns the remainder terms, largest first.  `pending` is consumed.
+    """
     heap = [(tuple(map(neg, exponent_key(e))), e) for e in pending]
     heapify(heap)
     remainder = []
@@ -180,12 +173,17 @@ def normal_form_against(f, basis, order=None):
     ring = f.ring
     if order is None:
         order = ring.order
-    if not isinstance(basis, _Reducers):
-        basis = _Reducers(order, ring.field, basis)
-    if basis.rational:
-        remainder = _divide_rational(f.terms, basis.forms, order.exponent_key)
+    q = ring.field.characteristic
+    forms = _forms(basis, order, q)
+    if q:
+        pending = {m.exponents: c for m, c in f.terms}
+        remainder = _divide_modular(pending, forms, order.exponent_key, q)
     else:
-        remainder = _divide_modular(f.terms, basis.forms, order.exponent_key, ring.field.q)
+        scale = lcm(*(c.denominator for _, c in f.terms))
+        pending = {m.exponents: c.numerator * (scale // c.denominator) for m, c in f.terms}
+        remainder, factor = _divide_integer(pending, forms, order.exponent_key)
+        scale *= factor
+        remainder = [(e, Fraction(c, scale)) for e, c in remainder]
     if order != ring.order:
         return ring.from_terms(remainder)
     return Polynomial(ring, tuple((Monomial(e), c) for e, c in remainder))
@@ -209,11 +207,63 @@ def divide_exact(f, g):
     return ring.from_terms(quotient_terms)
 
 
+def _s_pair(f, g, top, q):
+    """The S-pair of two forms as pending terms; `top` is the exponent tuple
+    of the lcm of their leading monomials.
+
+    Over Q (q = 0) the terms are those of
+    (lc_g/c)*x^u*tail_f - (lc_f/c)*x^v*tail_g with c = gcd(lc_f, lc_g),
+    which is lcm(lc_f, lc_g) times the field S-polynomial.  Over F_q, where
+    the tails are negated, the terms are the field S-polynomial itself.
+    """
+    lm_f, lc_f, tail_f = f
+    lm_g, lc_g, tail_g = g
+    u = tuple(map(sub, top, lm_f))
+    v = tuple(map(sub, top, lm_g))
+    if q:
+        pending = {tuple(map(add, e, u)): q - c for e, c in tail_f}
+        for e, c in tail_g:
+            e = tuple(map(add, e, v))
+            w = (pending.get(e, 0) + c) % q
+            if w:
+                pending[e] = w
+            else:
+                del pending[e]
+        return pending
+    common = gcd(lc_f, lc_g)
+    a, b = lc_g // common, lc_f // common
+    pending = {tuple(map(add, e, u)): a * c for e, c in tail_f}
+    for e, c in tail_g:
+        e = tuple(map(add, e, v))
+        w = pending.get(e, 0) - b * c
+        if w:
+            pending[e] = w
+        else:
+            del pending[e]
+    return pending
+
+
 def s_polynomial(f, g):
-    field = f.ring.field
-    lcm = f.leading_monomial().lcm(g.leading_monomial())
-    lhs = f.mul_term(field.invert(f.leading_coefficient()), lcm / f.leading_monomial())
-    return lhs.sub_scaled(field.invert(g.leading_coefficient()), lcm / g.leading_monomial(), g)
+    """The S-polynomial x^u*f/lc(f) - x^v*g/lc(g), x^u*lm(f) = x^v*lm(g) = lcm.
+
+    Computed by the integer S-pair step of `buchberger`: over Q it is that
+    step's result on the forms of f and g divided by the lcm of their
+    leading coefficients.
+    """
+    if f.ring != g.ring:
+        raise ValueError("polynomials come from different rings")
+    if not (f and g):
+        raise ValueError("zero polynomial has no leading monomial")
+    ring = f.ring
+    q = ring.field.characteristic
+    form_f, form_g = _forms((f, g), ring.order, q)
+    pending = _s_pair(form_f, form_g, tuple(map(max, form_f[0], form_g[0])), q)
+    if not q:
+        common = lcm(form_f[1], form_g[1])
+        pending = {e: Fraction(c, common) for e, c in pending.items()}
+    key = ring.order.exponent_key
+    terms = sorted(pending.items(), key=lambda t: key(t[0]), reverse=True)
+    return Polynomial(ring, tuple((Monomial(e), c) for e, c in terms))
 
 
 # -- Buchberger ------------------------------------------------------------------
@@ -262,6 +312,11 @@ def _update_pairs(pairs, lms, sugars, t, order):
     return kept
 
 
+def _degree(form):
+    lm, _, tail = form
+    return max(sum(lm), max((sum(e) for e, _ in tail), default=0))
+
+
 def buchberger(generators, order=None):
     """Reduced monic Groebner basis of the given generators.
 
@@ -274,57 +329,66 @@ def buchberger(generators, order=None):
     ring = gens[0].ring
     if order is None:
         order = ring.order
-    if order != ring.order:
-        work = ring.with_order(order)
-        gens = [work.from_terms(g.terms) for g in gens]
-    basis = []
-    reducers = _Reducers(order, ring.field)
+    key = order.exponent_key
+    q = ring.field.characteristic
+    forms = _forms(gens, order, q)
+    forms.sort(key=lambda form: key(form[0]))
     lms = []
     sugars = []
     pairs = []
-
-    def add_element(g, sugar):
-        nonlocal pairs
-        basis.append(g)
-        reducers.append(g)
-        lms.append(g.leading_monomial())
-        sugars.append(sugar)
-        pairs = _update_pairs(pairs, lms, sugars, len(basis) - 1, order)
-
-    for g in sorted((_normalize(g) for g in gens), key=lambda p: order.key(p.leading_monomial())):
-        add_element(g, g.total_degree())
+    for t, form in enumerate(forms):
+        lms.append(Monomial(form[0]))
+        sugars.append(_degree(form))
+        pairs = _update_pairs(pairs, lms, sugars, t, order)
     while pairs:
         # the first pair of least rank, as a stable sort would give
         best = min(range(len(pairs)), key=lambda k: pairs[k][3])
-        i, j, _, (sugar, _) = pairs.pop(best)
-        s = s_polynomial(basis[i], basis[j])
-        r = normal_form_against(s, reducers)
-        if r:
-            r = _normalize(r)
-            add_element(r, max(sugar, r.total_degree()))
-    return _interreduce(basis, order)
+        i, j, top, (sugar, _) = pairs.pop(best)
+        pending = _s_pair(forms[i], forms[j], top.exponents, q)
+        if q:
+            remainder = _divide_modular(pending, forms, key, q)
+        else:
+            remainder, _ = _divide_integer(pending, forms, key)
+        if remainder:
+            form = _form(remainder, q)
+            forms.append(form)
+            lms.append(Monomial(form[0]))
+            sugars.append(max(sugar, _degree(form)))
+            pairs = _update_pairs(pairs, lms, sugars, len(forms) - 1, order)
+    work = ring if order == ring.order else ring.with_order(order)
+    return _interreduce(forms, work, q)
 
 
-def _interreduce(polys, order):
-    """Turn a Groebner generating set into the reduced monic basis.
+def _interreduce(forms, ring, q):
+    """Turn the forms of a Groebner generating set into the reduced monic basis.
 
     Reducing an element of a minimal basis by the others keeps its leading
-    monomial, so a single pass leaves every element reduced.
+    monomial, so a single pass leaves every element reduced, and the
+    result, largest leading monomial first, is the minimal basis reversed.
+    Over Q each output coefficient is made a `Fraction` once, by dividing
+    by the lead.
     """
-    polys = sorted(
-        (p.monic() for p in polys if p), key=lambda p: order.key(p.leading_monomial())
-    )
+    key = ring.order.exponent_key
     minimal = []
-    for p in polys:
-        lm = p.leading_monomial()
-        if not any(q.leading_monomial().divides(lm) for q in minimal):
-            minimal.append(p)
-    reducers = _Reducers(order, minimal[0].ring.field, minimal)
-    reduced = [
-        normal_form_against(p, reducers.without(i)).monic() for i, p in enumerate(minimal)
-    ]
-    reduced.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
-    return tuple(reduced)
+    for form in sorted(forms, key=lambda form: key(form[0])):
+        lm = form[0]
+        if not any(all(map(le, other[0], lm)) for other in minimal):
+            minimal.append(form)
+    reduced = []
+    for i, (lm, lc, tail) in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        if q:
+            pending = {e: q - c for e, c in tail}
+            pending[lm] = 1
+            terms = _divide_modular(pending, others, key, q)
+        else:
+            pending = dict(tail)
+            pending[lm] = lc
+            remainder, _ = _divide_integer(pending, others, key)
+            lead = remainder[0][1]
+            terms = [(e, Fraction(c, lead)) for e, c in remainder]
+        reduced.append(Polynomial(ring, tuple((Monomial(e), c) for e, c in terms)))
+    return tuple(reversed(reduced))
 
 
 # -- ideals ----------------------------------------------------------------------

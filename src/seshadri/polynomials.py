@@ -181,7 +181,7 @@ class Monomial:
 
     def __init__(self, exponents):
         exponents = tuple(exponents)
-        if any(e < 0 for e in exponents):
+        if exponents and min(exponents) < 0:
             raise ValueError("negative exponent")
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "degree", sum(exponents))

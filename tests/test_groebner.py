@@ -15,6 +15,8 @@ from seshadri.polynomials import (
 from seshadri.groebner import (
     Ideal,
     NonHomogeneousError,
+    _form,
+    _update_pairs,
     buchberger,
     divide_exact,
     graded_piece,
@@ -221,6 +223,162 @@ class TestDivisionKernel:
             total = tuple(x + y for x, y in zip(a, b))
             summed = tuple(x + y for x, y in zip(order.exponent_key(a), order.exponent_key(b)))
             assert order.exponent_key(total) == summed
+
+
+# -- reference Buchberger: the Polynomial-level loop the integer loop replaced --
+
+
+def reference_s_polynomial(f, g):
+    """The field formula x^u*f/lc(f) - x^v*g/lc(g) on whole polynomials."""
+    field = f.ring.field
+    lcm = f.leading_monomial().lcm(g.leading_monomial())
+    lhs = f.mul_term(field.invert(f.leading_coefficient()), lcm / f.leading_monomial())
+    return lhs.sub_scaled(field.invert(g.leading_coefficient()), lcm / g.leading_monomial(), g)
+
+
+def _reference_normalize(p):
+    return p.primitive() if p.ring.field == QQ else p.monic()
+
+
+def reference_buchberger(generators, order=None):
+    """Buchberger on `Polynomial` values: S-pairs by `mul_term`/`sub_scaled`,
+    remainders by the reference division, each made primitive (or monic) as
+    a whole polynomial, and a `Fraction` interreduction.  The pair criteria,
+    the selection order and the sugar are those of `buchberger`."""
+    gens = [g for g in generators if g]
+    if not gens:
+        return ()
+    ring = gens[0].ring
+    if order is None:
+        order = ring.order
+    if order != ring.order:
+        work = ring.with_order(order)
+        gens = [work.from_terms(g.terms) for g in gens]
+    basis, lms, sugars, pairs = [], [], [], []
+
+    def add_element(g, sugar):
+        nonlocal pairs
+        basis.append(g)
+        lms.append(g.leading_monomial())
+        sugars.append(sugar)
+        pairs = _update_pairs(pairs, lms, sugars, len(basis) - 1, order)
+
+    normalized = (_reference_normalize(g) for g in gens)
+    for g in sorted(normalized, key=lambda p: order.key(p.leading_monomial())):
+        add_element(g, g.total_degree())
+    while pairs:
+        best = min(range(len(pairs)), key=lambda k: pairs[k][3])
+        i, j, _, (sugar, _) = pairs.pop(best)
+        r = reference_normal_form(reference_s_polynomial(basis[i], basis[j]), basis)
+        if r:
+            r = _reference_normalize(r)
+            add_element(r, max(sugar, r.total_degree()))
+    polys = sorted((p.monic() for p in basis), key=lambda p: order.key(p.leading_monomial()))
+    minimal = []
+    for p in polys:
+        if not any(q.leading_monomial().divides(p.leading_monomial()) for q in minimal):
+            minimal.append(p)
+    reduced = [
+        reference_normal_form(p, minimal[:i] + minimal[i + 1 :]).monic()
+        for i, p in enumerate(minimal)
+    ]
+    reduced.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
+    return tuple(reduced)
+
+
+def _random_generators(ring, rng, homogeneous):
+    """2-3 generators in 3 variables with non-integer rational coefficients."""
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        degrees = [rng.randint(2, 3)] if homogeneous else [0, 1, 2]
+        terms = [
+            (exps, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+            for d in degrees
+            for exps in monomials_of_degree(ring.nvars, d)
+            if rng.random() < 0.5
+        ]
+        gens.append(ring.from_terms(terms))
+    return gens
+
+
+def assert_identical_bases(computed, expected):
+    assert computed == expected
+    for g, h in zip(computed, expected):
+        assert g.ring == h.ring
+        assert [type(c) for _, c in g.terms] == [type(c) for _, c in h.terms]
+
+
+LOOP_ORDERS = [
+    MonomialOrder.grevlex(3),
+    MonomialOrder.lex(3),
+    MonomialOrder.elimination(3, 1),
+    MonomialOrder.grevlex(3, permutation=(2, 0, 1)),
+]
+LOOP_ORDER_IDS = ["grevlex", "lex", "elimination", "permuted-grevlex"]
+
+
+class TestIntegerBuchbergerLoop:
+    @pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
+    def test_matches_the_reference_loop(self, order, field, homogeneous):
+        rng = random.Random(f"{order!r} {field!r} {homogeneous}")
+        names = ("x0", "x1", "x2")
+        # the ring's own order, and another one passed to buchberger
+        for ring in (PolynomialRing(names, field, order), PolynomialRing(names, field)):
+            for _ in range(4):
+                gens = _random_generators(ring, rng, homogeneous)
+                assert_identical_bases(buchberger(gens, order), reference_buchberger(gens, order))
+                if ring.order == order:
+                    assert_identical_bases(buchberger(gens), reference_buchberger(gens))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
+    def test_unit_ideal(self, order, field):
+        ring = PolynomialRing(("x0", "x1", "x2"), field, order)
+        gens = [ring.parse("3/2*x0^2 - x1"), ring.parse("5*x0*x1 - 1"), ring.parse("x1^2 - 2/3")]
+        basis = buchberger(gens)
+        assert [str(g) for g in basis] == ["1"]
+        assert_identical_bases(basis, reference_buchberger(gens))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
+    def test_s_polynomial_is_the_field_formula(self, order, field):
+        rng = random.Random(f"s-polynomial {order!r} {field!r}")
+        ring = PolynomialRing(("x0", "x1", "x2"), field, order)
+        for _ in range(20):
+            f, g = (_random_rational_poly(ring, 3, rng, 0.4) for _ in range(2))
+            if not (f and g):
+                continue
+            expected = reference_s_polynomial(f, g)
+            assert s_polynomial(f, g) == expected
+            assert [type(c) for _, c in s_polynomial(f, g).terms] == [
+                type(c) for _, c in expected.terms
+            ]
+            assert s_polynomial(f, f).is_zero()
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    def test_new_elements_are_primitive_or_monic(self, field, rng):
+        # a form is (lm, lc, tail): over Q the primitive integer multiple,
+        # over F_q the monic multiple with its tail negated
+        ring = PolynomialRing(("x0", "x1", "x2"), field)
+        q = 0 if field == QQ else field.q
+        for _ in range(30):
+            r = ring.from_terms(
+                (exps, rng.choice((-1, 1)) * 6 * rng.randint(1, 9))
+                for exps in monomials_of_degree(3, 2)
+                if rng.random() < 0.5
+            )
+            if not r:
+                continue
+            lm, lc, tail = _form([(m.exponents, int(c)) for m, c in r.terms], q)
+            if q:
+                expected = r.monic()
+                assert lc == 1
+                tail = [(e, -c) for e, c in tail]
+            else:
+                expected = r.primitive()
+            assert ring.from_terms([(lm, lc)] + tail) == expected
 
 
 def assert_same_ideal(computed, expected_gens):

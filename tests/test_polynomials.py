@@ -282,6 +282,26 @@ class TestMonomialOrders:
         assert order.greater(Monomial((1, 0, 0)), Monomial((0, 5, 5)))
 
 
+class TestMonomial:
+    @pytest.mark.parametrize("exponents", [(-1,), (2, 0, -3), (0, 1, 2, 3, 4, -1)])
+    def test_negative_exponent_is_rejected(self, exponents):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Monomial(exponents)
+        with pytest.raises(ValueError, match="negative exponent"):
+            Monomial(iter(exponents))
+
+    def test_quotient_below_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Monomial((1, 0)) / Monomial((0, 1))
+
+    def test_empty_and_zero_exponents(self):
+        empty = Monomial(())
+        assert (empty.exponents, empty.degree, len(empty)) == ((), 0, 0)
+        assert Monomial((0, 0, 0)).degree == 0
+        assert Monomial(e for e in (2, 0, 3)).exponents == (2, 0, 3)
+        assert (Monomial((1, 2)) * Monomial((3, 0))).degree == 6
+
+
 class TestPrimeField:
     def test_inverse(self):
         field = PrimeField(13)
