@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -93,6 +94,24 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Fraction("1e<k>") builds 10^k, which takes seconds from k = 10^7 on;
+# 4300 is the digit limit CPython puts on int("...")
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _coordinate(value):
+    """The exact rational a point entry denotes; a decimal exponent beyond
+    4300 in absolute value is refused before it is expanded."""
+    text = str(value)
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+        raise ValueError(
+            f"point coordinate {text[:40]!r} has a decimal exponent beyond {_MAX_EXPONENT}"
+        )
+    return Fraction(text)
+
+
 def _check_types(raw, path):
     """Reject a JSON value of the wrong type before anything is parsed."""
     for field, kinds, wording in _LIST_FIELDS:
@@ -125,7 +144,7 @@ class Instance:
         self.path = path
         try:
             names = list(raw["variables"])
-            point = [Fraction(str(x)) for x in raw["point"]]
+            point = [_coordinate(x) for x in raw["point"]]
         except (KeyError, ValueError) as exc:
             raise InputError(f"{path}: {exc}") from exc
         if len(point) != len(names):

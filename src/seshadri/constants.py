@@ -21,7 +21,9 @@ from fractions import Fraction
 from .groebner import Ideal, graded_piece, hilbert_data, monomials_of_degree
 from .geometry import (
     PointedVariety,
+    base_point,
     cone_ideal,
+    lift_slice,
     line_scheme,
     multiplicity_at,
     normalize_point,
@@ -31,7 +33,7 @@ from .geometry import (
     supported_only_at_basepoint,
     singular_locus_is_empty,
 )
-from .polynomials import Monomial, PolynomialRing, substitute_linear
+from .polynomials import PolynomialRing, substitute_linear
 
 LINE_FOUND = "LINE_FOUND"
 EXACT = "EXACT"
@@ -344,10 +346,6 @@ def _rerandomized_cutting(cuts, rng):
     return tuple(out)
 
 
-def _lift_slice(piece, ring):
-    return piece.map_ring(ring, {k: k + 1 for k in range(ring.nvars - 1)})
-
-
 def seshadri_curve(ci, component=None, seed=0, retries=4):
     """Cut a curve certificate out of the cone over a component of F_p(Y).
 
@@ -386,10 +384,10 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
         for j, f in enumerate(cuts):
             pieces = slice_decomposition(f).slices
             if j < r - 1:
-                gens.extend(_lift_slice(s, Y.ring) for s in pieces if s)
+                gens.extend(lift_slice(s, Y.ring) for s in pieces if s)
             else:
-                gens.extend(_lift_slice(s, Y.ring) for s in pieces[: d_r - 2] if s)
-                tail = x0 * _lift_slice(pieces[d_r - 2], Y.ring) + _lift_slice(
+                gens.extend(lift_slice(s, Y.ring) for s in pieces[: d_r - 2] if s)
+                tail = x0 * lift_slice(pieces[d_r - 2], Y.ring) + lift_slice(
                     pieces[d_r - 1], Y.ring
                 )
                 if tail:
@@ -399,7 +397,7 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
         if data.dimension != 1:
             last_failure = f"attempt {attempt}: curve dimension {data.dimension}"
             continue
-        pointed = normalize_point(curve, _origin_point(Y.ring))
+        pointed = normalize_point(curve, base_point(Y.ring))
         mult = multiplicity_at(pointed)
         ratio = Fraction(data.degree, mult)
         certificate = CurveCertificate(
@@ -425,10 +423,6 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
     )
 
 
-def _origin_point(ring):
-    return (ring.field.one,) + (ring.field.zero,) * (ring.nvars - 1)
-
-
 def sharpness_example(n, d, seed=0, retries=8):
     """A degree-d hypersurface of dimension n with an empty line scheme at
     the point, together with a curve certificate of ratio d/(d-1).
@@ -452,20 +446,19 @@ def sharpness_example(n, d, seed=0, retries=8):
         pieces = {i: _random_form(chart, i, rng) for i in exponents}
         f = ring.zero()
         for i, piece in pieces.items():
-            lifted = _lift_slice(piece, ring)
-            f = f + lifted.mul_term(ring.field.one, _x0_power(ring, d - i))
-        X = normalize_point(Ideal(ring, [f]), _origin_point(ring))
+            f = f + lift_slice(piece, ring, d - i)
+        X = normalize_point(Ideal(ring, [f]), base_point(ring))
         if not line_scheme(X).is_empty:
             last_failure = f"attempt {attempt}: line scheme nonempty"
             continue
-        gens = [_lift_slice(pieces[i], ring) for i in range(1, n)]
-        gens.append(x0 * _lift_slice(pieces[d - 1], ring) + _lift_slice(pieces[d], ring))
+        gens = [lift_slice(pieces[i], ring) for i in range(1, n)]
+        gens.append(x0 * lift_slice(pieces[d - 1], ring) + lift_slice(pieces[d], ring))
         curve = Ideal(ring, gens)
         data = hilbert_data(curve)
         if data.dimension != 1:
             last_failure = f"attempt {attempt}: curve dimension {data.dimension}"
             continue
-        pointed = normalize_point(curve, _origin_point(ring))
+        pointed = normalize_point(curve, base_point(ring))
         mult = multiplicity_at(pointed)
         ratio = Fraction(data.degree, mult)
         if ratio != Fraction(d, d - 1):
@@ -486,7 +479,3 @@ def sharpness_example(n, d, seed=0, retries=8):
     raise RuntimeError(
         f"no verified sharpness instance within {retries + 1} attempts ({last_failure})"
     )
-
-
-def _x0_power(ring, e):
-    return Monomial((e,) + (0,) * (ring.nvars - 1))

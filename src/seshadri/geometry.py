@@ -46,6 +46,17 @@ def slice_ring(ring):
     return PolynomialRing(ring.names[1:], ring.field)
 
 
+def lift_slice(piece, ring, x0_power=0):
+    """A polynomial of the slice ring as x_0^x0_power * piece in `ring`, whose
+    variables after x_0 are those of the slice ring."""
+    return ring.from_terms(((x0_power,) + m.exponents, c) for m, c in piece.terms)
+
+
+def base_point(ring):
+    """The point [1:0:...:0] that pointed varieties are normalized to."""
+    return (ring.field.one,) + (ring.field.zero,) * (ring.nvars - 1)
+
+
 @dataclass(frozen=True)
 class SliceDecomposition:
     """f = sum of x_0^(d-i) * f^i with f^i of degree i in the last variables."""
@@ -63,13 +74,10 @@ class SliceDecomposition:
     def _weighted_sum(self, upto):
         ring = self.source.ring
         total = ring.zero()
-        shift = {k: k + 1 for k in range(ring.nvars - 1)}
         for i, piece in enumerate(self.slices[:upto], start=1):
             if piece.is_zero():
                 continue
-            lifted = piece.map_ring(ring, shift)
-            x0_power = Monomial((upto - i,) + (0,) * (ring.nvars - 1))
-            total = total + lifted.mul_term(ring.field.one, x0_power)
+            total = total + lift_slice(piece, ring, upto - i)
         return total
 
 
@@ -160,8 +168,7 @@ class PointedVariety:
         return self._d_p
 
     def normalized_point(self):
-        field = self.ring.field
-        return (field.one,) + (field.zero,) * (self.ring.nvars - 1)
+        return base_point(self.ring)
 
     def __repr__(self):
         return f"PointedVariety(point={self.point}, ideal={self.ideal})"
@@ -232,8 +239,7 @@ def cone_ideal(Z, ambient_ring=None):
         ambient_ring = PolynomialRing((vertex_name,) + source.names, source.field)
     if ambient_ring.names[1:] != source.names:
         raise ValueError("ambient ring does not extend the direction ring")
-    shift = {i: i + 1 for i in range(source.nvars)}
-    return Ideal(ambient_ring, [g.map_ring(ambient_ring, shift) for g in Z.generators])
+    return Ideal(ambient_ring, [lift_slice(g, ambient_ring) for g in Z.generators])
 
 
 def cut_out_degree(X):

@@ -10,14 +10,15 @@ Division runs on exponent tuples rather than `Polynomial` values, after
 Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors" (2007): the pending terms live in a dict keyed by
 exponents plus a max-heap of flat order keys with lazy deletion, so a step
-touches only the terms of the reducer.  Over Q the division is
-fraction-free on the primitive integer forms of the divisors, with the
-accumulated scale kept so that each remainder coefficient is the exact
-rational; over F_q it uses field operations on monic divisors.
-`buchberger` runs entirely on these integer forms: each S-pair is formed
-from two forms straight into the pending terms of the division, each new
-basis element is made primitive (or monic) once on its integer remainder,
-and `Fraction`/`Polynomial` values are built only for the reduced basis it
+touches only the terms of the reducer.  One fraction-free kernel serves both
+fields.  Over Q it divides by the primitive integer forms of the divisors
+and keeps the accumulated scale, so that each remainder coefficient is the
+exact rational; over F_q the forms are monic and every coefficient is
+reduced mod q, so each step is the field step and the scale stays 1.
+`buchberger` runs entirely on these forms: each S-pair is formed from two
+forms straight into the pending terms of the division, each new basis
+element is made primitive (or monic) once on its integer remainder, and
+`Fraction`/`Polynomial` values are built only for the reduced basis it
 returns.
 """
 
@@ -46,19 +47,25 @@ class NonHomogeneousError(ValueError):
 # -- division ------------------------------------------------------------------
 
 
+def _cleared(terms, q):
+    """(exponents, integer coefficient) pairs of the terms of a polynomial and
+    the denominator cleared from them: over Q (q = 0) the least common
+    denominator, over F_q the field elements as they are and 1."""
+    if q:
+        return [(m.exponents, c) for m, c in terms], 1
+    den = lcm(*(c.denominator for _, c in terms))
+    return [(m.exponents, c.numerator * (den // c.denominator)) for m, c in terms], den
+
+
 def _forms(polys, order, q):
     """The `_form` under `order` of each nonzero polynomial, in the form the
-    division kernels reduce with; q is the characteristic, 0 over Q."""
+    division kernel reduces with; q is the characteristic, 0 over Q."""
     key = order.exponent_key
     forms = []
     for g in polys:
         if not g:
             continue
-        if q:
-            terms = [(m.exponents, c) for m, c in g.terms]
-        else:
-            den = lcm(*(c.denominator for _, c in g.terms))
-            terms = [(m.exponents, c.numerator * (den // c.denominator)) for m, c in g.terms]
+        terms, _ = _cleared(g.terms, q)
         if g.ring.order != order:
             terms.sort(key=lambda t: key(t[0]), reverse=True)
         forms.append(_form(terms, q))
@@ -69,27 +76,29 @@ def _form(terms, q):
     """The form (lm, lc, tail) of nonzero integer terms, largest first.
 
     Over Q (q = 0) it is the primitive integer multiple with positive lc;
-    over F_q the monic multiple, lc = 1, with its tail negated.  The tail
-    is a list of (exponents, coefficient) pairs.
+    over F_q the monic multiple, lc = 1.  The tail is a list of
+    (exponents, coefficient) pairs.
     """
     (lm, lc), tail = terms[0], terms[1:]
     if q:
-        factor = q - pow(lc, -1, q)
-        return lm, 1, [(e, c * factor % q) for e, c in tail]
+        inverse = pow(lc, -1, q)
+        return lm, 1, [(e, c * inverse % q) for e, c in tail]
     content = gcd(*(c for _, c in terms))
     if lc < 0:
         content = -content
     return lm, lc // content, [(e, c // content) for e, c in tail]
 
 
-def _divide_integer(pending, forms, exponent_key):
-    """Fraction-free division over Q of the integer terms `pending`.
+def _divide(pending, forms, exponent_key, q):
+    """Fraction-free division of the integer terms `pending` by the forms.
 
     Returns (remainder, scale): remainder terms, largest first, with integer
     coefficients whose quotients by scale are the exact remainder of the
     division of `pending`.  Each step is P <- a*P - b*x^u*g with
     a = lc / gcd(lc, c), b = c / gcd(lc, c), the field step
-    p - (c/lc)*x^u*g scaled by a.  `pending` is consumed.
+    p - (c/lc)*x^u*g scaled by a.  Over F_q (q > 0) the forms are monic, so
+    a = 1 and b = c: the step is the field step, each updated coefficient
+    is reduced mod q and the scale stays 1.  `pending` is consumed.
     """
     scale = 1
     heap = [(tuple(map(neg, exponent_key(e))), e) for e in pending]
@@ -116,50 +125,17 @@ def _divide_integer(pending, forms, exponent_key):
             e = tuple(map(add, e, u))
             v = pending.get(e)
             if v is None:
-                pending[e] = -b * gc
+                pending[e] = -b * gc % q if q else -b * gc
                 heappush(heap, (tuple(map(neg, exponent_key(e))), e))
             else:
                 v -= b * gc
+                if q:
+                    v %= q
                 if v:
                     pending[e] = v
                 else:
                     del pending[e]
     return [(m, c if s == scale else c * (scale // s)) for m, c, s in remainder], scale
-
-
-def _divide_modular(pending, forms, exponent_key, q):
-    """Division over F_q of the terms `pending` by monic divisors.
-
-    Returns the remainder terms, largest first.  `pending` is consumed.
-    """
-    heap = [(tuple(map(neg, exponent_key(e))), e) for e in pending]
-    heapify(heap)
-    remainder = []
-    while heap:
-        m = heappop(heap)[1]
-        c = pending.pop(m, None)
-        if c is None:  # cancelled after it was pushed
-            continue
-        for lm, _, tail in forms:
-            if all(map(le, lm, m)):
-                break
-        else:
-            remainder.append((m, c))
-            continue
-        u = tuple(map(sub, m, lm))
-        for e, gc in tail:
-            e = tuple(map(add, e, u))
-            v = pending.get(e)
-            if v is None:
-                pending[e] = c * gc % q
-                heappush(heap, (tuple(map(neg, exponent_key(e))), e))
-            else:
-                v = (v + c * gc) % q
-                if v:
-                    pending[e] = v
-                else:
-                    del pending[e]
-    return remainder
 
 
 def normal_form_against(f, basis, order=None):
@@ -174,16 +150,10 @@ def normal_form_against(f, basis, order=None):
     if order is None:
         order = ring.order
     q = ring.field.characteristic
-    forms = _forms(basis, order, q)
-    if q:
-        pending = {m.exponents: c for m, c in f.terms}
-        remainder = _divide_modular(pending, forms, order.exponent_key, q)
-    else:
-        scale = lcm(*(c.denominator for _, c in f.terms))
-        pending = {m.exponents: c.numerator * (scale // c.denominator) for m, c in f.terms}
-        remainder, factor = _divide_integer(pending, forms, order.exponent_key)
-        scale *= factor
-        remainder = [(e, Fraction(c, scale)) for e, c in remainder]
+    terms, den = _cleared(f.terms, q)
+    remainder, scale = _divide(dict(terms), _forms(basis, order, q), order.exponent_key, q)
+    if not q:
+        remainder = [(e, Fraction(c, den * scale)) for e, c in remainder]
     if order != ring.order:
         return ring.from_terms(remainder)
     return Polynomial(ring, tuple((Monomial(e), c) for e, c in remainder))
@@ -211,31 +181,24 @@ def _s_pair(f, g, top, q):
     """The S-pair of two forms as pending terms; `top` is the exponent tuple
     of the lcm of their leading monomials.
 
-    Over Q (q = 0) the terms are those of
-    (lc_g/c)*x^u*tail_f - (lc_f/c)*x^v*tail_g with c = gcd(lc_f, lc_g),
-    which is lcm(lc_f, lc_g) times the field S-polynomial.  Over F_q, where
-    the tails are negated, the terms are the field S-polynomial itself.
+    The terms are those of (lc_g/c)*x^u*tail_f - (lc_f/c)*x^v*tail_g with
+    c = gcd(lc_f, lc_g), which is lcm(lc_f, lc_g) times the field
+    S-polynomial.  Over F_q (q > 0) the forms are monic, so the terms,
+    reduced mod q, are x^u*tail_f - x^v*tail_g, the field S-polynomial
+    itself.
     """
     lm_f, lc_f, tail_f = f
     lm_g, lc_g, tail_g = g
     u = tuple(map(sub, top, lm_f))
     v = tuple(map(sub, top, lm_g))
-    if q:
-        pending = {tuple(map(add, e, u)): q - c for e, c in tail_f}
-        for e, c in tail_g:
-            e = tuple(map(add, e, v))
-            w = (pending.get(e, 0) + c) % q
-            if w:
-                pending[e] = w
-            else:
-                del pending[e]
-        return pending
     common = gcd(lc_f, lc_g)
     a, b = lc_g // common, lc_f // common
     pending = {tuple(map(add, e, u)): a * c for e, c in tail_f}
     for e, c in tail_g:
         e = tuple(map(add, e, v))
         w = pending.get(e, 0) - b * c
+        if q:
+            w %= q
         if w:
             pending[e] = w
         else:
@@ -345,10 +308,7 @@ def buchberger(generators, order=None):
         best = min(range(len(pairs)), key=lambda k: pairs[k][3])
         i, j, top, (sugar, _) = pairs.pop(best)
         pending = _s_pair(forms[i], forms[j], top.exponents, q)
-        if q:
-            remainder = _divide_modular(pending, forms, key, q)
-        else:
-            remainder, _ = _divide_integer(pending, forms, key)
+        remainder, _ = _divide(pending, forms, key, q)
         if remainder:
             form = _form(remainder, q)
             forms.append(form)
@@ -376,17 +336,12 @@ def _interreduce(forms, ring, q):
             minimal.append(form)
     reduced = []
     for i, (lm, lc, tail) in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        if q:
-            pending = {e: q - c for e, c in tail}
-            pending[lm] = 1
-            terms = _divide_modular(pending, others, key, q)
-        else:
-            pending = dict(tail)
-            pending[lm] = lc
-            remainder, _ = _divide_integer(pending, others, key)
-            lead = remainder[0][1]
-            terms = [(e, Fraction(c, lead)) for e, c in remainder]
+        pending = dict(tail)
+        pending[lm] = lc
+        terms, _ = _divide(pending, minimal[:i] + minimal[i + 1 :], key, q)
+        if not q:
+            lead = terms[0][1]
+            terms = [(e, Fraction(c, lead)) for e, c in terms]
         reduced.append(Polynomial(ring, tuple((Monomial(e), c) for e, c in terms)))
     return tuple(reversed(reduced))
 
@@ -435,11 +390,7 @@ class Ideal:
         """Remainder of f modulo the reduced basis; zero iff f is a member."""
         if order is None:
             order = self.ring.order
-        basis = self.groebner_basis(order)
-        result = normal_form_against(f, basis, order)
-        if result.ring != f.ring:
-            result = f.ring.from_terms(result.terms)
-        return result
+        return normal_form_against(f, self.groebner_basis(order), order)
 
     def contains(self, f):
         return not self.normal_form(f)

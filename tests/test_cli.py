@@ -264,6 +264,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("coordinate", ["1e1000000000", "-2E-4301", "1e1_000_000_000"])
+    def test_huge_point_exponent_is_refused(self, tmp_path, coordinate):
+        # Fraction("1e1000000000") would build 10^(10^9) before any check
+        raw = json.loads(Path(bundled("quadric-surface")).read_text())
+        raw["point"][0] = coordinate
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(raw))
+        report, code = run_report(["bound", str(bad)])
+        assert code == EXIT_INPUT
+        assert "decimal exponent beyond 4300" in report["error"]["message"]
+
     @pytest.mark.parametrize(
         "ambient, cutting",
         [

@@ -152,6 +152,10 @@ def reference_normal_form(f, basis, order=None):
     return result
 
 
+# GF(2): every nonzero coefficient is 1 and -1 = 1; GF(32003): a large prime
+FIELDS = [QQ, PrimeField(7), PrimeField(2), PrimeField(32003)]
+FIELD_IDS = ["QQ", "GF7", "GF2", "GF32003"]
+
 KERNEL_ORDERS = [
     MonomialOrder.grevlex(4),
     MonomialOrder.lex(4),
@@ -161,17 +165,25 @@ KERNEL_ORDERS = [
 ORDER_IDS = ["grevlex", "lex", "elimination", "permuted-grevlex"]
 
 
+def _random_fraction(field, rng):
+    """A rational in [-9, 9] over a denominator up to 6 that the field inverts."""
+    numerator, denominator = rng.randint(-9, 9), rng.randint(1, 6)
+    while field.characteristic and denominator % field.characteristic == 0:
+        denominator += 1
+    return Fraction(numerator, denominator)
+
+
 def _random_rational_poly(ring, max_degree, rng, density=0.35):
     terms = []
     for d in range(max_degree + 1):
         for exps in monomials_of_degree(ring.nvars, d):
             if rng.random() < density:
-                terms.append((exps, Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+                terms.append((exps, _random_fraction(ring.field, rng)))
     return ring.from_terms(terms)
 
 
 class TestDivisionKernel:
-    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
     def test_matches_the_reference_division(self, field, order):
         # divisor lists of 1-4 random inhomogeneous polynomials are rarely
@@ -188,7 +200,7 @@ class TestDivisionKernel:
                 if ring.order == order:
                     assert normal_form_against(f, basis) == expected
 
-    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     def test_matches_the_reference_against_a_groebner_basis(self, field, rng):
         for order in KERNEL_ORDERS:
             ring = PolynomialRing(("x0", "x1", "x2", "x3"), field, order)
@@ -292,7 +304,7 @@ def _random_generators(ring, rng, homogeneous):
     for _ in range(rng.randint(2, 3)):
         degrees = [rng.randint(2, 3)] if homogeneous else [0, 1, 2]
         terms = [
-            (exps, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+            (exps, _random_fraction(ring.field, rng))
             for d in degrees
             for exps in monomials_of_degree(ring.nvars, d)
             if rng.random() < 0.5
@@ -319,7 +331,7 @@ LOOP_ORDER_IDS = ["grevlex", "lex", "elimination", "permuted-grevlex"]
 
 class TestIntegerBuchbergerLoop:
     @pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
-    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
     def test_matches_the_reference_loop(self, order, field, homogeneous):
         rng = random.Random(f"{order!r} {field!r} {homogeneous}")
@@ -332,16 +344,18 @@ class TestIntegerBuchbergerLoop:
                 if ring.order == order:
                     assert_identical_bases(buchberger(gens), reference_buchberger(gens))
 
-    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
     def test_unit_ideal(self, order, field):
         ring = PolynomialRing(("x0", "x1", "x2"), field, order)
-        gens = [ring.parse("3/2*x0^2 - x1"), ring.parse("5*x0*x1 - 1"), ring.parse("x1^2 - 2/3")]
+        # over Q the ideal of 3/2*x0^2 - x1, 5*x0*x1 - 1, x1^2 - 2/3, written
+        # without denominators so that it reads in every field
+        gens = [ring.parse("3*x0^2 - 2*x1"), ring.parse("5*x0*x1 - 1"), ring.parse("3*x1^2 - 2")]
         basis = buchberger(gens)
         assert [str(g) for g in basis] == ["1"]
         assert_identical_bases(basis, reference_buchberger(gens))
 
-    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
     def test_s_polynomial_is_the_field_formula(self, order, field):
         rng = random.Random(f"s-polynomial {order!r} {field!r}")
@@ -360,7 +374,7 @@ class TestIntegerBuchbergerLoop:
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
     def test_new_elements_are_primitive_or_monic(self, field, rng):
         # a form is (lm, lc, tail): over Q the primitive integer multiple,
-        # over F_q the monic multiple with its tail negated
+        # over F_q the monic multiple with its tail as it is
         ring = PolynomialRing(("x0", "x1", "x2"), field)
         q = 0 if field == QQ else field.q
         for _ in range(30):
@@ -375,7 +389,6 @@ class TestIntegerBuchbergerLoop:
             if q:
                 expected = r.monic()
                 assert lc == 1
-                tail = [(e, -c) for e, c in tail]
             else:
                 expected = r.primitive()
             assert ring.from_terms([(lm, lc)] + tail) == expected
