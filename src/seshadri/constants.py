@@ -33,7 +33,7 @@ from .geometry import (
     supported_only_at_basepoint,
     singular_locus_is_empty,
 )
-from .polynomials import PolynomialRing, substitute_linear
+from .polynomials import PolynomialRing
 
 LINE_FOUND = "LINE_FOUND"
 EXACT = "EXACT"
@@ -141,10 +141,7 @@ class CompleteIntersectionInput:
         return tuple(f.total_degree() for f in self.cutting)
 
     def normalized_cutting(self):
-        Y = self.ambient
-        return tuple(
-            substitute_linear(f, Y.basis_matrix).primitive() for f in self.cutting
-        )
+        return tuple(self.ambient.to_normalized(f).primitive() for f in self.cutting)
 
     def variety(self):
         """X itself as a pointed variety (generators: ambient plus cuts)."""

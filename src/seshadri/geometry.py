@@ -170,8 +170,21 @@ class PointedVariety:
     def normalized_point(self):
         return base_point(self.ring)
 
+    def to_normalized(self, f):
+        """f in the coordinates that move the point to [1:0:...:0]; f itself
+        when the point is there already, as `normalize_point` leaves the
+        ideal then."""
+        if _is_base_point(self.point, self.ring.field):
+            return f
+        return substitute_linear(f, self.basis_matrix)
+
     def __repr__(self):
         return f"PointedVariety(point={self.point}, ideal={self.ideal})"
+
+
+def _is_base_point(point, field):
+    """Whether a nonzero point is [1:0:...:0] up to scaling."""
+    return not field.is_zero(point[0]) and all(field.is_zero(x) for x in point[1:])
 
 
 def normalize_point(ideal, point):
@@ -191,11 +204,10 @@ def normalize_point(ideal, point):
         if not field.is_zero(g.evaluate(point)):
             raise PointError("point does not lie on the variety")
     n = ring.nvars
-    pivot = next(i for i in range(n) if not field.is_zero(point[i]))
-    is_e0 = pivot == 0 and all(field.is_zero(point[i]) for i in range(1, n))
-    if is_e0:
+    if _is_base_point(point, field):
         identity = linalg.identity(n, field)
         return PointedVariety(ring, ideal, point, identity, identity, ideal)
+    pivot = next(i for i in range(n) if not field.is_zero(point[i]))
     basis = [[field.zero] * n for _ in range(n)]
     for i in range(n):
         basis[i][0] = point[i]
@@ -397,7 +409,7 @@ def ord_at(f, X, normalized=False):
     if f.is_zero():
         return INFINITE
     if not normalized:
-        f = substitute_linear(f, X.basis_matrix)
+        f = X.to_normalized(f)
     ring = X.ring
     field = ring.field
     e0 = X.normalized_point()

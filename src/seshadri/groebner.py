@@ -6,29 +6,31 @@ of reduced Groebner bases sit normal forms, ideal quotients via the
 one-tag-variable intersection trick, saturation by iterated quotients,
 Hilbert series data of homogeneous ideals, and graded pieces.
 
-Division runs on exponent tuples rather than `Polynomial` values, after
+Division runs on packed monomials rather than `Polynomial` values, after
 Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors" (2007): the pending terms live in a dict keyed by
-exponents plus a max-heap of flat order keys with lazy deletion, so a step
-touches only the terms of the reducer.  One fraction-free kernel serves both
-fields.  Over Q it divides by the primitive integer forms of the divisors
-and keeps the accumulated scale, so that each remainder coefficient is the
-exact rational; over F_q the forms are monic and every coefficient is
-reduced mod q, so each step is the field step and the scale stays 1.
-`buchberger` runs entirely on these forms: each S-pair is formed from two
-forms straight into the pending terms of the division, each new basis
-element is made primitive (or monic) once on its integer remainder, and
-`Fraction`/`Polynomial` values are built only for the reduced basis it
-returns.
+packed exponent vectors" (2007).  Each monomial is one int (`_Packing`)
+whose integer order is the monomial order, so a product is an int addition
+and divisibility one subtraction and mask; the pending terms live in a dict
+keyed by these ints plus a max-heap with lazy deletion, so a step touches
+only the terms of the reducer.  The field width comes from the input degree,
+and a run whose monomials outgrow it is repeated with wider fields.  One
+fraction-free kernel serves both fields.  Over Q it divides by the
+primitive integer forms of the divisors and keeps the accumulated scale, so
+that each remainder coefficient is the exact rational; over F_q the forms
+are monic and every coefficient is reduced mod q, so each step is the field
+step and the scale stays 1.  `buchberger` runs entirely on these forms and
+packed monomials, S-pairs and pair criteria included, and builds
+`Fraction`/`Polynomial` values only for the reduced basis it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, neg, sub
+from operator import mul
 
 from . import linalg
 from .polynomials import (
@@ -44,32 +46,95 @@ class NonHomogeneousError(ValueError):
     pass
 
 
+# -- packed monomials -----------------------------------------------------------
+
+
+class _Overflow(Exception):
+    """A new monomial has outgrown the fields of its packing."""
+
+
+class _Packing:
+    """Monomials of `order` packed into one int each: 2n + 1 fields of `bits`
+    value bits under a guard bit, high to low the order key as non-negative
+    partial sums (grevlex S_n ... S_1 of the permuted exponents, lex the
+    permuted exponents, elimination each block's sums), the n exponents and
+    the degree.  Packing is linear, so a product is a sum and ints compare
+    as their monomials; m | m' iff (m' - m) & guard == 0, because a field of
+    m' below that of m borrows into its guard bit.  A new monomial with a
+    guard bit set has outgrown the fields and raises `_Overflow`."""
+
+    __slots__ = ("order", "units", "guard", "mask", "shifts")
+
+    def __init__(self, order, bits):
+        self.order = order
+        n, width = order.nvars, bits + 1
+        perm = order.permutation or tuple(range(n))
+        if order.kind == "lex":
+            fields = [perm[k : k + 1] for k in range(n)]
+        else:
+            split = order.split if order.kind == "elimination" else n
+            blocks = (perm[:split], perm[split:])
+            fields = [block[:k] for block in blocks for k in range(len(block), 0, -1)]
+        fields += [(j,) for j in range(n)] + [range(n)]
+        top = len(fields) - 1
+        self.units = [
+            sum(1 << width * (top - k) for k, f in enumerate(fields) if j in f) for j in range(n)
+        ]
+        self.guard = sum(1 << width * k + bits for k in range(len(fields)))
+        self.mask = (1 << bits) - 1  # the degree field
+        self.shifts = [width * (n - j) for j in range(n)]
+
+    def pack(self, exps):
+        return sum(map(mul, exps, self.units))
+
+    def unpack(self, m):
+        mask = self.mask
+        return tuple(m >> s & mask for s in self.shifts)
+
+    def lcm(self, a, b):
+        m = self.pack(map(max, self.unpack(a), self.unpack(b)))
+        if m & self.guard:
+            raise _Overflow
+        return m
+
+
+_packing = lru_cache(maxsize=128)(_Packing)
+
+
+def _packed(run, order, polys):
+    """run(packing) with fields sized from the degree of the polynomials;
+    while a new monomial overflows them, the whole run is repeated with
+    fields of twice the width."""
+    degree = max((g.total_degree() for g in polys if g), default=0)
+    bits = max(degree, 1).bit_length() + 2
+    while True:
+        try:
+            return run(_packing(order, bits))
+        except _Overflow:
+            bits *= 2
+
+
 # -- division ------------------------------------------------------------------
 
 
-def _cleared(terms, q):
-    """(exponents, integer coefficient) pairs of the terms of a polynomial and
-    the denominator cleared from them: over Q (q = 0) the least common
-    denominator, over F_q the field elements as they are and 1."""
-    if q:
-        return [(m.exponents, c) for m, c in terms], 1
-    den = lcm(*(c.denominator for _, c in terms))
-    return [(m.exponents, c.numerator * (den // c.denominator)) for m, c in terms], den
+def _cleared(poly, packing, q):
+    """Packed (monomial, integer coefficient) pairs of a polynomial, largest
+    first, and the denominator cleared from them: over Q (q = 0) the least
+    common denominator, over F_q the field elements as they are and 1."""
+    den = 1 if q else lcm(*(c.denominator for _, c in poly.terms))
+    pack = packing.pack
+    terms = [
+        (pack(m.exponents), c if q else c.numerator * (den // c.denominator))
+        for m, c in poly.terms
+    ]
+    terms.sort(reverse=True)
+    return terms, den
 
 
-def _forms(polys, order, q):
-    """The `_form` under `order` of each nonzero polynomial, in the form the
-    division kernel reduces with; q is the characteristic, 0 over Q."""
-    key = order.exponent_key
-    forms = []
-    for g in polys:
-        if not g:
-            continue
-        terms, _ = _cleared(g.terms, q)
-        if g.ring.order != order:
-            terms.sort(key=lambda t: key(t[0]), reverse=True)
-        forms.append(_form(terms, q))
-    return forms
+def _forms(polys, packing, q):
+    """The `_form` of each nonzero polynomial, in the form the division
+    kernel reduces with; q is the characteristic, 0 over Q."""
+    return [_form(_cleared(g, packing, q)[0], q) for g in polys if g]
 
 
 def _form(terms, q):
@@ -77,7 +142,7 @@ def _form(terms, q):
 
     Over Q (q = 0) it is the primitive integer multiple with positive lc;
     over F_q the monic multiple, lc = 1.  The tail is a list of
-    (exponents, coefficient) pairs.
+    (monomial, coefficient) pairs.
     """
     (lm, lc), tail = terms[0], terms[1:]
     if q:
@@ -89,10 +154,18 @@ def _form(terms, q):
     return lm, lc // content, [(e, c // content) for e, c in tail]
 
 
-def _divide(pending, forms, exponent_key, q):
+def _polynomial(ring, packing, terms):
+    """The polynomial of `ring` with the packed terms, largest first."""
+    unpack = packing.unpack
+    terms = [(Monomial(unpack(m)), c) for m, c in terms]
+    return Polynomial(ring, terms) if ring.order == packing.order else ring.from_terms(terms)
+
+
+def _divide(pending, forms, guard, q):
     """Fraction-free division of the integer terms `pending` by the forms.
 
-    Returns (remainder, scale): remainder terms, largest first, with integer
+    Monomials are packed ints with guard bits `guard`.  Returns
+    (remainder, scale): remainder terms, largest first, with integer
     coefficients whose quotients by scale are the exact remainder of the
     division of `pending`.  Each step is P <- a*P - b*x^u*g with
     a = lc / gcd(lc, c), b = c / gcd(lc, c), the field step
@@ -101,32 +174,34 @@ def _divide(pending, forms, exponent_key, q):
     is reduced mod q and the scale stays 1.  `pending` is consumed.
     """
     scale = 1
-    heap = [(tuple(map(neg, exponent_key(e))), e) for e in pending]
+    heap = [-m for m in pending]
     heapify(heap)
-    remainder = []  # (exponents, coefficient, scale when it left)
+    remainder = []  # (monomial, coefficient, scale when it left)
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = pending.pop(m, None)
         if c is None:  # cancelled after it was pushed
             continue
         for lm, lc, tail in forms:
-            if all(map(le, lm, m)):
+            if not (m - lm) & guard:
                 break
         else:
             remainder.append((m, c, scale))
             continue
-        u = tuple(map(sub, m, lm))
+        u = m - lm
         common = gcd(lc, c)
         a, b = lc // common, c // common
         if a != 1:
             scale *= a
             pending = {e: v * a for e, v in pending.items()}
         for e, gc in tail:
-            e = tuple(map(add, e, u))
+            e += u
             v = pending.get(e)
             if v is None:
+                if e & guard:
+                    raise _Overflow
                 pending[e] = -b * gc % q if q else -b * gc
-                heappush(heap, (tuple(map(neg, exponent_key(e))), e))
+                heappush(heap, -e)
             else:
                 v -= b * gc
                 if q:
@@ -150,13 +225,15 @@ def normal_form_against(f, basis, order=None):
     if order is None:
         order = ring.order
     q = ring.field.characteristic
-    terms, den = _cleared(f.terms, q)
-    remainder, scale = _divide(dict(terms), _forms(basis, order, q), order.exponent_key, q)
-    if not q:
-        remainder = [(e, Fraction(c, den * scale)) for e, c in remainder]
-    if order != ring.order:
-        return ring.from_terms(remainder)
-    return Polynomial(ring, tuple((Monomial(e), c) for e, c in remainder))
+
+    def run(packing):
+        terms, den = _cleared(f, packing, q)
+        remainder, scale = _divide(dict(terms), _forms(basis, packing, q), packing.guard, q)
+        if not q:
+            remainder = [(m, Fraction(c, den * scale)) for m, c in remainder]
+        return _polynomial(ring, packing, remainder)
+
+    return _packed(run, order, [f, *basis])
 
 
 def divide_exact(f, g):
@@ -177,9 +254,9 @@ def divide_exact(f, g):
     return ring.from_terms(quotient_terms)
 
 
-def _s_pair(f, g, top, q):
-    """The S-pair of two forms as pending terms; `top` is the exponent tuple
-    of the lcm of their leading monomials.
+def _s_pair(f, g, top, guard, q):
+    """The S-pair of two forms as pending terms; `top` is the packed lcm of
+    their leading monomials.
 
     The terms are those of (lc_g/c)*x^u*tail_f - (lc_f/c)*x^v*tail_g with
     c = gcd(lc_f, lc_g), which is lcm(lc_f, lc_g) times the field
@@ -189,13 +266,12 @@ def _s_pair(f, g, top, q):
     """
     lm_f, lc_f, tail_f = f
     lm_g, lc_g, tail_g = g
-    u = tuple(map(sub, top, lm_f))
-    v = tuple(map(sub, top, lm_g))
+    u, v = top - lm_f, top - lm_g
     common = gcd(lc_f, lc_g)
     a, b = lc_g // common, lc_f // common
-    pending = {tuple(map(add, e, u)): a * c for e, c in tail_f}
+    pending = {e + u: a * c for e, c in tail_f}
     for e, c in tail_g:
-        e = tuple(map(add, e, v))
+        e += v
         w = pending.get(e, 0) - b * c
         if q:
             w %= q
@@ -203,6 +279,8 @@ def _s_pair(f, g, top, q):
             pending[e] = w
         else:
             del pending[e]
+    if any(e & guard for e in pending):
+        raise _Overflow
     return pending
 
 
@@ -219,14 +297,17 @@ def s_polynomial(f, g):
         raise ValueError("zero polynomial has no leading monomial")
     ring = f.ring
     q = ring.field.characteristic
-    form_f, form_g = _forms((f, g), ring.order, q)
-    pending = _s_pair(form_f, form_g, tuple(map(max, form_f[0], form_g[0])), q)
-    if not q:
-        common = lcm(form_f[1], form_g[1])
-        pending = {e: Fraction(c, common) for e, c in pending.items()}
-    key = ring.order.exponent_key
-    terms = sorted(pending.items(), key=lambda t: key(t[0]), reverse=True)
-    return Polynomial(ring, tuple((Monomial(e), c) for e, c in terms))
+
+    def run(packing):
+        form_f, form_g = _forms((f, g), packing, q)
+        top = packing.lcm(form_f[0], form_g[0])
+        pending = _s_pair(form_f, form_g, top, packing.guard, q)
+        if not q:
+            common = lcm(form_f[1], form_g[1])
+            pending = {m: Fraction(c, common) for m, c in pending.items()}
+        return _polynomial(ring, packing, sorted(pending.items(), reverse=True))
+
+    return _packed(run, ring.order, (f, g))
 
 
 # -- Buchberger ------------------------------------------------------------------
@@ -236,48 +317,45 @@ def _normalize(p):
     return p.primitive() if p.ring.field == QQ else p.monic()
 
 
-def _update_pairs(pairs, lms, sugars, t, order):
+def _update_pairs(pairs, lms, sugars, t, packing):
     """Gebauer-Moeller criteria when basis element with index t arrives.
 
-    A pair is (i, j, lcm, rank) with rank = (sugar, key(lcm)), fixed when
-    the pair is created.
+    Monomials are packed.  A pair is (i, j, lcm, rank) with
+    rank = (sugar, lcm), fixed when the pair is created.
     """
+    guard, mask = packing.guard, packing.mask
     lmt = lms[t]
-    lcms = [lms[i].lcm(lmt) for i in range(t)]
-    survivors = []
-    for i in range(t):
-        li = lcms[i]
-        dominated = False
-        for j in range(t):
-            if j != i and lcms[j] != li and lcms[j].divides(li):
-                dominated = True
-                break
-        if not dominated:
-            survivors.append(i)
+    lcms = [packing.lcm(lms[i], lmt) for i in range(t)]
+    survivors = [
+        i
+        for i, li in enumerate(lcms)
+        if not any(lj != li and not (li - lj) & guard for lj in lcms)
+    ]
     seen = set()
     fresh = []
     for i in survivors:
-        lcm = lcms[i]
-        if lcm.exponents in seen:
+        top = lcms[i]
+        if top in seen:
             continue
-        seen.add(lcm.exponents)
-        if not lms[i].is_coprime(lmt):
+        seen.add(top)
+        if top != lms[i] + lmt:  # not coprime
+            degree = top & mask
             sugar = max(
-                sugars[i] + lcm.degree - lms[i].degree, sugars[t] + lcm.degree - lmt.degree
+                sugars[i] + degree - (lms[i] & mask), sugars[t] + degree - (lmt & mask)
             )
-            fresh.append((i, t, lcm, (sugar, order.key(lcm))))
+            fresh.append((i, t, top, (sugar, top)))
     kept = [
         pair
         for pair in pairs
-        if not (lmt.divides(pair[2]) and lcms[pair[0]] != pair[2] and lcms[pair[1]] != pair[2])
+        if (pair[2] - lmt) & guard or lcms[pair[0]] == pair[2] or lcms[pair[1]] == pair[2]
     ]
     kept.extend(fresh)
     return kept
 
 
-def _degree(form):
+def _degree(form, mask):
     lm, _, tail = form
-    return max(sum(lm), max((sum(e) for e, _ in tail), default=0))
+    return max(lm & mask, max((e & mask for e, _ in tail), default=0))
 
 
 def buchberger(generators, order=None):
@@ -292,34 +370,35 @@ def buchberger(generators, order=None):
     ring = gens[0].ring
     if order is None:
         order = ring.order
-    key = order.exponent_key
     q = ring.field.characteristic
-    forms = _forms(gens, order, q)
-    forms.sort(key=lambda form: key(form[0]))
-    lms = []
-    sugars = []
-    pairs = []
-    for t, form in enumerate(forms):
-        lms.append(Monomial(form[0]))
-        sugars.append(_degree(form))
-        pairs = _update_pairs(pairs, lms, sugars, t, order)
-    while pairs:
-        # the first pair of least rank, as a stable sort would give
-        best = min(range(len(pairs)), key=lambda k: pairs[k][3])
-        i, j, top, (sugar, _) = pairs.pop(best)
-        pending = _s_pair(forms[i], forms[j], top.exponents, q)
-        remainder, _ = _divide(pending, forms, key, q)
-        if remainder:
-            form = _form(remainder, q)
-            forms.append(form)
-            lms.append(Monomial(form[0]))
-            sugars.append(max(sugar, _degree(form)))
-            pairs = _update_pairs(pairs, lms, sugars, len(forms) - 1, order)
     work = ring if order == ring.order else ring.with_order(order)
-    return _interreduce(forms, work, q)
+
+    def run(packing):
+        guard, mask = packing.guard, packing.mask
+        forms = _forms(gens, packing, q)
+        forms.sort(key=lambda form: form[0])
+        lms, sugars, pairs = [], [], []
+        for t, form in enumerate(forms):
+            lms.append(form[0])
+            sugars.append(_degree(form, mask))
+            pairs = _update_pairs(pairs, lms, sugars, t, packing)
+        while pairs:
+            # the first pair of least rank, as a stable sort would give
+            best = min(range(len(pairs)), key=lambda k: pairs[k][3])
+            i, j, top, (sugar, _) = pairs.pop(best)
+            remainder, _ = _divide(_s_pair(forms[i], forms[j], top, guard, q), forms, guard, q)
+            if remainder:
+                form = _form(remainder, q)
+                forms.append(form)
+                lms.append(form[0])
+                sugars.append(max(sugar, _degree(form, mask)))
+                pairs = _update_pairs(pairs, lms, sugars, len(forms) - 1, packing)
+        return _interreduce(forms, work, packing, q)
+
+    return _packed(run, order, gens)
 
 
-def _interreduce(forms, ring, q):
+def _interreduce(forms, ring, packing, q):
     """Turn the forms of a Groebner generating set into the reduced monic basis.
 
     Reducing an element of a minimal basis by the others keeps its leading
@@ -328,21 +407,21 @@ def _interreduce(forms, ring, q):
     Over Q each output coefficient is made a `Fraction` once, by dividing
     by the lead.
     """
-    key = ring.order.exponent_key
+    guard = packing.guard
     minimal = []
-    for form in sorted(forms, key=lambda form: key(form[0])):
+    for form in sorted(forms, key=lambda form: form[0]):
         lm = form[0]
-        if not any(all(map(le, other[0], lm)) for other in minimal):
+        if all((lm - other[0]) & guard for other in minimal):
             minimal.append(form)
     reduced = []
     for i, (lm, lc, tail) in enumerate(minimal):
         pending = dict(tail)
         pending[lm] = lc
-        terms, _ = _divide(pending, minimal[:i] + minimal[i + 1 :], key, q)
+        terms, _ = _divide(pending, minimal[:i] + minimal[i + 1 :], guard, q)
         if not q:
             lead = terms[0][1]
-            terms = [(e, Fraction(c, lead)) for e, c in terms]
-        reduced.append(Polynomial(ring, tuple((Monomial(e), c) for e, c in terms)))
+            terms = [(m, Fraction(c, lead)) for m, c in terms]
+        reduced.append(_polynomial(ring, packing, terms))
     return tuple(reversed(reduced))
 
 

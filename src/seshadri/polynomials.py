@@ -696,27 +696,50 @@ class _Parser:
             op = self.advance()[0]
 
     def term(self):
-        poly = self.factor()
-        while self.peek()[0] == "*":
+        """A product of factors.  Variables, their powers and numeric
+        literals go onto one exponent vector and one coefficient; only
+        parenthesised factors are multiplied as polynomials."""
+        ring = self.ring
+        field = ring.field
+        q = field.characteristic
+        exps = [0] * ring.nvars
+        coeff = field.one
+        factors = []
+        while True:
+            kind, value, power = self.factor()
+            if kind == "var":
+                exps[value] += power
+            elif kind == "const":
+                coeff = field.mul(coeff, pow(value, power, q) if q else value**power)
+            else:
+                factors.append(value**power)
+            if self.peek()[0] != "*":
+                break
             self.advance()
-            poly = poly * self.factor()
+        if field.is_zero(coeff):
+            return ring.zero()
+        poly = Polynomial(ring, ((Monomial(exps), coeff),))
+        for factor in factors:
+            poly = poly * factor
         return poly
 
     def factor(self):
-        poly = self.base()
+        """(kind, value, power) of a base and its optional exponent."""
+        kind, value = self.base()
+        power = 1
         if self.peek()[0] == "^":
             self.advance()
-            token = self.expect("int")
-            poly = poly ** int(token[1])
-        return poly
+            power = int(self.expect("int")[1])
+        return kind, value, power
 
     def base(self):
+        """("var", index), ("const", field element) or ("poly", polynomial)."""
         token = self.advance()
         kind, value, pos = token
         if kind == "ident":
             if value not in self.var_index:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            return self.ring.variable(self.var_index[value])
+            return "var", self.var_index[value]
         if kind == "int":
             numerator = int(value)
             if self.peek()[0] == "/":
@@ -724,12 +747,12 @@ class _Parser:
                 den = self.expect("int")
                 if int(den[1]) == 0:
                     raise ParseError("zero denominator", den[2])
-                return self.ring.constant(Fraction(numerator, int(den[1])))
-            return self.ring.constant(numerator)
+                return "const", self.ring.field.coerce(Fraction(numerator, int(den[1])))
+            return "const", self.ring.field.coerce(numerator)
         if kind == "(":
             poly = self.expr()
             self.expect(")")
-            return poly
+            return "poly", poly
         if kind == "/":
             raise ParseError("division is only allowed in rational literals", pos)
         raise ParseError(f"unexpected {value!r}", pos)

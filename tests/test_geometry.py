@@ -3,7 +3,7 @@ import random
 import pytest
 
 from seshadri.cli import load_instance
-from seshadri.polynomials import PolynomialRing, PrimeField, restrict_to_line
+from seshadri.polynomials import PolynomialRing, PrimeField, restrict_to_line, substitute_linear
 from seshadri.groebner import Ideal, graded_piece, hilbert_data, ideal_quotient, intersect
 from seshadri.geometry import (
     INFINITE,
@@ -33,6 +33,14 @@ class TestNormalizePoint:
         X = conic_variety(ring3)
         assert X.basis_matrix == X.transform
         assert X.normalized_ideal is X.ideal
+
+    @pytest.mark.parametrize("point", [(1, 0, 0), (3, 0, 0), (1, 1, 1), (0, 0, 1)])
+    def test_to_normalized_is_the_coordinate_change(self, ring3, point):
+        X = conic_variety(ring3, point)
+        f = ring3.parse("x0*x1 - 2*x1*x2 + x2^2")
+        assert X.to_normalized(f) == substitute_linear(f, X.basis_matrix)
+        if point[1:] == (0, 0):  # no coordinate change to apply
+            assert X.to_normalized(f) is f
 
     def test_general_point_on_conic(self, ring3):
         X = conic_variety(ring3, (1, 1, 1))

@@ -12,11 +12,12 @@ from seshadri.polynomials import (
     PolynomialRing,
     PrimeField,
 )
+from seshadri import groebner
 from seshadri.groebner import (
     Ideal,
     NonHomogeneousError,
     _form,
-    _update_pairs,
+    _packing,
     buchberger,
     divide_exact,
     graded_piece,
@@ -248,6 +249,43 @@ def reference_s_polynomial(f, g):
     return lhs.sub_scaled(field.invert(g.leading_coefficient()), lcm / g.leading_monomial(), g)
 
 
+def reference_update_pairs(pairs, lms, sugars, t, order):
+    """Gebauer-Moeller criteria on `Monomial` leading monomials, as the loop
+    applied them before monomials were packed: a pair is (i, j, lcm, rank)
+    with rank = (sugar, key(lcm)), fixed when the pair is created."""
+    lmt = lms[t]
+    lcms = [lms[i].lcm(lmt) for i in range(t)]
+    survivors = []
+    for i in range(t):
+        li = lcms[i]
+        dominated = False
+        for j in range(t):
+            if j != i and lcms[j] != li and lcms[j].divides(li):
+                dominated = True
+                break
+        if not dominated:
+            survivors.append(i)
+    seen = set()
+    fresh = []
+    for i in survivors:
+        lcm = lcms[i]
+        if lcm.exponents in seen:
+            continue
+        seen.add(lcm.exponents)
+        if not lms[i].is_coprime(lmt):
+            sugar = max(
+                sugars[i] + lcm.degree - lms[i].degree, sugars[t] + lcm.degree - lmt.degree
+            )
+            fresh.append((i, t, lcm, (sugar, order.key(lcm))))
+    kept = [
+        pair
+        for pair in pairs
+        if not (lmt.divides(pair[2]) and lcms[pair[0]] != pair[2] and lcms[pair[1]] != pair[2])
+    ]
+    kept.extend(fresh)
+    return kept
+
+
 def _reference_normalize(p):
     return p.primitive() if p.ring.field == QQ else p.monic()
 
@@ -273,7 +311,7 @@ def reference_buchberger(generators, order=None):
         basis.append(g)
         lms.append(g.leading_monomial())
         sugars.append(sugar)
-        pairs = _update_pairs(pairs, lms, sugars, len(basis) - 1, order)
+        pairs = reference_update_pairs(pairs, lms, sugars, len(basis) - 1, order)
 
     normalized = (_reference_normalize(g) for g in gens)
     for g in sorted(normalized, key=lambda p: order.key(p.leading_monomial())):
@@ -392,6 +430,68 @@ class TestIntegerBuchbergerLoop:
             else:
                 expected = r.primitive()
             assert ring.from_terms([(lm, lc)] + tail) == expected
+
+
+# -- packed monomials ------------------------------------------------------------
+
+PACKING_ORDERS = [
+    MonomialOrder.grevlex(4),
+    MonomialOrder.lex(4),
+    MonomialOrder.elimination(4, 1),
+    MonomialOrder.elimination(4, 2),
+    MonomialOrder.grevlex(4, permutation=(2, 0, 3, 1)),
+]
+PACKING_ORDER_IDS = ["grevlex", "lex", "elimination-1", "elimination-2", "permuted-grevlex"]
+SMALL_MONOMIALS = [e for d in range(5) for e in monomials_of_degree(4, d)]
+
+
+class TestPackedMonomials:
+    # 4 value bits hold every field of a product of two monomials of degree <= 4
+
+    @pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_ORDER_IDS)
+    def test_packed_ints_sort_like_the_order_key(self, order):
+        pack = _packing(order, 4).pack
+        assert sorted(SMALL_MONOMIALS, key=pack) == sorted(SMALL_MONOMIALS, key=order.exponent_key)
+        assert len({pack(e) for e in SMALL_MONOMIALS}) == len(SMALL_MONOMIALS)
+
+    @pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_ORDER_IDS)
+    def test_packing_is_additive_and_unpacks(self, order):
+        packing = _packing(order, 4)
+        pack = packing.pack
+        for a in SMALL_MONOMIALS:
+            assert packing.unpack(pack(a)) == a
+            assert pack(a) & packing.mask == sum(a)  # the degree field
+            for b in SMALL_MONOMIALS:
+                product = pack(tuple(x + y for x, y in zip(a, b)))
+                assert pack(a) + pack(b) == product
+                assert not product & packing.guard
+
+    @pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_ORDER_IDS)
+    def test_guard_test_is_divisibility(self, order):
+        packing = _packing(order, 4)
+        pack, guard = packing.pack, packing.guard
+        for a in SMALL_MONOMIALS:
+            for b in SMALL_MONOMIALS:
+                divides = all(x <= y for x, y in zip(a, b))
+                assert (not (pack(b) - pack(a)) & guard) == divides
+
+    def test_overflowing_fields_are_widened(self, monkeypatch):
+        # the lex basis of x_i - x_{i+1}^2 reaches degree 2^16, far beyond
+        # the fields sized from the degree 2 of the input
+        widths = []
+
+        def recording(order, bits):
+            widths.append(bits)
+            return _packing(order, bits)
+
+        monkeypatch.setattr(groebner, "_packing", recording)
+        names = tuple(f"x{i}" for i in range(17))
+        ring = PolynomialRing(names, order=MonomialOrder.lex(17))
+        gens = [ring.parse(f"x{i} - x{i + 1}^2") for i in range(16)]
+        basis = buchberger(gens)
+        assert [str(g) for g in basis] == [f"x{i} - x16^{2 ** (16 - i)}" for i in range(16)]
+        assert widths[0] < 17 <= widths[-1]
+        assert widths == sorted(set(widths))
 
 
 def assert_same_ideal(computed, expected_gens):

@@ -64,6 +64,39 @@ class TestParser:
             f = random_poly(ring3, 3, rng)
             assert ring3.parse(str(f)) == f
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    def test_terms_are_the_products_of_their_factors(self, field):
+        ring = PolynomialRing(("x0", "x1", "x2"), field)
+        x0, x1, x2 = ring.variables()
+        c = ring.constant
+        cases = {
+            "x0*x0^2": x0 * x0**2,
+            "3/4*x1*2*x0^2*x1": c(Fraction(3, 4)) * x1 * c(2) * x0**2 * x1,
+            "2^3*x2^0*5/3": c(2) ** 3 * x2**0 * c(Fraction(5, 3)),
+            "x1*0*x2": x1 * c(0) * x2,
+            "0^0*x1": c(0) ** 0 * x1,
+            "2*(x0 + x1)^2*x2*(x1 - 1/2)": c(2) * (x0 + x1) ** 2 * x2 * (x1 - c(Fraction(1, 2))),
+            "-x0*(x1)*x0 + 7*x2": -(x0 * x1 * x0) + c(7) * x2,
+        }
+        for text, expected in cases.items():
+            assert ring.parse(text) == expected, text
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("x0*x1^y", "expected 'int', found 'y'", 6),
+            ("2*x0*z^2", "unknown variable 'z'", 5),
+            ("x0*(x1 + w)", "unknown variable 'w'", 9),
+            ("x0*1/0", "zero denominator", 5),
+            ("x0^2^3", "unexpected '^'", 4),
+        ],
+    )
+    def test_errors_keep_their_message_and_position(self, ring3, text, message, position):
+        with pytest.raises(ParseError) as err:
+            ring3.parse(text)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
+
 
 class TestEvaluate:
     def test_point_on_quadric(self, ring4):
