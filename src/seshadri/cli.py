@@ -20,6 +20,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .constants import (
     CompleteIntersectionInput,
@@ -36,7 +37,7 @@ from .geometry import (
     normalize_point,
     slice_ring,
 )
-from .groebner import Ideal, ideal_quotient
+from .groebner import Ideal, saturate
 from .oracle import (
     DEFAULT_PRIMES,
     BadReductionError,
@@ -378,9 +379,9 @@ def _cmd_oracle(instance, args):
 def _maybe_validate(X, args):
     if not args.validate:
         return
-    # I is saturated iff I : m = I, for m the irrelevant ideal
+    # I is saturated iff I : m^infinity = I, for m the irrelevant ideal
     I = X.normalized_ideal
-    if not I.contains_ideal(ideal_quotient(I, Ideal(X.ring, X.ring.variables()))):
+    if not I.contains_ideal(saturate(I, Ideal(X.ring, X.ring.variables()))):
         raise InputError("ideal is not saturated")
 
 
@@ -462,6 +463,12 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser of `build_parser`, built at first use and then reused."""
+    return build_parser()
+
+
 def run(argv=None):
     """Run one command; returns (report dict, exit code, parsed args).
 
@@ -470,7 +477,7 @@ def run(argv=None):
     level = os.environ.get("SESHADRI_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except InputError as exc:
         report = {"command": None, "flags": {}, "result": {},
                   "error": {"kind": "input", "message": str(exc)}}

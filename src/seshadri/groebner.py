@@ -2,9 +2,10 @@
 
 The engine uses the normal-pair (Gebauer-Moeller) criteria with sugar
 selection; inputs are desk scale, so no signature-based machinery.  On top
-of reduced Groebner bases sit normal forms, ideal quotients via the
-one-tag-variable intersection trick, saturation by iterated quotients,
-Hilbert series data of homogeneous ideals, and graded pieces.
+of reduced Groebner bases sit normal forms and one elimination of a tag
+variable, which gives intersections, ideal quotients and saturations
+(I : f^infinity by Rabinowitsch's 1 - t*f), Hilbert series data of
+homogeneous ideals, and graded pieces.
 
 Division runs on packed monomials rather than `Polynomial` values, after
 Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -491,51 +492,46 @@ class Ideal:
 
 # -- elimination machinery --------------------------------------------------------
 
-_TAG = "tag_"
+def _eliminate_tag(ring, pairs):
+    """Generators of K ∩ k[x], for K the ideal of k[t, x] generated by the
+    a + t*b with (a, b) in `pairs`, polynomials of `ring`.
 
-
-def _tagged_ring(ring):
-    name = _TAG
-    while name in ring.names:
-        name += "_"
-    names = (name,) + ring.names
-    return PolynomialRing(names, ring.field, MonomialOrder.elimination(ring.nvars + 1, 1))
-
-
-def _lift(f, ext):
-    return ext.from_terms(((0,) + m.exponents, c) for m, c in f.terms)
-
-
-def _drop_tag(f, ring):
-    return ring.from_terms((m.exponents[1:], c) for m, c in f.terms)
-
-
-def _split_components(gens, homogeneous):
-    if not homogeneous:
-        return list(gens)
-    out = []
-    for g in gens:
-        out.extend(g.homogeneous_components().values())
-    return out
+    The tag t is a new variable in front of the others under an
+    elimination order; the elements of the reduced basis of K whose leading
+    monomial is free of t are the reduced basis of K ∩ k[x], and come back
+    with the tag dropped.  A reduced basis of a homogeneous ideal is
+    homogeneous, so a homogeneous K ∩ k[x] gets homogeneous generators.
+    """
+    tag = "tag_"
+    while tag in ring.names:
+        tag += "_"
+    ext = PolynomialRing(
+        (tag, *ring.names), ring.field, MonomialOrder.elimination(ring.nvars + 1, 1)
+    )
+    gens = [
+        ext.from_terms(
+            [((0, *m.exponents), c) for m, c in a.terms]
+            + [((1, *m.exponents), c) for m, c in b.terms]
+        )
+        for a, b in pairs
+    ]
+    return [
+        ring.from_terms((m.exponents[1:], c) for m, c in g.terms)
+        for g in buchberger(gens, ext.order)
+        if not g.leading_monomial().exponents[0]
+    ]
 
 
 def intersect(I, J):
-    """Intersection of two ideals via the tag-variable trick."""
+    """Intersection of two ideals: I ∩ J = (t*I + (1 - t)*J) ∩ k[x]."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
-    ext = _tagged_ring(ring)
-    u = ext.variable(0)
-    one_minus_u = ext.one() - u
-    gens = [u * _lift(g, ext) for g in I.generators]
-    gens += [one_minus_u * _lift(g, ext) for g in J.generators]
-    basis = buchberger(gens, ext.order)
-    kept = [g for g in basis if all(m.exponents[0] == 0 for m, _ in g.terms)]
-    result = [_drop_tag(g, ring) for g in kept]
-    result = _split_components(result, I.is_homogeneous and J.is_homogeneous)
-    return Ideal(ring, [_normalize(g) for g in result if g])
+    zero = ring.zero()
+    pairs = [(zero, g) for g in I.generators] + [(g, -g) for g in J.generators]
+    return Ideal(ring, [_normalize(g) for g in _eliminate_tag(ring, pairs)])
 
 
 def ideal_quotient(J, I):
@@ -555,19 +551,30 @@ def ideal_quotient(J, I):
     return result
 
 
-def saturate(I, J, max_rounds=64):
-    """I : J^infinity by iterating the quotient until it stabilizes.
+def saturate(I, J):
+    """The saturation I : J^infinity = {g : g * J^k is contained in I for some k}.
 
-    Stabilization is detected by generator-wise membership of the next
-    quotient in the current one (the chain only ascends).
+    Computed as I : J^infinity = ∩_f (I : f^infinity) over the generators f
+    of J, each factor by one elimination, I : f^infinity =
+    (I + (1 - t*f)) ∩ k[x] (Rabinowitsch; Cox, Little and O'Shea, "Ideals,
+    Varieties, and Algorithms", §4.4).  Every factor contains I, so once one
+    of them lies in I the saturation is I itself, returned as it is.  The
+    zero ideal J gives the unit ideal.
     """
-    current = I
-    for _ in range(max_rounds):
-        nxt = ideal_quotient(current, J)
-        if current.contains_ideal(nxt):
-            return current
-        current = nxt
-    raise RuntimeError("saturation did not stabilize")
+    if I.ring != J.ring:
+        raise ValueError("ideals from different rings")
+    ring = I.ring
+    if J.is_zero():
+        return Ideal(ring, (ring.one(),))
+    zero, one = ring.zero(), ring.one()
+    result = None
+    for f in J.generators:
+        pairs = [(g, zero) for g in I.generators] + [(one, -f)]
+        part = Ideal(ring, [_normalize(g) for g in _eliminate_tag(ring, pairs)])
+        if I.contains_ideal(part):
+            return I
+        result = part if result is None else intersect(result, part)
+    return result
 
 
 def saturate_variable(I, var):

@@ -413,13 +413,6 @@ class Polynomial:
         d = self.terms[0][0].degree
         return all(m.degree == d for m, _ in self.terms)
 
-    def homogeneous_components(self):
-        """Map total degree -> homogeneous part."""
-        buckets = {}
-        for m, c in self.terms:
-            buckets.setdefault(m.degree, []).append((m, c))
-        return {d: self.ring.from_terms(parts) for d, parts in sorted(buckets.items())}
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other):

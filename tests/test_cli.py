@@ -122,6 +122,29 @@ class TestCommands:
         report, code = run_report(["dp", bundled("quadric-surface"), "--validate"])
         assert code == EXIT_OK
 
+    def test_reused_parser_keeps_no_flag_between_runs(self):
+        cli._parser.cache_clear()
+        first, _ = run_report(["dp", bundled("quadric-surface"), "--validate"])
+        second, code = run_report(["dp", bundled("quadric-surface")])
+        assert code == EXIT_OK
+        assert first["flags"]["validate"] is True
+        assert second["flags"]["validate"] is False
+        assert cli._parser.cache_info().misses == 1
+
+    def test_validate_accepts_saturated_ideal_without_nonzerodivisor(self, tmp_path):
+        # (x0*x1, x0*x2) = (x0) ∩ (x1, x2) is saturated, and each variable
+        # vanishes on one of its components
+        reducible = tmp_path / "reducible.json"
+        reducible.write_text(json.dumps({
+            "variables": ["x0", "x1", "x2"],
+            "ambient": ["x0*x1", "x0*x2"],
+            "cutting": [],
+            "point": ["1", "0", "0"],
+        }))
+        report, code = run_report(["dp", str(reducible), "--validate"])
+        assert code == EXIT_OK
+        assert report["result"]["cut_out_degree"] == 2
+
     def test_downgraded_classify_carries_conic_annotation(self, tmp_path):
         raw = json.loads(Path(bundled("gr24-hyperplanes")).read_text())
         raw["ambient_homogeneous"] = False

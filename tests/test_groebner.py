@@ -580,6 +580,68 @@ class TestQuotientAndSaturation:
             divide_exact(ring3.parse("x0"), ring3.parse("x1"))
 
 
+def reference_saturate(I, J):
+    """I : J^infinity as `saturate` computed it before the elimination route:
+    ideal quotients iterated until the ascending chain stops, which it does
+    since k[x] is Noetherian."""
+    current = I
+    while True:
+        following = ideal_quotient(current, J)
+        if current.contains_ideal(following):
+            return current
+        current = following
+
+
+SATURATE_BY = {
+    "maximal": lambda ring, rng: ring.variables(),
+    "variable": lambda ring, rng: [ring.variable(rng.randrange(ring.nvars))],
+    "form": lambda ring, rng: [random_homogeneous(ring, rng.randint(1, 2), rng)],
+}
+
+
+class TestSaturation:
+    @pytest.mark.parametrize("by", list(SATURATE_BY))
+    @pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+    @pytest.mark.parametrize(
+        "field", [QQ, PrimeField(2), PrimeField(7)], ids=["QQ", "GF2", "GF7"]
+    )
+    def test_matches_the_iterated_quotient(self, field, homogeneous, by):
+        rng = random.Random(f"saturate {field!r} {homogeneous} {by}")
+        ring = PolynomialRing(("x0", "x1", "x2"), field)
+        for _ in range(2):
+            J = Ideal(ring, SATURATE_BY[by](ring, rng))
+            # g * J^k lies in I, so the saturation has g to gain
+            g, *rest = _random_generators(ring, rng, homogeneous)
+            k = rng.randint(1, 2)
+            I = Ideal(ring, rest + [g * f**k for f in J.generators])
+            assert saturate(I, J).equals(reference_saturate(I, J))
+
+    def test_zero_ideal_saturates_to_the_unit_ideal(self, ring3):
+        I = Ideal(ring3, [ring3.parse("x0*x1")])
+        assert saturate(I, Ideal(ring3, [])).is_unit()
+
+    def test_zero_ideal_stays_zero(self, ring3):
+        assert saturate(Ideal(ring3, []), Ideal(ring3, ring3.variables())).is_zero()
+        assert saturate(Ideal(ring3, []), Ideal(ring3, [ring3.parse("x0 + x1^2")])).is_zero()
+
+    def test_constant_leaves_the_ideal_unchanged(self, ring3):
+        I = Ideal(ring3, [ring3.parse("x0^2*x1"), ring3.parse("x1*x2")])
+        assert saturate(I, Ideal(ring3, [ring3.parse("3")])) is I
+
+    def test_rejects_ideals_from_different_rings(self, ring2, ring3):
+        with pytest.raises(ValueError, match="different rings"):
+            saturate(Ideal(ring3, [ring3.parse("x0")]), Ideal(ring2, [ring2.parse("x0")]))
+
+    def test_irrelevant_ideal_strips_embedded_point(self, ring3):
+        # x1 * (x0, x1, x2) has saturation (x1); (x0*x1, x0*x2) is already
+        # saturated, though no variable is a nonzerodivisor on it
+        m = Ideal(ring3, ring3.variables())
+        embedded = Ideal(ring3, [ring3.parse(e) for e in ("x0*x1", "x1^2", "x1*x2")])
+        assert_same_ideal(saturate(embedded, m), ["x1"])
+        reducible = Ideal(ring3, [ring3.parse("x0*x1"), ring3.parse("x0*x2")])
+        assert saturate(reducible, m).equals(reducible)
+
+
 def _standard_monomial_count(basis, nvars, degree):
     """Count degree-d monomials outside the leading-term ideal by enumeration."""
     lms = [g.leading_monomial() for g in basis]
