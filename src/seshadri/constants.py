@@ -206,6 +206,13 @@ def aux_divisors(X):
     return divisors, flag
 
 
+def _check_smoothness(ci):
+    """Raise the smoothness hypothesis error unless the singular locus of
+    the complete intersection is empty (the Jacobian criterion)."""
+    if not singular_locus_is_empty(ci.variety()):
+        raise HypothesisError("smoothness", "the intersection is singular")
+
+
 def classify_ci(ci):
     """Exact Seshadri constant for a complete intersection in a line-covered
     ambient, after machine-checking every hypothesis that can be checked.
@@ -254,9 +261,7 @@ def classify_ci(ci):
         assumptions.append("iii': d_p(Y) <= 2 (verified)")
 
     if ci.validate_smoothness:
-        X = ci.variety()
-        if not singular_locus_is_empty(X):
-            raise HypothesisError("smoothness", "the intersection is singular")
+        _check_smoothness(ci)
         assumptions.append("smoothness (verified)")
 
     slices = list(scheme_y.ideal.generators)
@@ -351,6 +356,8 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
     default takes the whole line-scheme ideal).  A degenerate random draw
     retries with fresh randomness; a dimension-1 result whose ratio misses
     d_r/(d_r - 1) is reported as a counterexample candidate, never accepted.
+    With `ci.validate_smoothness` the singular locus of X is checked first,
+    as in `classify_ci`.
     """
     Y = ci.ambient
     degrees = ci.degrees
@@ -367,6 +374,8 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
             f"cone cutting needs sum of degrees = dim F_p(Y) + 1 = {scheme_y.dimension + 1}, "
             f"got {sum(degrees)}",
         )
+    if ci.validate_smoothness:
+        _check_smoothness(ci)
     Z = component if component is not None else scheme_y.ideal
     if Z.ring != slice_ring(Y.ring):
         raise ValueError("component ideal must live in the direction ring of Y")

@@ -22,10 +22,26 @@ are monic and every coefficient is reduced mod q, so each step is the field
 step and the scale stays 1.  `buchberger` runs entirely on these forms and
 packed monomials, S-pairs and pair criteria included, and builds
 `Fraction`/`Polynomial` values only for the reduced basis it returns.
+
+Whether a homogeneous ideal over Q cuts out the empty scheme is first
+asked at one fixed prime, EMPTINESS_PRIME.  For integer generators the rank
+of each degree-D Macaulay matrix can only drop mod p, so the Hilbert
+function mod p bounds the one over Q from above, and a scheme empty over
+the closure of F_p is empty over the closure of Q (Arnold, "Modular
+algorithms for computing Groebner bases", J. Symbolic Comput. 35 (2003);
+Pauer, "On lucky ideals for Groebner basis computations", J. Symbolic
+Comput. 14 (1992)).  `hilbert_data` tries this only on ideals whose basis
+over Q is not cached and which have at least nvars generators, since fewer
+forms of positive degree always meet.  `buchberger`'s pair loop runs on
+the generators' primitive integer forms read mod p, and a leading ideal
+primary to the irrelevant ideal is the proof.  Every other outcome, an unlucky prime included, falls
+back to the basis over Q, so the prime costs time and never an answer.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +57,13 @@ from .polynomials import (
     PolynomialRing,
     QQ,
 )
+
+
+logger = logging.getLogger(__name__)
+
+# the prime of the emptiness certificate in `hilbert_data`; fixed, so that
+# every run takes the same route
+EMPTINESS_PRIME = 32003
 
 
 class NonHomogeneousError(ValueError):
@@ -359,6 +382,35 @@ def _degree(form, mask):
     return max(lm & mask, max((e & mask for e, _ in tail), default=0))
 
 
+def _pair_loop(forms, packing, q):
+    """Extend the forms of a generating set to those of a Groebner
+    generating set, in place, and return them.
+
+    Pairs pass the Gebauer-Moeller criteria and are taken least sugar
+    first; each S-pair is divided by the forms so far and a nonzero
+    remainder joins them as a new form.
+    """
+    guard, mask = packing.guard, packing.mask
+    forms.sort(key=lambda form: form[0])
+    lms, sugars, pairs = [], [], []
+    for t, form in enumerate(forms):
+        lms.append(form[0])
+        sugars.append(_degree(form, mask))
+        pairs = _update_pairs(pairs, lms, sugars, t, packing)
+    while pairs:
+        # the first pair of least rank, as a stable sort would give
+        best = min(range(len(pairs)), key=lambda k: pairs[k][3])
+        i, j, top, (sugar, _) = pairs.pop(best)
+        remainder, _ = _divide(_s_pair(forms[i], forms[j], top, guard, q), forms, guard, q)
+        if remainder:
+            form = _form(remainder, q)
+            forms.append(form)
+            lms.append(form[0])
+            sugars.append(max(sugar, _degree(form, mask)))
+            pairs = _update_pairs(pairs, lms, sugars, len(forms) - 1, packing)
+    return forms
+
+
 def buchberger(generators, order=None):
     """Reduced monic Groebner basis of the given generators.
 
@@ -375,25 +427,7 @@ def buchberger(generators, order=None):
     work = ring if order == ring.order else ring.with_order(order)
 
     def run(packing):
-        guard, mask = packing.guard, packing.mask
-        forms = _forms(gens, packing, q)
-        forms.sort(key=lambda form: form[0])
-        lms, sugars, pairs = [], [], []
-        for t, form in enumerate(forms):
-            lms.append(form[0])
-            sugars.append(_degree(form, mask))
-            pairs = _update_pairs(pairs, lms, sugars, t, packing)
-        while pairs:
-            # the first pair of least rank, as a stable sort would give
-            best = min(range(len(pairs)), key=lambda k: pairs[k][3])
-            i, j, top, (sugar, _) = pairs.pop(best)
-            remainder, _ = _divide(_s_pair(forms[i], forms[j], top, guard, q), forms, guard, q)
-            if remainder:
-                form = _form(remainder, q)
-                forms.append(form)
-                lms.append(form[0])
-                sugars.append(max(sugar, _degree(form, mask)))
-                pairs = _update_pairs(pairs, lms, sugars, len(forms) - 1, packing)
+        forms = _pair_loop(_forms(gens, packing, q), packing, q)
         return _interreduce(forms, work, packing, q)
 
     return _packed(run, order, gens)
@@ -751,16 +785,72 @@ def _binomial_polynomial(shift, k):
     return coeffs
 
 
+def _certified_empty(I):
+    """Whether one prime proves V(I) empty over the algebraic closure of Q.
+
+    I is a homogeneous ideal over Q.  Its generators' primitive integer
+    forms are read mod p = EMPTINESS_PRIME and the Buchberger pair loop
+    runs on them over F_p.  If the leading monomials hold a pure power of
+    every variable, or a constant, the leading ideal mod p is primary to
+    the irrelevant ideal.  That proves V(I) empty: the rank of a
+    degree-D Macaulay matrix of integer forms can only drop mod p, so
+    HF(R/I, D) <= HF(F_p[x]/(I mod p), D) for every D, and the right side
+    is 0 for large D (Arnold, "Modular algorithms for computing Groebner
+    bases", J. Symbolic Comput. 35 (2003); Pauer, "On lucky ideals for
+    Groebner basis computations", J. Symbolic Comput. 14 (1992)).  False
+    means only that this prime proves nothing.
+    """
+    started = time.perf_counter()
+    p, n = EMPTINESS_PRIME, I.ring.nvars
+
+    def run(packing):
+        forms = []
+        for lm, lc, tail in _forms(I.generators, packing, 0):
+            terms = [(m, c % p) for m, c in [(lm, lc), *tail] if c % p]
+            if terms:
+                forms.append(_form(terms, p))
+        missing = set(range(n))
+        for lm, _, _ in _pair_loop(forms, packing, p):
+            support = [j for j, e in enumerate(packing.unpack(lm)) if e]
+            if len(support) <= 1:
+                missing.difference_update(support or range(n))
+        return not missing
+
+    empty = _packed(run, I.ring.order, I.generators)
+    logger.debug(
+        "emptiness mod %d: %d generators, %d variables, %s in %.1f ms",
+        p, len(I.generators), n, "certified empty" if empty else "fell back to Q",
+        1000 * (time.perf_counter() - started),
+    )
+    return empty
+
+
 def hilbert_data(I):
     """Dimension, degree and Hilbert polynomial of Proj of the quotient ring.
 
     Computed from the leading-term ideal of a Groebner basis; the caller
     passes the saturated ideal when scheme-level graded answers matter, but
     dimension and degree are insensitive to saturation.
+
+    Over Q an ideal with at least nvars generators whose basis is not
+    cached yet is first tested for emptiness at one fixed prime
+    (`_certified_empty`, which states the theorem).  Fewer forms of
+    positive degree always meet in P^(nvars - 1), by the projective
+    dimension theorem, so the test is left out for them.  A proof mod p
+    returns the empty data at once; otherwise, an unlucky prime included,
+    the Groebner basis over Q decides, so the prime costs time and never
+    changes an answer.
     """
     ring = I.ring
     if not I.is_homogeneous:
         raise NonHomogeneousError("hilbert_data needs a homogeneous ideal")
+    if (
+        ring.field == QQ
+        and len(I.generators) >= ring.nvars
+        and ring.order not in I._basis_cache
+        and _certified_empty(I)
+    ):
+        return HilbertData(-1, None, ())
     numerator = _leading_numerator(I)
     if not numerator:
         return HilbertData(-1, None, ())

@@ -1,0 +1,207 @@
+"""The emptiness certificate mod one prime inside `hilbert_data`, against the
+route over Q it is tried ahead of."""
+
+import json
+import logging
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from seshadri import constants, geometry, groebner
+from seshadri.cli import EXIT_HYPOTHESIS, EXIT_OK, run
+from seshadri.groebner import EMPTINESS_PRIME, HilbertData, Ideal, hilbert_data
+from seshadri.polynomials import QQ, PolynomialRing, PrimeField
+
+from conftest import bundled, random_homogeneous
+
+BUNDLED = (
+    "quadric-surface",
+    "quadric-threefold",
+    "twisted-cubic",
+    "fermat-cubic",
+    "quartic-threefold",
+    "two-quadrics-p4",
+    "gr24-hyperplanes",
+    "gr25-pluecker",
+)
+SHARPNESS = ((2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6))
+# (projective dimension, cutting degrees) of seeded complete intersections
+# through [1:0:...:0]
+SYNTHETIC_SHAPES = (
+    (4, (4,)),
+    (4, (2, 3)),
+    (5, (5,)),
+    (5, (2, 3)),
+    (5, (2, 4)),
+    (5, (3, 3)),
+    (5, (2, 2, 2)),
+)
+SEXTIC = Path(__file__).parent / "data" / "p6-sextic.json"
+EMPTY = HilbertData(-1, None, ())
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Generators of every ideal whose Hilbert data geometry and constants
+    ask for, keyed by ring and generator text."""
+    seen = {}
+
+    def recording(I):
+        seen.setdefault((I.ring.names, tuple(map(str, I.generators))), (I.ring, I.generators))
+        return hilbert_data(I)
+
+    monkeypatch.setattr(geometry, "hilbert_data", recording)
+    monkeypatch.setattr(constants, "hilbert_data", recording)
+    return seen
+
+
+def _synthetic_instances(tmp_path, seed):
+    rng = random.Random(seed)
+    paths = []
+    for n, degrees in SYNTHETIC_SHAPES:
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(n + 1)))
+        raw = {
+            "variables": list(ring.names),
+            "ambient": [],
+            "cutting": [
+                {"expression": str(random_homogeneous(ring, d, rng, through_origin=True)),
+                 "degree": d}
+                for d in degrees
+            ],
+            "point": ["1"] + ["0"] * n,
+        }
+        path = tmp_path / f"seed{seed}-p{n}-{'-'.join(map(str, degrees))}.json"
+        path.write_text(json.dumps(raw))
+        paths.append(str(path))
+    return paths
+
+
+def _compare(recorded):
+    """Each recorded ideal the certificate may see gets the same Hilbert data
+    with it as over Q; returns how many the certificate proved empty."""
+    certified = 0
+    for ring, gens in recorded.values():
+        if ring.field != QQ or len(gens) < ring.nvars:
+            continue
+        fast = hilbert_data(Ideal(ring, gens))
+        slow = Ideal(ring, gens)
+        slow.groebner_basis()  # a cached basis leaves the prime out
+        assert fast == hilbert_data(slow), gens
+        certified += groebner._certified_empty(Ideal(ring, gens))
+    return certified
+
+
+def test_bundled_ideals_agree(recorded):
+    for name in BUNDLED:
+        # the singular locus of the quartic threefold takes about 14 s over
+        # Q (0.24 s mod p), so only its classify ideals are compared
+        validate = [] if name == "quartic-threefold" else ["--validate"]
+        for command in (["bound"], ["fano"], ["classify", *validate]):
+            run([command[0], bundled(name), *command[1:]])
+    assert _compare(recorded) >= 5
+
+
+def test_sharpness_ideals_agree(recorded):
+    for n, d in SHARPNESS:
+        constants.sharpness_example(n, d, seed=0)
+    assert _compare(recorded) >= len(SHARPNESS)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_synthetic_ideals_agree(recorded, tmp_path, seed):
+    for path in _synthetic_instances(tmp_path, seed):
+        run(["bound", path])
+        run(["classify", path])
+    assert _compare(recorded) >= len(SYNTHETIC_SHAPES)
+
+
+def test_unlucky_prime_dropping_a_generator_falls_back():
+    # mod p both generators are x0, so nothing is proved there; over Q the
+    # ideal is (x0, x1)
+    ring = PolynomialRing(("x0", "x1"))
+    I = Ideal(ring, [ring.parse("x0"), ring.parse(f"x0 + {EMPTINESS_PRIME}*x1")])
+    assert not groebner._certified_empty(Ideal(ring, I.generators))
+    assert hilbert_data(I) == EMPTY
+
+
+def test_unlucky_prime_dropping_a_leading_term_falls_back():
+    # mod p the leading term p*x0^2 vanishes and (x1^2, x0*x1) meets [1:0]
+    ring = PolynomialRing(("x0", "x1"))
+    I = Ideal(ring, [ring.parse(f"{EMPTINESS_PRIME}*x0^2 + x1^2"), ring.parse("x0*x1")])
+    assert not groebner._certified_empty(Ideal(ring, I.generators))
+    assert hilbert_data(I) == EMPTY
+
+
+def test_lucky_prime_proves_emptiness():
+    ring = PolynomialRing(("x0", "x1", "x2"))
+    gens = [ring.parse("x0^2 - x1*x2"), ring.parse("x1^2 + 3*x0*x2"),
+            ring.parse("x2^3 - 2*x0^3").scale(Fraction(1, 2))]
+    assert groebner._certified_empty(Ideal(ring, gens))
+    assert hilbert_data(Ideal(ring, gens)) == EMPTY
+
+
+def test_certificate_needs_nvars_generators_and_no_cached_basis(monkeypatch):
+    def refuse(I):
+        raise AssertionError("mod-p run reached")
+
+    monkeypatch.setattr(groebner, "_certified_empty", refuse)
+    ring = PolynomialRing(("x0", "x1", "x2"))
+    # r <= m forms in P^m: the prime is never asked
+    assert hilbert_data(Ideal(ring, [ring.parse("x1"), ring.parse("x2^2")])).dimension == 0
+    assert hilbert_data(Ideal(ring, [ring.parse("x0*x1 - x2^2")])).dimension == 1
+    full = Ideal(ring, [ring.variable(i) for i in range(3)])
+    full.groebner_basis()
+    assert hilbert_data(full) == EMPTY
+    field = PolynomialRing(("x0", "x1"), PrimeField(7))
+    assert hilbert_data(Ideal(field, [field.parse("x0"), field.parse("x1")])) == EMPTY
+    with pytest.raises(AssertionError, match="reached"):
+        hilbert_data(Ideal(ring, [ring.variable(i) for i in range(3)]))
+
+
+def test_each_attempt_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
+    ring = PolynomialRing(("x0", "x1"))
+    hilbert_data(Ideal(ring, [ring.parse("x0^2"), ring.parse("x1^3")]))
+    hilbert_data(Ideal(ring, [ring.parse("x0"), ring.parse(f"x0 + {EMPTINESS_PRIME}*x1")]))
+    messages = [r.getMessage() for r in caplog.records if r.name == "seshadri.groebner"]
+    assert len(messages) == 2
+    assert all(f"mod {EMPTINESS_PRIME}: 2 generators, 2 variables" in m for m in messages)
+    assert "certified empty" in messages[0]
+    assert "fell back to Q" in messages[1]
+    assert all(m.endswith(" ms") for m in messages)
+
+
+@pytest.mark.parametrize("command", ["bound", "classify"])
+def test_p6_sextic_reaches_six_fifths(command):
+    # no result in a minute over Q; the prime proves the line scheme empty
+    report, code, _ = run([command, str(SEXTIC)])
+    assert code == EXIT_OK
+    seshadri = report["result"]["seshadri"]
+    assert seshadri["lower_bound"] == "6/5"
+    assert seshadri["line_scheme_dimension"] == -1
+    assert seshadri["status"] == ("EXACT" if command == "classify" else "LOWER_BOUND_ONLY")
+
+
+class TestCurveValidate:
+    def test_smooth_instance_passes(self):
+        plain, code = run(["curve", bundled("two-quadrics-p4"), "--seed", "1"])[:2]
+        assert code == EXIT_OK
+        checked, code = run(["curve", bundled("two-quadrics-p4"), "--seed", "1", "--validate"])[:2]
+        assert code == EXIT_OK
+        assert checked["result"] == plain["result"]
+
+    def test_singular_intersection_exits_2(self, tmp_path):
+        # a cubic surface smooth at [1:0:0:0], singular at [0:0:0:1]
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({
+            "variables": ["x0", "x1", "x2", "x3"],
+            "ambient": [],
+            "cutting": [{"expression": "x0^2*x1 + x2^3 + x1*x2*x3", "degree": 3}],
+            "point": ["1", "0", "0", "0"],
+        }))
+        report, code, _ = run(["curve", str(path), "--validate"])
+        assert code == EXIT_HYPOTHESIS
+        assert report["error"]["condition"] == "smoothness"
+        assert run(["curve", str(path)])[1] != EXIT_HYPOTHESIS
