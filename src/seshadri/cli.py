@@ -103,14 +103,17 @@ _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 def _coordinate(value):
     """The exact rational a point entry denotes; a decimal exponent beyond
-    4300 in absolute value is refused before it is expanded."""
+    4300 in absolute value, or a zero denominator, is refused as input."""
     text = str(value)
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
         raise ValueError(
             f"point coordinate {text[:40]!r} has a decimal exponent beyond {_MAX_EXPONENT}"
         )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"point coordinate {text[:40]!r} has a zero denominator") from None
 
 
 def _check_types(raw, path):

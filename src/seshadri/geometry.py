@@ -6,11 +6,14 @@ A pointed variety carries a saturated homogeneous ideal together with an
 invertible coordinate change sending the base point to [1:0:...:0].  The
 local answers come from reduced Groebner bases for the order comparing x_0
 degrees first, which are local standard bases at the point: the top x_0
-slices of the normalized ideal's basis generate the tangent cone (mult_p),
-reduction by it is a local normal form (ord_p), and equal local leading
-ideals show that a subideal cuts out the same scheme near the point (d_p,
-and ord_p = INFINITE).  Every answer is exact; no truncation level, cap or
-degree bound is involved.
+slices of the normalized ideal's basis generate the tangent cone, whose
+Hilbert-series numerator gives mult_p; reduction by the basis is a local
+normal form (ord_p); and equal local leading ideals show that a subideal
+cuts out the same scheme near the point (d_p, and ord_p = INFINITE).
+Whether a zero-dimensional scheme is supported at the point alone is read
+off two Hilbert-series numerators as well: its degree against its length
+there.  Every answer is exact; no truncation level, cap or degree bound is
+involved.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from . import linalg
 from .groebner import (
     HilbertData,
     Ideal,
+    _leading_numerator,
+    _strip_unit_root,
     hilbert_data,
-    hilbert_function,
-    saturate_variable,
 )
 from .polynomials import (
     Monomial,
@@ -278,22 +281,24 @@ def cut_out_degree(X):
 
 
 def supported_only_at_basepoint(K):
-    """Whether V(K) = {[1:0:...:0]} as sets, for homogeneous K containing it.
+    """Whether V(K) = {[1:0:...:0]} as sets, for homogeneous K.
 
-    Saturating by each coordinate x_i (i >= 1) removes whatever sits inside
-    V(x_i); the residue is empty for every i exactly when no point other
-    than the base point survives.
+    The degree of a zero-dimensional Proj(R/K) is the sum, over its points
+    q, of [k(q) : k] times the length of the local ring at q (in a chart,
+    dim k[x]/K is the sum of the local lengths: Cox, Little and O'Shea,
+    "Using Algebraic Geometry", ch. 4, sec. 2).  Every term is positive, so
+    the base point p is the only point, over the algebraic closure too,
+    exactly when the degree equals the length at p, which `multiplicity_at`
+    reads off the tangent cone.
     """
     hd = hilbert_data(K)
-    if hd.dimension > 0:
+    if hd.dimension != 0:
         return False
-    if hd.is_empty:
+    try:
+        X = normalize_point(K, base_point(K.ring))
+    except PointError:  # the base point is not on V(K)
         return False
-    for var in range(1, K.ring.nvars):
-        residue = saturate_variable(K, var)
-        if not hilbert_data(residue).is_empty:
-            return False
-    return True
+    return hd.degree == multiplicity_at(X)
 
 
 def _det(matrix):
@@ -367,12 +372,23 @@ def _agree_at_point(J, I):
 def multiplicity_at(X):
     """Hilbert-Samuel multiplicity of the local ring of X at its base point.
 
-    The tangent cone TC, generated by the top x_0 slices of the local
-    basis, has the local dimension of X at the point, which may be lower
-    than dim X.  mult_p is the degree of Proj(TC); when TC is primary to
-    the maximal ideal the point is isolated and mult_p is the length
-    sum_d H(TC, d).
+    The tangent cone ideal TC is generated by the top x_0 slices of the
+    local basis.  The chart ring modulo TC is the associated graded ring
+    gr(O_p) of the local ring, of its dimension D, which may be lower than
+    dim X.  Its Hilbert series is Q(t)/(1 - t)^D with Q(1) != 0, and Q(1)
+    is the Hilbert-Samuel multiplicity of O_p for every D (Greuel-Pfister,
+    sec. 5.5; Cox, Little and O'Shea, "Ideals, Varieties, and Algorithms",
+    sec. 9.3).  For D = 0 the point is isolated, and Q(1) = sum_d H(TC, d)
+    is the length of O_p.
     """
+    cone = _tangent_cone(X)
+    numerator, _ = _strip_unit_root(_leading_numerator(cone), cone.ring.nvars)
+    return sum(numerator)
+
+
+def _tangent_cone(X):
+    """The ideal TC of lowest forms at the base point, in the slice ring:
+    the top x_0 slices of the local basis generate it."""
     _, basis = _local_basis(X.normalized_ideal)
     chart = slice_ring(X.ring)
     lowest = []
@@ -380,16 +396,7 @@ def multiplicity_at(X):
         top = g.leading_monomial().exponents[0]
         terms = [(m.exponents[1:], c) for m, c in g.terms if m.exponents[0] == top]
         lowest.append(chart.from_terms(terms))
-    cone = Ideal(chart, lowest)
-    data = hilbert_data(cone)
-    if not data.is_empty:
-        return data.degree
-    length = 0
-    d = 0
-    while (h := hilbert_function(cone, d)) > 0:
-        length += h
-        d += 1
-    return length
+    return Ideal(chart, lowest)
 
 
 def ord_at(f, X, normalized=False):

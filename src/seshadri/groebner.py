@@ -4,8 +4,9 @@ The engine uses the normal-pair (Gebauer-Moeller) criteria with sugar
 selection; inputs are desk scale, so no signature-based machinery.  On top
 of reduced Groebner bases sit normal forms and one elimination of a tag
 variable, which gives intersections, ideal quotients and saturations
-(I : f^infinity by Rabinowitsch's 1 - t*f), Hilbert series data of
-homogeneous ideals, and graded pieces.
+(I : f^infinity by Rabinowitsch's 1 - t*f).  The leading ideal of the
+reduced basis gives the rest: Hilbert series data of homogeneous ideals,
+and graded pieces as monomials minus their normal forms.
 
 Division runs on packed monomials rather than `Polynomial` values, after
 Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -49,7 +50,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 
-from . import linalg
 from .polynomials import (
     Monomial,
     MonomialOrder,
@@ -611,35 +611,6 @@ def saturate(I, J):
     return result
 
 
-def saturate_variable(I, var):
-    """Fast path for I : x_var^infinity on a homogeneous ideal.
-
-    A reduced grevlex basis with x_var as the smallest variable stays a
-    basis of the saturation after stripping x_var powers from each element.
-    """
-    ring = I.ring
-    if not I.is_homogeneous:
-        raise NonHomogeneousError("variable saturation needs a homogeneous ideal")
-    if I.is_zero():
-        return I
-    perm = tuple(i for i in range(ring.nvars) if i != var) + (var,)
-    order = MonomialOrder.grevlex(ring.nvars, permutation=perm)
-    basis = I.groebner_basis(order)
-    stripped = []
-    for g in basis:
-        drop = min(m.exponents[var] for m, _ in g.terms)
-        if drop:
-            g = Polynomial(
-                g.ring,
-                tuple(
-                    (Monomial(tuple(e - drop if k == var else e for k, e in enumerate(m.exponents))), c)
-                    for m, c in g.terms
-                ),
-            )
-        stripped.append(ring.from_terms(g.terms))
-    return Ideal(ring, [_normalize(g) for g in stripped])
-
-
 # -- Hilbert data -----------------------------------------------------------------
 
 
@@ -907,39 +878,33 @@ def monomials_of_degree(nvars, d):
 
 
 def graded_piece(I, d):
-    """Vector-space basis of the degree-d component of a saturated ideal.
+    """Vector-space basis of the degree-d component of a homogeneous ideal,
+    in reduced row echelon form: leading monomials strictly decreasing,
+    each with coefficient 1 and absent from every other element.
 
-    Degree-d multiples of the generators are reduced to reduced row echelon
-    form over the coefficient field; the echelon rows come back as
-    polynomials, leading monomials strictly decreasing.
+    With NF the normal form by the reduced basis in the ring's order, the
+    elements m - NF(m), m a degree-d monomial of the leading ideal LT(I),
+    lie in I and are a basis of I_d: the monomials outside LT(I) are a
+    basis of R/I (Macaulay; Cox, Little and O'Shea, "Ideals, Varieties, and
+    Algorithms", sec. 5.3, Prop. 4), so dim I_d is the number of such m.
+    Each NF(m) holds only monomials outside LT(I), so no element meets the
+    leading monomial of another: this is the echelon form.
     """
     ring = I.ring
     if not I.is_homogeneous:
         raise NonHomogeneousError("graded_piece needs a homogeneous ideal")
     if d <= 0:
         raise ValueError("degree must be positive")
-    columns = sorted(
-        (Monomial(e) for e in monomials_of_degree(ring.nvars, d)),
+    basis = I.groebner_basis()
+    leads = [g.leading_monomial() for g in basis]
+    pivots = sorted(
+        (m for m in map(Monomial, monomials_of_degree(ring.nvars, d))
+         if any(lm.divides(m) for lm in leads)),
         key=ring.order.key,
         reverse=True,
     )
-    index = {m: i for i, m in enumerate(columns)}
-    rows = []
-    for g in I.generators:
-        gd = g.total_degree()
-        if gd > d:
-            continue
-        for exps in monomials_of_degree(ring.nvars, d - gd):
-            shifted = g.mul_term(ring.field.one, Monomial(exps))
-            row = [ring.field.zero] * len(columns)
-            for m, c in shifted.terms:
-                row[index[m]] = c
-            rows.append(row)
-    if not rows:
-        return []
-    echelon, _ = linalg.rref(rows, ring.field)
-    basis = []
-    for row in echelon:
-        terms = [(columns[i], c) for i, c in enumerate(row) if not ring.field.is_zero(c)]
-        basis.append(Polynomial(ring, tuple(terms)))
-    return basis
+    piece = []
+    for m in pivots:
+        monomial = Polynomial(ring, ((m, ring.field.one),))
+        piece.append(monomial - normal_form_against(monomial, basis))
+    return piece

@@ -2,7 +2,7 @@
 
 Matrices are lists of lists of field scalars.  Everything here is dense
 Gaussian elimination; the problem sizes are tiny (coordinate changes,
-graded-piece echelon forms, tangent-vector solves).
+the oracle's tangent-vector solves and kernels).
 """
 
 from __future__ import annotations

@@ -298,6 +298,17 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "decimal exponent beyond 4300" in report["error"]["message"]
 
+    @pytest.mark.parametrize("coordinate", ["1/0", "0/0", "-3/0"])
+    def test_zero_denominator_is_input(self, tmp_path, coordinate):
+        raw = json.loads(Path(bundled("quadric-surface")).read_text())
+        raw["point"][0] = coordinate
+        bad = tmp_path / "zero-denominator.json"
+        bad.write_text(json.dumps(raw))
+        report, code = run_report(["bound", str(bad)])
+        assert code == EXIT_INPUT
+        assert report["error"]["kind"] == "input"
+        assert "zero denominator" in report["error"]["message"]
+
     @pytest.mark.parametrize(
         "ambient, cutting",
         [

@@ -3,11 +3,28 @@ import random
 import pytest
 
 from seshadri.cli import load_instance
-from seshadri.polynomials import PolynomialRing, PrimeField, restrict_to_line, substitute_linear
-from seshadri.groebner import Ideal, graded_piece, hilbert_data, ideal_quotient, intersect
+from seshadri.polynomials import (
+    QQ,
+    PolynomialRing,
+    PrimeField,
+    restrict_to_line,
+    substitute_linear,
+)
+from seshadri.groebner import (
+    Ideal,
+    graded_piece,
+    hilbert_data,
+    hilbert_function,
+    ideal_quotient,
+    intersect,
+    monomials_of_degree,
+    saturate,
+)
 from seshadri.geometry import (
     INFINITE,
     PointError,
+    _tangent_cone,
+    base_point,
     cone_ideal,
     cut_out_degree,
     line_scheme,
@@ -19,7 +36,7 @@ from seshadri.geometry import (
     supported_only_at_basepoint,
     singular_locus_is_empty,
 )
-from seshadri.oracle import count_lines_mod_q, modular_instance
+from seshadri.oracle import count_lines_mod_q, lowest_form_mult, modular_instance
 
 from conftest import bundled, random_homogeneous
 
@@ -205,9 +222,173 @@ class TestMultiplicity:
         assert multiplicity_at(X) == 1
 
     def test_fat_points_have_their_length(self, ring3):
+        # isolated non-reduced points: V(x1^2, x2) and the square of a point
         for gens, length in ((("x1^2", "x2"), 2), (("x1^2", "x1*x2", "x2^2"), 3)):
             X = normalize_point(Ideal(ring3, [ring3.parse(g) for g in gens]), (1, 0, 0))
-            assert multiplicity_at(X) == length
+            assert multiplicity_at(X) == reference_length(X) == length
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+
+
+def reference_length(X):
+    """Length of the local ring at an isolated base point, as `multiplicity_at`
+    summed it before reading the Hilbert-series numerator: the Hilbert
+    function of the tangent cone, degree by degree, until it vanishes."""
+    cone = _tangent_cone(X)
+    length = 0
+    d = 0
+    while (h := hilbert_function(cone, d)) > 0:
+        length += h
+        d += 1
+    return length
+
+
+def reference_multiplicity(X):
+    """mult_p by the former route: the degree of Proj of the tangent cone, or
+    the length when the point is isolated and that Proj is empty."""
+    data = hilbert_data(_tangent_cone(X))
+    return reference_length(X) if data.is_empty else data.degree
+
+
+def reference_supported_only_at_basepoint(K):
+    """Whether V(K) = {[1:0:...:0]}, by the former route: K is
+    zero-dimensional, and saturating by each x_i, i >= 1, which removes what
+    lies in V(x_i), the base point among it, leaves the empty scheme."""
+    if hilbert_data(K).dimension != 0:
+        return False
+    ring = K.ring
+    return all(
+        hilbert_data(saturate(K, Ideal(ring, [ring.variable(i)]))).is_empty
+        for i in range(1, ring.nvars)
+    )
+
+
+def _form_through_p(ring, degree, order, rng):
+    """A random form of the given degree vanishing to at least `order` at
+    [1:0:...:0]: no term has an x_0 power above degree - order."""
+    while True:
+        form = ring.from_terms(
+            (exps, rng.randint(-3, 3))
+            for exps in monomials_of_degree(ring.nvars, degree)
+            if exps[0] <= degree - order
+        )
+        if form:
+            return form
+
+
+def _fixing_p(ring, rng):
+    """A random upper triangular coordinate change: it keeps [1:0:...:0]."""
+    n = ring.nvars
+    return [
+        [rng.randint(1, 3) if j == i else rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _moved(ideal, matrix):
+    return Ideal(ideal.ring, [substitute_linear(g, matrix) for g in ideal.generators])
+
+
+def _fat_point(ring, rng):
+    """A zero-dimensional ideal supported at [1:0:...:0] alone: pure powers
+    of x_1..x_n plus random forms vanishing to order 2 there."""
+    powers = [ring.variable(i) ** rng.randint(1, 3) for i in range(1, ring.nvars)]
+    extra = [_form_through_p(ring, rng.randint(2, 3), 2, rng) for _ in range(2)]
+    return Ideal(ring, powers + extra)
+
+
+def _rational_point(ring, rng):
+    """The ideal of a random point [a_0 : 1 : a_2 : ...], never the base point."""
+    coords = [rng.randint(-3, 3) for _ in range(ring.nvars)]
+    x = ring.variables()
+    return Ideal(ring, [x[j] - coords[j] * x[1] for j in range(ring.nvars) if j != 1])
+
+
+def _conjugate_pair(ring):
+    """[1 : ±i : 1 : 0 : ...]: a point of degree 2 over Q and over F_7,
+    where -1 is no square, and none of it rational."""
+    x = ring.variables()
+    return Ideal(ring, [x[1] ** 2 + x[0] ** 2, x[2] - x[0]] + x[3:])
+
+
+class TestLocalInvariantsAgainstReferences:
+    @FIELDS
+    @pytest.mark.parametrize("nvars", [3, 4, 5])
+    def test_multiplicity_matches_the_former_route(self, field, nvars):
+        rng = random.Random(f"multiplicity {field!r} {nvars}")
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)), field)
+        for _ in range(4):
+            # nvars - 1 forms through p give an isolated point, fewer a
+            # curve or more through it
+            count = rng.randint(1, nvars - 1)
+            top = 3 if nvars < 5 else 2
+            gens = [
+                _form_through_p(ring, rng.randint(2, top), rng.randint(1, 2), rng)
+                for _ in range(count)
+            ]
+            X = normalize_point(Ideal(ring, gens), base_point(ring))
+            assert multiplicity_at(X) == reference_multiplicity(X)
+
+    @FIELDS
+    @pytest.mark.parametrize("nvars", [3, 4])
+    def test_support_and_length_match_the_former_routes(self, field, nvars):
+        rng = random.Random(f"support {field!r} {nvars}")
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)), field)
+        for _ in range(2):
+            fat = _fat_point(ring, rng)
+            cases = [
+                (fat, True),
+                (intersect(fat, _rational_point(ring, rng)), False),
+                (intersect(fat, _conjugate_pair(ring)), False),
+            ]
+            matrix = _fixing_p(ring, rng)
+            for K, alone in cases:
+                K = _moved(K, matrix)
+                assert hilbert_data(K).dimension == 0
+                assert supported_only_at_basepoint(K) is alone
+                assert reference_supported_only_at_basepoint(K) is alone
+                X = normalize_point(K, base_point(ring))
+                assert multiplicity_at(X) == reference_length(X)
+            # random forms through p meet again elsewhere
+            K = Ideal(ring, [_form_through_p(ring, 2, 1, rng) for _ in range(nvars - 1)])
+            assert supported_only_at_basepoint(K) == reference_supported_only_at_basepoint(K)
+
+    def test_base_point_off_the_scheme(self, ring3):
+        K = Ideal(ring3, [ring3.parse("x0 - x1"), ring3.parse("x2")])
+        assert not supported_only_at_basepoint(K)
+        assert not reference_supported_only_at_basepoint(K)
+
+
+class TestMultiplicityEdges:
+    def test_embedded_point_on_a_line(self, ring3):
+        # the line x1 = 0 with an embedded point at [1:0:0]: the local ring
+        # has dimension 1 and the multiplicity of the line
+        ideal = Ideal(ring3, [ring3.parse("x1^2"), ring3.parse("x1*x2")])
+        X = normalize_point(ideal, (1, 0, 0))
+        assert multiplicity_at(X) == reference_multiplicity(X) == 1
+
+    @FIELDS
+    def test_cone_over_a_plane_cubic_at_its_vertex(self, field):
+        ring = PolynomialRing(("x0", "x1", "x2", "x3"), field)
+        X = normalize_point(Ideal(ring, [ring.parse("x1^3 + x2^3 + x3^3")]), base_point(ring))
+        assert multiplicity_at(X) == reference_multiplicity(X) == 3
+
+    @FIELDS
+    @pytest.mark.parametrize(
+        "curve, point, mult",
+        [
+            ("x1^2", (1, 0, 0), 2),  # a double line
+            ("x1*x2*(x1 - x2)", (1, 0, 0), 3),  # the cone over three points
+            ("x2*x1^2 - x0^3", (0, 0, 1), 2),  # a cusp
+            ("x0*x2 - x1^2", (1, 1, 1), 1),
+        ],
+    )
+    def test_plane_curves_match_the_lowest_form(self, field, curve, point, mult):
+        ring = PolynomialRing(("x0", "x1", "x2"), field)
+        f = ring.parse(curve)
+        X = normalize_point(Ideal(ring, [f]), point)
+        assert multiplicity_at(X) == lowest_form_mult(f, point) == mult
 
 
 class TestOrdAt:

@@ -12,7 +12,7 @@ from seshadri.polynomials import (
     PolynomialRing,
     PrimeField,
 )
-from seshadri import groebner
+from seshadri import groebner, linalg
 from seshadri.groebner import (
     Ideal,
     NonHomogeneousError,
@@ -29,7 +29,6 @@ from seshadri.groebner import (
     normal_form_against,
     s_polynomial,
     saturate,
-    saturate_variable,
 )
 
 from conftest import random_homogeneous, random_poly
@@ -550,14 +549,6 @@ class TestQuotientAndSaturation:
                 for f in I.generators:
                     assert J.contains(g * f)
 
-    def test_variable_saturation_matches_general_route(self, ring3, rng):
-        for _ in range(6):
-            I = Ideal(ring3, [random_homogeneous(ring3, rng.randint(2, 3), rng) for _ in range(2)])
-            var = rng.randrange(3)
-            fast = saturate_variable(I, var)
-            slow = saturate(I, Ideal(ring3, [ring3.variable(var)]))
-            assert fast.equals(slow)
-
     def test_intersection_membership(self, ring3, rng):
         for _ in range(5):
             I = Ideal(ring3, [random_homogeneous(ring3, 2, rng)])
@@ -699,6 +690,37 @@ class TestHilbertData:
             assert (a.dimension, a.degree) == (b.dimension, b.degree)
 
 
+def reference_graded_piece(I, d):
+    """Basis of I_d as `graded_piece` computed it before it read the piece
+    off the leading ideal: the degree-d multiples of the generators as the
+    rows of a dense Macaulay matrix, brought to reduced row echelon form."""
+    ring = I.ring
+    columns = sorted(
+        (Monomial(e) for e in monomials_of_degree(ring.nvars, d)),
+        key=ring.order.key,
+        reverse=True,
+    )
+    index = {m: i for i, m in enumerate(columns)}
+    rows = []
+    for g in I.generators:
+        gd = g.total_degree()
+        if gd > d:
+            continue
+        for exps in monomials_of_degree(ring.nvars, d - gd):
+            shifted = g.mul_term(ring.field.one, Monomial(exps))
+            row = [ring.field.zero] * len(columns)
+            for m, c in shifted.terms:
+                row[index[m]] = c
+            rows.append(row)
+    if not rows:
+        return []
+    echelon, _ = linalg.rref(rows, ring.field)
+    return [
+        Polynomial(ring, tuple((columns[i], c) for i, c in enumerate(row) if c))
+        for row in echelon
+    ]
+
+
 class TestGradedPiece:
     def test_conic_degree_one_is_empty(self, ring3):
         ideal = Ideal(ring3, [ring3.parse("x0*x2 - x1^2")])
@@ -723,7 +745,25 @@ class TestGradedPiece:
             saturated = saturate(ideal, Ideal(ring3, ring3.variables()))
             for d in range(1, 5):
                 expected = comb(d + 2, 2) - hilbert_function(saturated, d)
-                assert len(graded_piece(saturated, d)) == expected
+                piece = graded_piece(saturated, d)
+                assert len(piece) == expected
+                # both sides above read the same leading ideal; the dense
+                # Macaulay matrix does not
+                assert piece == reference_graded_piece(saturated, d)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("nvars", [3, 4, 5])
+    def test_matches_the_macaulay_matrix(self, field, nvars):
+        rng = random.Random(f"graded piece {field!r} {nvars}")
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)), field)
+        for _ in range(4):
+            degrees = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            ideal = Ideal(ring, [random_homogeneous(ring, e, rng) for e in degrees])
+            for d in range(1, 6 - nvars // 2):
+                assert graded_piece(ideal, d) == reference_graded_piece(ideal, d)
+        assert graded_piece(Ideal(ring, []), 2) == []
+        unit = Ideal(ring, [ring.one()])
+        assert graded_piece(unit, 1) == reference_graded_piece(unit, 1)
 
     def test_rejects_nonpositive_degree(self, ring3):
         with pytest.raises(ValueError):
