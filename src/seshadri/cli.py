@@ -416,8 +416,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _primes(text):
+    """The primes of a comma-separated list, each once, in first-seen order."""
     try:
-        return [int(q) for q in text.split(",")]
+        return list(dict.fromkeys(int(q) for q in text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 

@@ -807,7 +807,9 @@ def hilbert_data(I):
     cached yet is first tested for emptiness at one fixed prime
     (`_certified_empty`, which states the theorem).  Fewer forms of
     positive degree always meet in P^(nvars - 1), by the projective
-    dimension theorem, so the test is left out for them.  A proof mod p
+    dimension theorem, so the test is left out for them; so it is when
+    no generator has an x0^deg term, since V(I) then holds [1:0:...:0]
+    (the ideals of `supported_only_at_basepoint` do).  A proof mod p
     returns the empty data at once; otherwise, an unlucky prime included,
     the Groebner basis over Q decides, so the prime costs time and never
     changes an answer.
@@ -819,6 +821,7 @@ def hilbert_data(I):
         ring.field == QQ
         and len(I.generators) >= ring.nvars
         and ring.order not in I._basis_cache
+        and any(not any(m.exponents[1:]) for g in I.generators for m, _ in g.terms)
         and _certified_empty(I)
     ):
         return HilbertData(-1, None, ())

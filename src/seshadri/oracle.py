@@ -1,21 +1,24 @@
 """Independent finite-field brute-force checks.
 
 Everything here avoids the Groebner machinery on purpose: lines through
-the base point are found by enumerating every direction of the embedded
-tangent space ker J(p) over F_q (plain linear algebra) and testing each
-generator on the binary form g(s*p + t*v) by its values at d + 1 points
-of P^1, the t^d coefficient g(v) first; conics come from a randomized
-search that expands g(p + t*v + t^2*w) on packed exponent keys;
-plane-curve multiplicities read off the lowest form after translating
+the base point are found among the directions of the embedded tangent
+space ker J(p) over F_q (plain linear algebra), one coset of the reduced
+kernel basis at a time: g(p + t*v) is expanded once per generator with t
+and the coset's free digits symbolic, and the digits are then fixed one
+at a time, a branch ending as soon as one t-coefficient becomes a nonzero
+constant.  Conics come from a randomized search that expands
+g(p + t*v + t^2*w); both expansions run on packed exponent keys.
+Plane-curve multiplicities read off the lowest form after translating
 the point to the affine origin.  The hot loops run on plain ints mod q.
 
-Direction enumeration is sequential, since the interpreter lock would
-serialise threads over this pure-Python scan; the directions found come
-back in sorted order.
+The scan is sequential, since the interpreter lock would serialise
+threads over this pure-Python work; the directions found come back in
+sorted order.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from . import linalg
@@ -70,37 +73,6 @@ def _gradient(instance):
     ]
 
 
-def _directions(rows, q):
-    """Representatives of the points of P(span of rows), for reduced echelon
-    rows: r_i + sum_{j>i} c_j*r_j, whose first nonzero coordinate is one.
-
-    Each coset is walked as an odometer over (c_{i+1}, ..., c_k).  A step
-    that raises digit m and wraps every later digit from q - 1 to 0 adds
-    r_m plus one more copy of each wrapped row (q*r = 0), i.e. the suffix
-    sum r_m + ... + r_k: one vector addition per direction.
-    """
-    for i, lead in enumerate(rows):
-        tail = rows[i + 1 :]
-        suffix = []
-        acc = [0] * len(lead)
-        for row in reversed(tail):
-            acc = [(a + b) % q for a, b in zip(acc, row)]
-            suffix.append(acc)
-        suffix.reverse()
-        digits = [0] * len(tail)
-        v = tuple(lead)
-        while True:
-            yield v
-            m = len(digits) - 1
-            while m >= 0 and digits[m] == q - 1:
-                digits[m] = 0
-                m -= 1
-            if m < 0:
-                break
-            digits[m] += 1
-            v = tuple([(a + b) % q for a, b in zip(v, suffix[m])])
-
-
 def _form(g):
     """Terms of a polynomial over F_q as (coefficient, ((index, exponent), ...))."""
     return [
@@ -128,12 +100,15 @@ def _times(f, g, q):
     return {k: c for k, c in out.items() if c}
 
 
-def _power(f, e, q):
+def _power(f, e, q, span=None):
     """f^e mod q for a sparse polynomial with additive keys.
 
     Over F_q, f^(q^j) is f with every key multiplied by q^j (Frobenius),
     so f^e is the product of f^(e_j), keys scaled by q^j, over the base-q
     digits e_j of e (Lucas): x1^200000 costs a handful of short products.
+    Given span, a key is k + span*code, with k the exponent of t and code
+    packing variables that only take values in F_q; as functions on F_q
+    those satisfy c^q = c, so only k is scaled.
     """
     out = {0: 1}
     place = 1
@@ -142,61 +117,103 @@ def _power(f, e, q):
         piece = {0: 1}
         for _ in range(digit):
             piece = _times(piece, f, q)
-        out = _times(out, {k * place: c for k, c in piece.items()}, q)
+        if span is None:
+            piece = {k * place: c for k, c in piece.items()}
+        else:
+            piece = {k + k % span * (place - 1): c for k, c in piece.items()}
+        out = _times(out, piece, q)
         place *= q
     return out
 
 
-def _expand(form, images, q):
+def _expand(form, images, q, span=None):
     """g(images) mod q, each variable replaced by a sparse polynomial
-    {key: coefficient} with additive keys; zero coefficients are dropped."""
+    {key: coefficient} with additive keys; zero coefficients are dropped.
+    span is passed to `_power`."""
     powers = {}
     total = {}
     for c, factors in form:
         term = {0: c}
         for i, e in factors:
             if (i, e) not in powers:
-                powers[i, e] = _power(images[i], e, q)
+                powers[i, e] = _power(images[i], e, q, span)
             term = _times(term, powers[i, e], q)
         for k, x in term.items():
             total[k] = (total.get(k, 0) + x) % q
     return {k: x for k, x in total.items() if x}
 
 
-def _line_test(g, point, q):
-    """Predicate on directions v: whether g(point + t*v) is zero in F_q[t].
+def _common_zeros(polys, depth, q, base):
+    """The digit vectors (c_0, ..., c_(depth-1)) in F_q^depth at which
+    every one of polys vanishes.
 
-    For a form g this says that g(s*point + t*v) is the zero binary form.
-    The t^d coefficient (d = deg g) is the top homogeneous part of g at v,
-    which rejects all but about 1/q of the directions.  A survivor is zero
-    iff it also vanishes at t = 0 and at t = 1, ..., d - 1: with t = oo
-    that is d + 1 points of P^1(F_q), enough for degree d when q >= d.
-    For q < d the coefficients are expanded instead.
+    A polynomial is {code: coefficient}, code = sum a_j*base^j for the
+    monomial prod c_j^a_j, and none is zero.  The digit c_0 is fixed to
+    each value in turn; a branch ends as soon as one polynomial becomes a
+    nonzero constant, and the last digit is tested on univariates.
     """
-    form = _form(g)
-    if not form:
-        return lambda v: True
-    if _value(form, point, q):
-        return lambda v: False
-    degree = max(sum(e for _, e in factors) for _, factors in form)
-    top = [term for term in form if sum(e for _, e in term[1]) == degree]
+    if not polys:
+        return list(itertools.product(range(q), repeat=depth))
+    if depth == 0:  # every polynomial left is a nonzero constant
+        return []
+    if depth == 1:
+        return [
+            (a,)
+            for a in range(q)
+            if not any(sum(x * pow(a, e, q) for e, x in f.items()) % q for f in polys)
+        ]
+    zeros = []
+    for a in range(q):
+        rest = []
+        for f in polys:
+            g = {}
+            for code, x in f.items():
+                code, e = divmod(code, base)
+                g[code] = g.get(code, 0) + x * pow(a, e, q)
+            g = {code: x % q for code, x in g.items() if x % q}
+            if len(g) == 1 and 0 in g:
+                break
+            if g:
+                rest.append(g)
+        else:
+            zeros.extend((a,) + z for z in _common_zeros(rest, depth - 1, q, base))
+    return zeros
 
-    def vanishes(v):
-        if _value(top, v, q):
-            return False
-        if q < degree:
-            images = [
-                {k: x for k, x in ((0, a), (1, b)) if x} for a, b in zip(point, v)
-            ]
-            return not _expand(form, images, q)
-        x = point
-        for _ in range(1, degree):
-            x = [(a + b) % q for a, b in zip(x, v)]
-            if _value(form, x, q):
-                return False
-        return True
 
-    return vanishes
+def _line_directions(forms, point, rows, q):
+    """The vectors v = r_i + sum_{j>i} c_j*r_j (c_j in F_q) with
+    g(point + t*v) = 0 in F_q[t] for every form, in sorted order.
+
+    Per coset i, one `_expand` per form of g(point + t*v) with t and the
+    digits c_j symbolic gives each t^k coefficient as a polynomial in the
+    digits; `_common_zeros` finds the digits at which all of them vanish.
+    """
+    degree = max((sum(e for _, e in f) for form in forms for _, f in form), default=1)
+    span = degree + 1
+    hits = []
+    for i, lead in enumerate(rows):
+        tail = rows[i + 1 :]
+        # x_l -> p_l + t*(lead_l + sum_j c_j*r_jl); t^k*prod c_j^a_j has the
+        # key k + sum_j a_j*span^(j+1), which stays additive: `_power` scales
+        # only k, so no exponent passes deg g
+        keys = [0, 1] + [1 + span ** (j + 1) for j in range(len(tail))]
+        images = [
+            {k: x for k, x in zip(keys, column) if x}
+            for column in zip(point, lead, *tail)
+        ]
+        polys = {}
+        for n, form in enumerate(forms):
+            for key, x in _expand(form, images, q, span).items():
+                code, k = divmod(key, span)
+                polys.setdefault((n, k), {})[code] = x
+        polys = sorted(polys.values(), key=len)
+        for digits in _common_zeros(polys, len(tail), q, span):
+            v = list(lead)
+            for c, row in zip(digits, tail):
+                if c:
+                    v = [(a + c * b) % q for a, b in zip(v, row)]
+            hits.append(tuple(v))
+    return sorted(hits)
 
 
 @dataclass(frozen=True)
@@ -205,8 +222,8 @@ class LineCount:
     directions: tuple
 
 
-# the scan visits q^0 + ... + q^(k-1) directions, k = dim ker J(p) - 1;
-# beyond this many the caller must lower q
+# the scan decides q^0 + ... + q^(k-1) directions, k = dim ker J(p) - 1,
+# and may list every one of them; beyond this many the caller must lower q
 ENUMERATION_LIMIT = 2_000_000
 
 
@@ -221,9 +238,11 @@ def count_lines_mod_q(instance):
     the s^(d-1)*t coefficient of g(s*p + t*v) is grad g(p) . v, for every
     homogeneous part of g.  So only the directions of ker J(p) with pivot
     coordinate zero (the pivot is the first coordinate of p nonzero mod q)
-    are scanned, normalized to first nonzero coordinate one, each with one
-    vector addition (`_directions`); those on which every generator passes
-    `_line_test` are kept.  Returns the count and the sorted direction
+    are scanned, normalized to first nonzero coordinate one: the vectors
+    r_i + sum_{j>i} c_j*r_j of its reduced echelon basis.  A direction is
+    kept iff g(p + t*v) = 0 in F_q[t] for every generator g, for every q
+    and degree; `_line_directions` decides this for a whole coset from one
+    expansion per generator.  Returns the count and the sorted direction
     list; raises EnumerationLimitError beyond ENUMERATION_LIMIT directions.
     """
     q = instance.prime
@@ -239,8 +258,7 @@ def count_lines_mod_q(instance):
         raise EnumerationLimitError(
             f"{total} directions exceed the enumeration limit; lower q"
         )
-    tests = [_line_test(g, point, q) for g in instance.generators]
-    hits = sorted(v for v in _directions(basis, q) if all(test(v) for test in tests))
+    hits = _line_directions([_form(g) for g in instance.generators], point, basis, q)
     return LineCount(count=len(hits), directions=tuple(hits))
 
 

@@ -110,6 +110,24 @@ class TestCommands:
         assert oracle["5"]["line_count"] == 2
         assert "exceed the enumeration limit" in oracle[str(large)]["error"]
 
+    def test_oracle_repeated_primes_run_once(self, monkeypatch):
+        # a prime listed twice is scanned and searched once, in first-seen order
+        scanned = []
+        original = cli.count_lines_mod_q
+
+        def counting(instance):
+            scanned.append(instance.prime)
+            return original(instance)
+
+        monkeypatch.setattr(cli, "count_lines_mod_q", counting)
+        report, code = run_report(
+            ["oracle", bundled("quadric-surface"), "--primes", "7,5,7,5", "--conics"]
+        )
+        assert code == EXIT_OK
+        assert scanned == [7, 5]
+        assert report["flags"]["primes"] == [7, 5]
+        assert list(report["result"]["oracle"]) == ["7", "5"]
+
     def test_oracle_with_conics(self):
         report, code = run_report(
             ["oracle", bundled("gr24-hyperplanes"), "--conics", "--primes", "11"]

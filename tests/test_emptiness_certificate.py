@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from seshadri import constants, geometry, groebner
-from seshadri.cli import EXIT_HYPOTHESIS, EXIT_OK, run
+from seshadri.cli import EXIT_HYPOTHESIS, EXIT_OK, load_instance, run
 from seshadri.groebner import EMPTINESS_PRIME, HilbertData, Ideal, hilbert_data
 from seshadri.polynomials import QQ, PolynomialRing, PrimeField
 
@@ -171,6 +171,37 @@ def test_each_attempt_is_logged(caplog):
     assert "certified empty" in messages[0]
     assert "fell back to Q" in messages[1]
     assert all(m.endswith(" ms") for m in messages)
+
+
+def test_ideals_through_the_base_point_skip_the_prime(caplog, monkeypatch):
+    # no generator has an x0^deg term, so V(I) holds [1:0:...:0] and no
+    # prime can prove it empty: nothing is tried, and the route over Q
+    # gives the answers; the ideals `supported_only_at_basepoint` gets
+    # from `aux_divisors` are all of this kind
+    ring = PolynomialRing(("x0", "x1", "x2"))
+    ideals = [
+        (ring, [ring.parse(g) for g in ("x1^2", "x1*x2", "x2^2", "x0*x1")]),
+        (ring, [ring.parse(g) for g in ("x0*x1 - x2^2", "x0*x2 + x1^2", "x1^3")]),
+    ]
+    original = constants.supported_only_at_basepoint
+
+    def recording(K):
+        ideals.append((K.ring, K.generators))
+        return original(K)
+
+    monkeypatch.setattr(constants, "supported_only_at_basepoint", recording)
+    for name in BUNDLED:
+        constants.aux_divisors(load_instance(bundled(name)).variety())
+    assert len(ideals) == 2 + len(BUNDLED)
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
+    for ring, gens in ideals:
+        caplog.clear()
+        fast = hilbert_data(Ideal(ring, gens))
+        assert not [r for r in caplog.records if r.name == "seshadri.groebner"], gens
+        slow = Ideal(ring, gens)
+        slow.groebner_basis()
+        assert fast == hilbert_data(slow), gens
+    assert any(len(gens) >= ring.nvars for ring, gens in ideals[2:])
 
 
 @pytest.mark.parametrize("command", ["bound", "classify"])

@@ -12,15 +12,15 @@ from seshadri.polynomials import (
     PrimeField,
     compose,
     restrict_to_line,
+    substitute_linear,
 )
 from seshadri.groebner import Ideal, monomials_of_degree
 from seshadri.geometry import multiplicity_at, normalize_point
 from seshadri.oracle import (
     ModularInstance,
     _conic_buckets,
-    _directions,
     _form,
-    _line_test,
+    _line_directions,
     count_lines_mod_q,
     find_conic_mod_q,
     lowest_form_mult,
@@ -145,6 +145,23 @@ def _line_through(q, rng):
     return p, v, ideal, s, t
 
 
+def _scan_hits(g, p, v, q, rng):
+    """Whether the scan keeps v, run on the one-row basis [v] and again as
+    the c = 0 member of the coset v + c*w of a random second row w, whose
+    other members must agree with the reference too."""
+    form = [_form(g)]
+    alone = _line_directions(form, p, [v], q)
+    assert alone in ([], [tuple(v)])
+    w = [rng.randrange(q) for _ in v]
+    rows = [v, w]
+    expected = sorted(
+        u for u in reference_directions(rows, q) if reference_line_vanishes(g, p, u, q)
+    )
+    assert _line_directions(form, p, rows, q) == expected
+    assert (tuple(v) in expected) == bool(alone)
+    return bool(alone)
+
+
 def quadric_surface(ring4, point=(1, 0, 0, 0)):
     return normalize_point(Ideal(ring4, [ring4.parse("x0*x3 - x1*x2")]), point)
 
@@ -235,6 +252,87 @@ class TestCountLines:
             # the cone over a smooth conic has one line per conic point
             assert count_lines_mod_q(modular_instance(ideals[1], q)).count == q + 1
 
+    def test_scan_matches_brute_force_over_the_kernel(self):
+        # every direction of ker J(p) with pivot coordinate zero, kept when
+        # reference_line_vanishes holds for every generator: P^3-P^5,
+        # degrees 1-6, some generators inhomogeneous, and base points that
+        # are smooth, singular or a cone vertex; in P^3 the point is moved
+        # by a random linear map, elsewhere by a permutation and a scaling
+        rng = random.Random(14)
+        for q, nvars, kind in itertools.product(
+            (2, 3, 5, 7), (4, 5, 6), ("smooth", "singular", "cone")
+        ):
+            field = PrimeField(q)
+            ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)), field)
+            gens = []
+            for _ in range(rng.randint(1, 2)):
+                degree = rng.randint(2 if kind == "singular" else 1, 6)
+                parts = [degree]
+                if degree > 1 and rng.random() < 0.3:
+                    parts.append(rng.randint(1, degree - 1))
+                terms = []
+                for d in parts:
+                    # x0^a*m vanishes at e_0 to order d - a
+                    top = {"smooth": d - 1, "singular": d - 2, "cone": 0}[kind]
+                    allowed = [e for e in monomials_of_degree(nvars, d) if e[0] <= top]
+                    for e in rng.sample(allowed, min(len(allowed), 6)):
+                        terms.append((e, rng.randrange(1, q)))
+                gens.append(ring.from_terms(terms))
+            while True:
+                if nvars == 4:
+                    matrix = [[rng.randrange(q) for _ in range(4)] for _ in range(4)]
+                else:
+                    order = rng.sample(range(nvars), nvars)
+                    matrix = [[0] * nvars for _ in range(nvars)]
+                    for i, j in enumerate(order):
+                        matrix[i][j] = rng.randrange(1, q)
+                if len(linalg.rref(matrix, field)[0]) == nvars:
+                    break
+            # g(M x) vanishes at the point M^-1 e_0
+            gens = [substitute_linear(g, matrix) for g in gens]
+            point, _ = linalg.solve_affine(matrix, [1] + [0] * (nvars - 1), field)
+            inst = ModularInstance(q, ring, tuple(gens), tuple(point))
+            pivot = next(i for i, x in enumerate(point) if x)
+            rows = [
+                [g.derivative(i).evaluate(point) for i in range(nvars)] for g in gens
+            ] + [[int(i == pivot) for i in range(nvars)]]
+            _, kernel = linalg.solve_affine(rows, [0] * len(rows), field)
+            basis, _ = linalg.rref(kernel, field)
+            expected = sorted(
+                v for v in reference_directions(basis, q)
+                if all(reference_line_vanishes(g, point, v, q) for g in gens)
+            )
+            result = count_lines_mod_q(inst)
+            assert result.directions == tuple(expected)
+            assert result.count == len(expected)
+
+    def test_digits_inside_a_power_of_several_base_q_digits(self):
+        # at p = (1, ..., 1) the tangent directions have v0 = 0 and
+        # v1 + ... + v5 = 0, so g(p + t*v) = (1 + t*v5)^620 - 1, which is
+        # zero iff v5 = 0: 31 lines, the points of a plane over F_5.  The
+        # image of x5 carries every digit, and 620 has three nonzero base-5
+        # digits, so its Frobenius pieces multiply three digit polynomials
+        q = 5
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(6)), PrimeField(q))
+        g = ring.parse("x5^620 - x0^620 + x1 + x2 + x3 + x4 + x5")
+        inst = ModularInstance(prime=q, ring=ring, generators=(g,), point=(1,) * 6)
+        result = count_lines_mod_q(inst)
+        assert result.count == 31
+        assert all(v[0] == v[5] == 0 and sum(v) % q == 0 for v in result.directions)
+
+    def test_one_tangent_direction_at_a_huge_prime(self, ring4):
+        # a smooth curve has one tangent direction, a coset without digits,
+        # so the scan decides it without a pass over F_q
+        q = 2**61 - 1
+        conic = ["x0*x2 - x1^2", "x3"]
+        line = ["x2", "x3"]
+        for gens, count in ((conic, 0), (line, 1)):
+            ideal = Ideal(ring4, [ring4.parse(g) for g in gens])
+            X = normalize_point(ideal, (1, 0, 0, 0))
+            result = count_lines_mod_q(modular_instance(X, q))
+            assert result.count == count
+            assert result.directions == ((0, 1, 0, 0),) * count
+
     def test_bad_reduction_in_point(self, ring4):
         X = quadric_surface(ring4, (Fraction(1, 5), 1, 1, 5))
         with pytest.raises(BadReductionError):
@@ -247,17 +345,33 @@ class TestCountLines:
 
 
 class TestIntegerKernels:
-    def test_direction_walk_matches_the_coset_formula(self, rng):
-        # the odometer keeps v = r_i + sum c_j*r_j for the current digits c,
-        # so it yields the reference's vectors in the reference's order
+    def test_scan_visits_every_coset_vector(self, rng):
+        # with no forms every r_i + sum c_j*r_j is a hit, so the scan yields
+        # the reference's vectors, sorted; with forms through the point it
+        # keeps exactly those on whose line they all vanish
         for q in (2, 3, 5):
             field = PrimeField(q)
+            ring = PolynomialRing(tuple(f"x{i}" for i in range(6)), field)
+            point = [1, 0, 0, 0, 0, 0]
             for size in range(1, 5):
                 matrix = [[rng.randrange(q) for _ in range(6)] for _ in range(size)]
                 rows, _ = linalg.rref(matrix, field)
-                walked = list(_directions(rows, q))
-                assert walked == list(reference_directions(rows, q))
-                assert len(set(walked)) == sum(q**k for k in range(len(rows)))
+                everything = sorted(reference_directions(rows, q))
+                assert _line_directions([], point, rows, q) == everything
+                assert len(set(everything)) == sum(q**k for k in range(len(rows)))
+                gens = [
+                    ring.from_terms(
+                        (exps, rng.randrange(q))
+                        for exps in monomials_of_degree(6, degree)
+                        if exps[0] < degree and rng.random() < 0.3
+                    )
+                    for degree in (rng.randint(1, 3), rng.randint(2, 4))
+                ]
+                expected = [
+                    v for v in everything
+                    if all(reference_line_vanishes(g, point, v, q) for g in gens)
+                ]
+                assert _line_directions([_form(g) for g in gens], point, rows, q) == expected
 
     def test_predicate_matches_restriction_to_the_line(self, rng):
         # forms of degree 1-5 on lines through p, v with no zero coordinate:
@@ -289,8 +403,8 @@ class TestIntegerKernels:
                             S**q * T - S * T**q
                         )
                 expected = restrict_to_line(g, p, v).is_zero()
-                assert _line_test(g, p, q)(v) == expected
                 assert reference_line_vanishes(g, p, v, q) == expected
+                assert _scan_hits(g, p, v, q, rng) == expected
                 outcomes.add((kind, degree > q, expected))
             assert {True, False} == {expected for *_, expected in outcomes}
             if q < 5:
@@ -315,7 +429,7 @@ class TestIntegerKernels:
                 if rng.random() < 0.5:
                     g = g + _random_form(ring, rng.randint(1, high), rng)
                 expected = reference_line_vanishes(g, p, v, q)
-                assert _line_test(g, p, q)(v) == expected
+                assert _scan_hits(g, p, v, q, rng) == expected
 
     def test_conic_buckets_match_composition(self, rng):
         # degrees up to 7 at q = 5 and 7 take exponents with two base-q digits
