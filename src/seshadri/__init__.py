@@ -9,7 +9,6 @@ finite-field brute-force oracle.
 
 from .polynomials import (
     BadReductionError,
-    Monomial,
     MonomialOrder,
     ParseError,
     Polynomial,

@@ -443,9 +443,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--primes", type=_primes,
                        default=None, help="comma-separated primes for the oracle")
-        p.add_argument("--max-m", dest="max_m", type=int, default=None,
-                       help="accepted and ignored (mult and ord are exact); "
-                            "echoed into the report flags")
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the machine-readable report here")
         p.add_argument("--validate", action="store_true",
@@ -499,13 +496,11 @@ def run(argv=None):
             instance = load_instance(args.file)
             if args.seed is None:
                 args.seed = instance.seed
-            if args.max_m is None:
-                args.max_m = instance.max_m
             report["instance"] = instance.raw
             report["flags"] = {
                 "seed": args.seed,
                 "primes": list(args.primes) if args.primes else list(instance.primes),
-                "max_m": args.max_m,
+                "max_m": instance.max_m,
                 "validate": bool(args.validate),
                 "retries": args.retries,
             }

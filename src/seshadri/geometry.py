@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import le
 
 from . import linalg
 from .groebner import (
@@ -30,7 +31,6 @@ from .groebner import (
     hilbert_data,
 )
 from .polynomials import (
-    Monomial,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
@@ -52,7 +52,7 @@ def slice_ring(ring):
 def lift_slice(piece, ring, x0_power=0):
     """A polynomial of the slice ring as x_0^x0_power * piece in `ring`, whose
     variables after x_0 are those of the slice ring."""
-    return ring.from_terms(((x0_power,) + m.exponents, c) for m, c in piece.terms)
+    return ring.from_terms(((x0_power, *m), c) for m, c in piece.terms)
 
 
 def base_point(ring):
@@ -95,10 +95,11 @@ def slice_decomposition(f):
     target = slice_ring(ring)
     buckets = [[] for _ in range(d + 1)]
     for mono, coeff in f.terms:
-        rest_degree = mono.degree - mono.exponents[0]
+        rest = mono[1:]
+        rest_degree = sum(rest)
         if rest_degree == 0:
             raise ValueError("polynomial does not vanish at the base point")
-        buckets[rest_degree].append((mono.exponents[1:], coeff))
+        buckets[rest_degree].append((rest, coeff))
     slices = tuple(target.from_terms(buckets[i]) for i in range(1, d + 1))
     return SliceDecomposition(f, slices)
 
@@ -359,14 +360,14 @@ def _local_basis(ideal):
 def _local_leads(ideal):
     """Leading monomials of the local basis with x_0 dropped; they generate
     the leading ideal of the ideal in the local ring at [1:0:...:0]."""
-    return [Monomial(g.leading_monomial().exponents[1:]) for g in _local_basis(ideal)[1]]
+    return [g.leading_monomial()[1:] for g in _local_basis(ideal)[1]]
 
 
 def _agree_at_point(J, I):
     """Whether J inside I generate the same ideal at [1:0:...:0], that is, their
     local leading ideals coincide (Greuel-Pfister, sec. 1.6)."""
     leads_J = _local_leads(J)
-    return all(any(a.divides(b) for a in leads_J) for b in _local_leads(I))
+    return all(any(all(map(le, a, b)) for a in leads_J) for b in _local_leads(I))
 
 
 def multiplicity_at(X):
@@ -393,8 +394,8 @@ def _tangent_cone(X):
     chart = slice_ring(X.ring)
     lowest = []
     for g in basis:
-        top = g.leading_monomial().exponents[0]
-        terms = [(m.exponents[1:], c) for m, c in g.terms if m.exponents[0] == top]
+        top = g.leading_monomial()[0]
+        terms = [(m[1:], c) for m, c in g.terms if m[0] == top]
         lowest.append(chart.from_terms(terms))
     return Ideal(chart, lowest)
 
@@ -426,12 +427,12 @@ def ord_at(f, X, normalized=False):
     if _agree_at_point(I, Ideal(ring, I.generators + (f,))):
         return INFINITE
     order, basis = _local_basis(I)
-    A = max((g.leading_monomial().exponents[0] for g in basis), default=0)
+    A = max((g.leading_monomial()[0] for g in basis), default=0)
     k = 0
     while True:
-        shifted = f.mul_term(field.one, Monomial((k,) + (0,) * (ring.nvars - 1)))
+        shifted = f.mul_term(field.one, (k,) + (0,) * (ring.nvars - 1))
         remainder = I.normal_form(shifted, order)
-        b = max(m.exponents[0] for m, _ in remainder.terms)
+        b = max(m[0] for m, _ in remainder.terms)
         if b >= A:
             return f.total_degree() + k - b
         k += A

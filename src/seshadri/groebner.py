@@ -48,10 +48,9 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import mul
+from operator import le, mul, sub
 
 from .polynomials import (
-    Monomial,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
@@ -148,7 +147,7 @@ def _cleared(poly, packing, q):
     den = 1 if q else lcm(*(c.denominator for _, c in poly.terms))
     pack = packing.pack
     terms = [
-        (pack(m.exponents), c if q else c.numerator * (den // c.denominator))
+        (pack(m), c if q else c.numerator * (den // c.denominator))
         for m, c in poly.terms
     ]
     terms.sort(reverse=True)
@@ -181,7 +180,7 @@ def _form(terms, q):
 def _polynomial(ring, packing, terms):
     """The polynomial of `ring` with the packed terms, largest first."""
     unpack = packing.unpack
-    terms = [(Monomial(unpack(m)), c) for m, c in terms]
+    terms = [(unpack(m), c) for m, c in terms]
     return Polynomial(ring, terms) if ring.order == packing.order else ring.from_terms(terms)
 
 
@@ -269,10 +268,10 @@ def divide_exact(f, g):
     p = f
     while p.terms:
         mono, coeff = p.terms[0]
-        if not lm.divides(mono):
+        if not all(map(le, lm, mono)):
             raise ValueError("division is not exact")
         c = field.mul(coeff, field.invert(lc))
-        q = mono / lm
+        q = tuple(map(sub, mono, lm))
         quotient_terms.append((q, c))
         p = p.sub_scaled(c, q, g)
     return ring.from_terms(quotient_terms)
@@ -517,7 +516,7 @@ class Ideal:
 
     def is_unit(self):
         basis = self.groebner_basis()
-        return len(basis) == 1 and basis[0].leading_monomial().degree == 0
+        return len(basis) == 1 and not any(basis[0].leading_monomial())
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -544,15 +543,14 @@ def _eliminate_tag(ring, pairs):
     )
     gens = [
         ext.from_terms(
-            [((0, *m.exponents), c) for m, c in a.terms]
-            + [((1, *m.exponents), c) for m, c in b.terms]
+            [((0, *m), c) for m, c in a.terms] + [((1, *m), c) for m, c in b.terms]
         )
         for a, b in pairs
     ]
     return [
-        ring.from_terms((m.exponents[1:], c) for m, c in g.terms)
+        ring.from_terms((m[1:], c) for m, c in g.terms)
         for g in buchberger(gens, ext.order)
-        if not g.leading_monomial().exponents[0]
+        if not g.leading_monomial()[0]
     ]
 
 
@@ -631,14 +629,6 @@ class HilbertData:
     def is_empty(self):
         return self.dimension == -1
 
-    def polynomial_value(self, m):
-        total = Fraction(0)
-        power = Fraction(1)
-        for c in self.hilbert_polynomial:
-            total += c * power
-            power *= m
-        return total
-
 
 def _poly_add(a, b):
     out = [0] * max(len(a), len(b))
@@ -715,9 +705,7 @@ def _leading_numerator(I):
     """Hilbert-series numerator of R/I, read off the basis leading terms."""
     if I.is_zero():
         return [1]
-    return _hilbert_numerator(
-        [g.leading_monomial().exponents for g in I.groebner_basis()], I.ring.nvars
-    )
+    return _hilbert_numerator([g.leading_monomial() for g in I.groebner_basis()], I.ring.nvars)
 
 
 def _strip_unit_root(numerator, nvars):
@@ -821,7 +809,7 @@ def hilbert_data(I):
         ring.field == QQ
         and len(I.generators) >= ring.nvars
         and ring.order not in I._basis_cache
-        and any(not any(m.exponents[1:]) for g in I.generators for m, _ in g.terms)
+        and any(not any(m[1:]) for g in I.generators for m, _ in g.terms)
         and _certified_empty(I)
     ):
         return HilbertData(-1, None, ())
@@ -901,8 +889,8 @@ def graded_piece(I, d):
     basis = I.groebner_basis()
     leads = [g.leading_monomial() for g in basis]
     pivots = sorted(
-        (m for m in map(Monomial, monomials_of_degree(ring.nvars, d))
-         if any(lm.divides(m) for lm in leads)),
+        (m for m in monomials_of_degree(ring.nvars, d)
+         if any(all(map(le, lm, m)) for lm in leads)),
         key=ring.order.key,
         reverse=True,
     )

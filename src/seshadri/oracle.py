@@ -56,10 +56,7 @@ def modular_instance(X, q):
     """Reduce a pointed variety mod q; raises BadReductionError on bad primes."""
     field = PrimeField(q)
     ring = X.ring.with_field(field)
-    gens = tuple(
-        ring.from_terms(((m.exponents, c) for m, c in g.terms))
-        for g in X.ideal.generators
-    )
+    gens = tuple(ring.from_terms(g.terms) for g in X.ideal.generators)
     point = tuple(field.coerce(x) for x in X.point)
     return ModularInstance(prime=q, ring=ring, generators=gens, point=point)
 
@@ -75,9 +72,7 @@ def _gradient(instance):
 
 def _form(g):
     """Terms of a polynomial over F_q as (coefficient, ((index, exponent), ...))."""
-    return [
-        (c, tuple((i, e) for i, e in enumerate(m.exponents) if e)) for m, c in g.terms
-    ]
+    return [(c, tuple((i, e) for i, e in enumerate(m) if e)) for m, c in g.terms]
 
 
 def _value(form, x, q):
@@ -405,7 +400,7 @@ def lowest_form_mult(plane_curve, point):
     shifted = substitute_linear(plane_curve, basis)
     lowest = None
     for mono, _ in shifted.terms:
-        affine_degree = mono.degree - mono.exponents[pivot]
+        affine_degree = sum(mono) - mono[pivot]
         if lowest is None or affine_degree < lowest:
             lowest = affine_degree
     return lowest

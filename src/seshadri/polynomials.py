@@ -1,13 +1,19 @@
 """Sparse exact multivariate polynomials over Q or a prime field.
 
-Coefficients are `fractions.Fraction` (always in lowest terms with positive
-denominator) or integers in ``[0, q)`` for a prime field.  Variables are
-indexed; display names are metadata only, so coordinate changes permute
-indices rather than names.  Term lists are kept sorted, strictly decreasing
-in the ring's active monomial order; changing the order is explicit via
-``with_order`` and never happens implicitly.  Every new term list goes
-through `_collect`, which sums like monomials in a dict and sorts once;
-maps that keep the term order (`scale`, negation, `mul_term`) skip it.
+A term is a pair (exponent tuple, coefficient): the tuple is the monomial,
+with one non-negative int per variable, so a product of monomials adds
+tuples slot by slot and a total degree is their sum.  Coefficients are
+`fractions.Fraction` (always in lowest terms with positive denominator) or
+integers in ``[0, q)`` for a prime field.  Variables are indexed; display
+names are metadata only, so coordinate changes permute indices rather than
+names.  Term lists are kept sorted, strictly decreasing in the ring's
+active monomial order; changing the order is explicit via
+``PolynomialRing.with_order`` and never happens implicitly.  An exponent
+vector a caller passes in (``PolynomialRing.from_terms``, ``mul_term``,
+``sub_scaled``) is checked for its length and signs.  Every new term list
+goes through `_collect`, which sums like monomials in a dict and sorts
+once; maps that keep the term order (`scale`, negation, `mul_term`) skip
+it.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function.
@@ -18,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import neg
+from operator import add, neg
 
 from . import linalg
 
@@ -174,58 +180,14 @@ class PrimeField:
         return hash(("GF", self.q))
 
 
-class Monomial:
-    """An exponent vector with cached total degree."""
-
-    __slots__ = ("exponents", "degree")
-
-    def __init__(self, exponents):
-        exponents = tuple(exponents)
-        if exponents and min(exponents) < 0:
-            raise ValueError("negative exponent")
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "degree", sum(exponents))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def __mul__(self, other):
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def divides(self, other):
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __truediv__(self, other):
-        return Monomial(a - b for a, b in zip(self.exponents, other.exponents))
-
-    def lcm(self, other):
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents))
-
-    def is_coprime(self, other):
-        return all(a == 0 or b == 0 for a, b in zip(self.exponents, other.exponents))
-
-    def __repr__(self):
-        return f"Monomial{self.exponents}"
-
-
 class MonomialOrder:
-    """A multiplicative total well-order on monomials.
+    """A multiplicative total well-order on monomials, given as exponent tuples.
 
-    ``exponent_key`` maps an exponent tuple to a flat tuple of integers
-    that sorts ascending with the order, so "larger" monomials have larger
-    keys; ``key`` applies it to a monomial.  The key is additive,
-    key(m * x^u) = key(m) + key(x^u) slot by slot.  The optional
-    permutation maps key slots to variable indices, letting any variable
-    play the role of the grevlex-smallest one.
+    ``key`` maps an exponent tuple to a flat tuple of integers that sorts
+    ascending with the order, so "larger" monomials have larger keys.  The
+    key is additive, key(m * x^u) = key(m) + key(x^u) slot by slot.  The
+    optional permutation maps key slots to variable indices, letting any
+    variable play the role of the grevlex-smallest one.
     """
 
     __slots__ = ("kind", "nvars", "split", "permutation")
@@ -257,7 +219,7 @@ class MonomialOrder:
             raise ValueError("split must cut the variables into two nonempty blocks")
         return cls("elimination", nvars, split=split, permutation=permutation)
 
-    def exponent_key(self, exps):
+    def key(self, exps):
         if self.permutation is not None:
             exps = tuple(exps[i] for i in self.permutation)
         if self.kind == "grevlex":
@@ -266,12 +228,6 @@ class MonomialOrder:
             return tuple(exps)
         head, tail = exps[: self.split], exps[self.split :]
         return (sum(head), *map(neg, reversed(head)), sum(tail), *map(neg, reversed(tail)))
-
-    def key(self, monomial):
-        return self.exponent_key(monomial.exponents)
-
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
 
     def __eq__(self, other):
         return (
@@ -314,29 +270,20 @@ class PolynomialRing:
         value = self.field.coerce(value)
         if self.field.is_zero(value):
             return self.zero()
-        return Polynomial(self, ((Monomial((0,) * self.nvars), value),))
+        return Polynomial(self, (((0,) * self.nvars, value),))
 
     def variable(self, index):
         exps = [0] * self.nvars
         exps[index] = 1
-        return Polynomial(self, ((Monomial(exps), self.field.one),))
+        return Polynomial(self, ((tuple(exps), self.field.one),))
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
 
     def from_terms(self, terms):
-        """Build a polynomial from (exponents-or-Monomial, coefficient) pairs."""
+        """Build a polynomial from (exponent vector, coefficient) pairs."""
         nvars, coerce = self.nvars, self.field.coerce
-
-        def checked():
-            for mono, coeff in terms:
-                if not isinstance(mono, Monomial):
-                    mono = Monomial(mono)
-                if len(mono) != nvars:
-                    raise ValueError("exponent vector length does not match ring")
-                yield mono, coerce(coeff)
-
-        return _collect(self, checked())
+        return _collect(self, ((_exponents(m, nvars), coerce(c)) for m, c in terms))
 
     def parse(self, text):
         return parse_polynomial(text, self)
@@ -394,8 +341,7 @@ class Polynomial:
         return self.terms[0][1]
 
     def coefficient(self, mono):
-        if not isinstance(mono, Monomial):
-            mono = Monomial(mono)
+        mono = tuple(mono)
         for m, c in self.terms:
             if m == mono:
                 return c
@@ -405,13 +351,13 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(m.degree for m, _ in self.terms)
+        return max(sum(m) for m, _ in self.terms)
 
     def is_homogeneous(self):
         if not self.terms:
             return True
-        d = self.terms[0][0].degree
-        return all(m.degree == d for m, _ in self.terms)
+        d = sum(self.terms[0][0])
+        return all(sum(m) == d for m, _ in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -443,7 +389,11 @@ class Polynomial:
         mul = self.ring.field.mul
         return _collect(
             self.ring,
-            ((m1 * m2, mul(c1, c2)) for m1, c1 in self.terms for m2, c2 in other.terms),
+            (
+                (tuple(map(add, m1, m2)), mul(c1, c2))
+                for m1, c1 in self.terms
+                for m2, c2 in other.terms
+            ),
         )
 
     __rmul__ = __mul__
@@ -470,18 +420,21 @@ class Polynomial:
     def mul_term(self, coeff, mono):
         field = self.ring.field
         coeff = field.coerce(coeff)
+        mono = _exponents(mono, self.ring.nvars)
         if field.is_zero(coeff):
             return self.ring.zero()
-        return Polynomial(self.ring, tuple((m * mono, field.mul(c, coeff)) for m, c in self.terms))
+        return Polynomial(
+            self.ring, tuple((tuple(map(add, m, mono)), field.mul(c, coeff)) for m, c in self.terms)
+        )
 
     def derivative(self, index):
         """Formal partial derivative with respect to variable `index`."""
         field = self.ring.field
         terms = []
         for m, c in self.terms:
-            e = m.exponents[index]
+            e = m[index]
             if e:
-                exps = tuple(v - 1 if k == index else v for k, v in enumerate(m.exponents))
+                exps = tuple(v - 1 if k == index else v for k, v in enumerate(m))
                 terms.append((exps, field.mul(c, field.coerce(e))))
         return self.ring.from_terms(terms)
 
@@ -490,8 +443,10 @@ class Polynomial:
         self._check_ring(other)
         field = self.ring.field
         coeff, mul = field.neg(field.coerce(coeff)), field.mul
+        mono = _exponents(mono, self.ring.nvars)
         return _collect(
-            self.ring, chain(self.terms, ((m * mono, mul(c, coeff)) for m, c in other.terms))
+            self.ring,
+            chain(self.terms, ((tuple(map(add, m, mono)), mul(c, coeff)) for m, c in other.terms)),
         )
 
     def monic(self):
@@ -526,29 +481,11 @@ class Polynomial:
         total = field.zero
         for mono, coeff in self.terms:
             value = coeff
-            for x, e in zip(point, mono.exponents):
+            for x, e in zip(point, mono):
                 if e:
                     value = field.mul(value, pow(x, e, q) if q else x**e)
             total = field.add(total, value)
         return total
-
-    def with_order(self, order):
-        return self.ring.with_order(order).from_terms(self.terms)
-
-    def map_ring(self, target, variable_map=None):
-        """Reinterpret in `target`; variable_map sends our index to target index."""
-        if variable_map is None:
-            variable_map = {i: i for i in range(self.ring.nvars)}
-        terms = []
-        for mono, coeff in self.terms:
-            exps = [0] * target.nvars
-            for i, e in enumerate(mono.exponents):
-                if e:
-                    if i not in variable_map:
-                        raise ValueError(f"variable {self.ring.names[i]} has no image")
-                    exps[variable_map[i]] = e
-            terms.append((tuple(exps), coeff))
-        return target.from_terms(terms)
 
     # -- comparison / display ------------------------------------------------
 
@@ -568,7 +505,7 @@ class Polynomial:
         chunks = []
         for idx, (mono, coeff) in enumerate(self.terms):
             factors = []
-            for name, e in zip(self.ring.names, mono.exponents):
+            for name, e in zip(self.ring.names, mono):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -592,8 +529,19 @@ class Polynomial:
         return f"<{self}>"
 
 
+def _exponents(mono, nvars):
+    """An exponent vector from a caller as a tuple, checked to hold one
+    non-negative int per variable."""
+    mono = tuple(mono)
+    if len(mono) != nvars:
+        raise ValueError("exponent vector length does not match ring")
+    if mono and min(mono) < 0:
+        raise ValueError("negative exponent")
+    return mono
+
+
 def _collect(ring, pairs):
-    """The polynomial of `ring` summing (Monomial, coefficient) pairs: like
+    """The polynomial of `ring` summing (exponent tuple, coefficient) pairs: like
     monomials add in a dict, zero sums drop, and one sort by the order key
     makes the terms strictly decreasing."""
     add, is_zero = ring.field.add, ring.field.is_zero
@@ -711,7 +659,7 @@ class _Parser:
             self.advance()
         if field.is_zero(coeff):
             return ring.zero()
-        poly = Polynomial(ring, ((Monomial(exps), coeff),))
+        poly = Polynomial(ring, ((tuple(exps), coeff),))
         for factor in factors:
             poly = poly * factor
         return poly
@@ -775,7 +723,7 @@ def compose(f, images):
     pairs = []
     for mono, coeff in f.terms:
         piece = target.constant(coeff)
-        for i, e in enumerate(mono.exponents):
+        for i, e in enumerate(mono):
             if e:
                 piece = piece * power(i, e)
         pairs.extend(piece.terms)

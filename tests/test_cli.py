@@ -404,6 +404,23 @@ class TestExitCodes:
         assert main(argv) == EXIT_INPUT
         assert "error (input)" in capsys.readouterr().err
 
+    def test_max_m_option_is_gone(self, tmp_path):
+        # mult and ord are exact, so no option caps them; the instance key
+        # is still echoed into the flags, so recorded reports stay the same
+        report, code = run_report(["bound", bundled("fermat-cubic"), "--max-m", "5"])
+        assert code == EXIT_INPUT
+        assert report["error"]["kind"] == "input"
+        report, code = run_report(["bound", bundled("fermat-cubic")])
+        assert code == EXIT_OK
+        assert report["flags"]["max_m"] == 24
+        raw = json.loads(Path(bundled("fermat-cubic")).read_text())
+        raw["max_m"] = 5
+        keyed = tmp_path / "keyed.json"
+        keyed.write_text(json.dumps(raw))
+        report, code = run_report(["bound", str(keyed)])
+        assert code == EXIT_OK
+        assert report["flags"]["max_m"] == 5
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])

@@ -147,7 +147,7 @@ class TestLineScheme:
         gf_chart = slice_ring(X.ring).with_field(PrimeField(q))
         for direction in found.directions:
             for g in scheme.ideal.generators:
-                reduced = gf_chart.from_terms(((m.exponents, c) for m, c in g.terms))
+                reduced = gf_chart.from_terms(g.terms)
                 assert reduced.evaluate(direction[1:]) == 0
         for direction in ((0, 1, 0, 0), (0, 0, 1, 0)):
             for g in X.normalized_ideal.generators:
