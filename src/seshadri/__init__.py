@@ -38,7 +38,6 @@ from .geometry import (
     INFINITE,
     LineScheme,
     PointedVariety,
-    SliceDecomposition,
     cone_ideal,
     cut_out_degree,
     line_scheme,

@@ -305,9 +305,8 @@ def _cmd_classify(instance, args):
         # corroborating conic search; a modular witness never upgrades the
         # status, and NOT_FOUND is inconclusive
         X = instance.variety()
-        primes = tuple(args.primes) if args.primes else instance.primes
         annotations = {}
-        for q in primes:
+        for q in args.primes:
             try:
                 inst = modular_instance(X, q)
             except BadReductionError:
@@ -344,11 +343,10 @@ def _cmd_sharpness(args):
 
 def _cmd_oracle(instance, args):
     X = instance.variety()
-    primes = tuple(args.primes) if args.primes else instance.primes
     results = {}
     good = 0
     refused = None
-    for q in primes:
+    for q in args.primes:
         try:
             inst = modular_instance(X, q)
         except BadReductionError as exc:
@@ -496,10 +494,12 @@ def run(argv=None):
             instance = load_instance(args.file)
             if args.seed is None:
                 args.seed = instance.seed
+            if args.primes is None:
+                args.primes = list(instance.primes)
             report["instance"] = instance.raw
             report["flags"] = {
                 "seed": args.seed,
-                "primes": list(args.primes) if args.primes else list(instance.primes),
+                "primes": args.primes,
                 "max_m": instance.max_m,
                 "validate": bool(args.validate),
                 "retries": args.retries,

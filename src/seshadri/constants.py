@@ -18,12 +18,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groebner import Ideal, graded_piece, hilbert_data, monomials_of_degree
+from .groebner import Ideal, graded_piece, monomials_of_degree
 from .geometry import (
     PointedVariety,
     base_point,
     cone_ideal,
     lift_slice,
+    lift_slices,
     line_scheme,
     multiplicity_at,
     normalize_point,
@@ -195,9 +196,9 @@ def aux_divisors(X):
     divisors = []
     common = list(X.normalized_ideal.generators)
     for j, f in enumerate(basis, start=1):
-        decomposition = slice_decomposition(f)
+        slices = slice_decomposition(f)
         for i in range(1, d):
-            poly = decomposition.truncated(i)
+            poly = lift_slices(slices, X.ring, i)
             order = ord_at(poly, X, normalized=True)
             divisors.append(AuxDivisor(i=i, j=j, polynomial=poly, order=order))
             if poly:
@@ -206,10 +207,10 @@ def aux_divisors(X):
     return divisors, flag
 
 
-def _check_smoothness(ci):
+def _check_smoothness(X):
     """Raise the smoothness hypothesis error unless the singular locus of
-    the complete intersection is empty (the Jacobian criterion)."""
-    if not singular_locus_is_empty(ci.variety()):
+    the complete intersection X is empty (the Jacobian criterion)."""
+    if not singular_locus_is_empty(X):
         raise HypothesisError("smoothness", "the intersection is singular")
 
 
@@ -222,17 +223,15 @@ def classify_ci(ci):
     lower bound 2 with a pointer at the conic oracle.
     """
     Y = ci.ambient
+    X = ci.variety()
     degrees = ci.degrees
     r = len(degrees)
     d_r = degrees[-1]
     assumptions = []
-    cuts = ci.normalized_cutting()
 
-    X_ideal = Ideal(Y.ring, list(Y.normalized_ideal.generators) + list(cuts))
-    dim_x = hilbert_data(X_ideal).dimension
-    if Y.dimension - dim_x != r:
+    if Y.dimension - X.dimension != r:
         raise HypothesisError(
-            "i", f"codim(X, Y) = {Y.dimension - dim_x} does not match r = {r}"
+            "i", f"codim(X, Y) = {Y.dimension - X.dimension} does not match r = {r}"
         )
     assumptions.append("i: complete intersection of codimension r (verified)")
 
@@ -261,23 +260,18 @@ def classify_ci(ci):
         assumptions.append("iii': d_p(Y) <= 2 (verified)")
 
     if ci.validate_smoothness:
-        _check_smoothness(ci)
+        _check_smoothness(X)
         assumptions.append("smoothness (verified)")
 
-    slices = list(scheme_y.ideal.generators)
-    for f in cuts:
-        slices.extend(s for s in slice_decomposition(f).slices if s)
-    fx = Ideal(slice_ring(Y.ring), slices)
-    fx_hilbert = hilbert_data(fx)
-
-    if not fx_hilbert.is_empty:
+    scheme_x = line_scheme(X)
+    if not scheme_x.is_empty:
         assumptions.append("line through the point on X (verified)")
         return SeshadriReport(
             status=LINE_FOUND,
             epsilon=Fraction(1),
             lower_bound=Fraction(1),
             cut_out_degree=None,
-            line_scheme_dimension=fx_hilbert.dimension,
+            line_scheme_dimension=scheme_x.dimension,
             assumptions=tuple(assumptions),
         )
 
@@ -348,6 +342,18 @@ def _rerandomized_cutting(cuts, rng):
     return tuple(out)
 
 
+def _curve_certificate(curve_ideal, trace):
+    """(dimension, certificate) of an ideal through [1:0:...:0]: the degree
+    and multiplicity are recomputed from the ideal itself, and the
+    certificate is None unless the scheme is a curve."""
+    curve = normalize_point(curve_ideal, base_point(curve_ideal.ring))
+    if curve.dimension != 1:
+        return curve.dimension, None
+    mult = multiplicity_at(curve)
+    ratio = Fraction(curve.degree, mult)
+    return 1, CurveCertificate(curve_ideal, curve.degree, mult, ratio, trace)
+
+
 def seshadri_curve(ci, component=None, seed=0, retries=4):
     """Cut a curve certificate out of the cone over a component of F_p(Y).
 
@@ -375,52 +381,40 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
             f"got {sum(degrees)}",
         )
     if ci.validate_smoothness:
-        _check_smoothness(ci)
+        _check_smoothness(ci.variety())
     Z = component if component is not None else scheme_y.ideal
     if Z.ring != slice_ring(Y.ring):
         raise ValueError("component ideal must live in the direction ring of Y")
     rng = random.Random(seed)
     target = Fraction(d_r, d_r - 1)
     base_cuts = ci.normalized_cutting()
-    x0 = Y.ring.variable(0)
     last_failure = None
     for attempt in range(retries + 1):
         cuts = base_cuts if attempt == 0 else _rerandomized_cutting(base_cuts, rng)
         gens = list(cone_ideal(Z, ambient_ring=Y.ring).generators)
         for j, f in enumerate(cuts):
-            pieces = slice_decomposition(f).slices
+            pieces = slice_decomposition(f)
             if j < r - 1:
                 gens.extend(lift_slice(s, Y.ring) for s in pieces if s)
             else:
                 gens.extend(lift_slice(s, Y.ring) for s in pieces[: d_r - 2] if s)
-                tail = x0 * lift_slice(pieces[d_r - 2], Y.ring) + lift_slice(
-                    pieces[d_r - 1], Y.ring
-                )
+                tail = lift_slices(pieces[d_r - 2 :], Y.ring, 2)
                 if tail:
                     gens.append(tail)
-        curve = Ideal(Y.ring, gens)
-        data = hilbert_data(curve)
-        if data.dimension != 1:
-            last_failure = f"attempt {attempt}: curve dimension {data.dimension}"
+        trace = {
+            "seed": seed,
+            "attempt": attempt,
+            "component": [str(g) for g in Z.generators],
+            "cuts": [str(f) for f in cuts],
+        }
+        dimension, certificate = _curve_certificate(Ideal(Y.ring, gens), trace)
+        if certificate is None:
+            last_failure = f"attempt {attempt}: curve dimension {dimension}"
             continue
-        pointed = normalize_point(curve, base_point(Y.ring))
-        mult = multiplicity_at(pointed)
-        ratio = Fraction(data.degree, mult)
-        certificate = CurveCertificate(
-            ideal=curve,
-            degree=data.degree,
-            multiplicity=mult,
-            ratio=ratio,
-            trace={
-                "seed": seed,
-                "attempt": attempt,
-                "component": [str(g) for g in Z.generators],
-                "cuts": [str(f) for f in cuts],
-            },
-        )
-        if ratio != target:
+        if certificate.ratio != target:
             raise InconsistencyError(
-                f"certificate ratio {ratio} differs from the classified value {target}",
+                f"certificate ratio {certificate.ratio} differs from the classified "
+                f"value {target}",
                 certificate,
             )
         return certificate
@@ -446,41 +440,24 @@ def sharpness_example(n, d, seed=0, retries=8):
     chart = slice_ring(ring)
     rng = random.Random(seed)
     exponents = sorted(set(range(1, n)) | {d - 1, d})
-    x0 = ring.variable(0)
     last_failure = None
     for attempt in range(retries + 1):
-        pieces = {i: _random_form(chart, i, rng) for i in exponents}
-        f = ring.zero()
-        for i, piece in pieces.items():
-            f = f + lift_slice(piece, ring, d - i)
-        X = normalize_point(Ideal(ring, [f]), base_point(ring))
+        drawn = {i: _random_form(chart, i, rng) for i in exponents}
+        pieces = tuple(drawn.get(i, chart.zero()) for i in range(1, d + 1))
+        X = normalize_point(Ideal(ring, [lift_slices(pieces, ring, d)]), base_point(ring))
         if not line_scheme(X).is_empty:
             last_failure = f"attempt {attempt}: line scheme nonempty"
             continue
-        gens = [lift_slice(pieces[i], ring) for i in range(1, n)]
-        gens.append(x0 * lift_slice(pieces[d - 1], ring) + lift_slice(pieces[d], ring))
-        curve = Ideal(ring, gens)
-        data = hilbert_data(curve)
-        if data.dimension != 1:
-            last_failure = f"attempt {attempt}: curve dimension {data.dimension}"
+        gens = [lift_slice(pieces[i - 1], ring) for i in range(1, n)]
+        gens.append(lift_slices(pieces[d - 2 :], ring, 2))
+        trace = {"seed": seed, "attempt": attempt, "cuts": [str(g) for g in gens]}
+        dimension, certificate = _curve_certificate(Ideal(ring, gens), trace)
+        if certificate is None:
+            last_failure = f"attempt {attempt}: curve dimension {dimension}"
             continue
-        pointed = normalize_point(curve, base_point(ring))
-        mult = multiplicity_at(pointed)
-        ratio = Fraction(data.degree, mult)
-        if ratio != Fraction(d, d - 1):
-            last_failure = f"attempt {attempt}: ratio {ratio}"
+        if certificate.ratio != Fraction(d, d - 1):
+            last_failure = f"attempt {attempt}: ratio {certificate.ratio}"
             continue
-        certificate = CurveCertificate(
-            ideal=curve,
-            degree=data.degree,
-            multiplicity=mult,
-            ratio=ratio,
-            trace={
-                "seed": seed,
-                "attempt": attempt,
-                "cuts": [str(g) for g in gens],
-            },
-        )
         return X, certificate
     raise RuntimeError(
         f"no verified sharpness instance within {retries + 1} attempts ({last_failure})"

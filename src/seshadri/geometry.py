@@ -1,11 +1,17 @@
 """Pointed-variety constructions: normalization of the base point, slice
-decompositions, the scheme of lines through the point, the local cut-out
-degree d_p, and the local invariants mult_p and ord_p.
+decompositions (tuples of slices, lifted back by `lift_slices`), the scheme
+of lines through the point, the local cut-out degree d_p, and the local
+invariants mult_p and ord_p.
 
 A pointed variety carries a saturated homogeneous ideal together with an
-invertible coordinate change sending the base point to [1:0:...:0].  The
-local answers come from reduced Groebner bases for the order comparing x_0
-degrees first, which are local standard bases at the point: the top x_0
+invertible coordinate change sending the base point to [1:0:...:0].  Each
+Hilbert question is asked in one place: `PointedVariety.hilbert` (dimension
+and degree, also of the certificate curves that
+`constants._curve_certificate` checks), `line_scheme` (the lines through
+the point) and `multiplicity_at` (the tangent cone).
+
+The local answers come from reduced Groebner bases for the order comparing
+x_0 degrees first, which are local standard bases at the point: the top x_0
 slices of the normalized ideal's basis generate the tangent cone, whose
 Hilbert-series numerator gives mult_p; reduction by the basis is a local
 normal form (ord_p); and equal local leading ideals show that a subideal
@@ -32,7 +38,6 @@ from .groebner import (
 )
 from .polynomials import (
     MonomialOrder,
-    Polynomial,
     PolynomialRing,
     substitute_linear,
 )
@@ -49,10 +54,18 @@ def slice_ring(ring):
     return PolynomialRing(ring.names[1:], ring.field)
 
 
-def lift_slice(piece, ring, x0_power=0):
-    """A polynomial of the slice ring as x_0^x0_power * piece in `ring`, whose
-    variables after x_0 are those of the slice ring."""
-    return ring.from_terms(((x0_power, *m), c) for m, c in piece.terms)
+def lift_slice(piece, ring):
+    """A polynomial of the slice ring in `ring`, whose variables after x_0
+    are those of the slice ring."""
+    return ring.from_terms(((0, *m), c) for m, c in piece.terms)
+
+
+def lift_slices(slices, ring, upto):
+    """The sum of x_0^(upto-i) * slices[i-1] over i = 1..upto, in `ring`: on the
+    slices of a form f of degree d, f itself for upto = d and the truncation
+    x_0^(upto-1) f^1 + ... + f^upto below."""
+    pieces = enumerate(slices[:upto], start=1)
+    return ring.from_terms(((upto - i, *m), c) for i, s in pieces for m, c in s.terms)
 
 
 def base_point(ring):
@@ -60,32 +73,10 @@ def base_point(ring):
     return (ring.field.one,) + (ring.field.zero,) * (ring.nvars - 1)
 
 
-@dataclass(frozen=True)
-class SliceDecomposition:
-    """f = sum of x_0^(d-i) * f^i with f^i of degree i in the last variables."""
-
-    source: Polynomial
-    slices: tuple  # entry i-1 is f^i, living in the slice ring
-
-    def reassemble(self):
-        return self._weighted_sum(len(self.slices))
-
-    def truncated(self, upto):
-        """The degree-`upto` combination x0^(upto-1) f^1 + ... + f^upto."""
-        return self._weighted_sum(upto)
-
-    def _weighted_sum(self, upto):
-        ring = self.source.ring
-        total = ring.zero()
-        for i, piece in enumerate(self.slices[:upto], start=1):
-            if piece.is_zero():
-                continue
-            total = total + lift_slice(piece, ring, upto - i)
-        return total
-
-
 def slice_decomposition(f):
-    """Decompose a homogeneous f vanishing at [1:0:...:0] by x_0 powers."""
+    """The slices of a homogeneous f vanishing at [1:0:...:0]: the tuple
+    whose entry i-1 is the form f^i of degree i in the slice ring, so that
+    f = sum of x_0^(d-i) * f^i."""
     if f.is_zero():
         raise ValueError("zero polynomial has no slice decomposition")
     if not f.is_homogeneous():
@@ -100,8 +91,7 @@ def slice_decomposition(f):
         if rest_degree == 0:
             raise ValueError("polynomial does not vanish at the base point")
         buckets[rest_degree].append((rest, coeff))
-    slices = tuple(target.from_terms(buckets[i]) for i in range(1, d + 1))
-    return SliceDecomposition(f, slices)
+    return tuple(target.from_terms(buckets[i]) for i in range(1, d + 1))
 
 
 @dataclass(frozen=True)
@@ -128,19 +118,17 @@ class PointedVariety:
         "ideal",
         "point",
         "basis_matrix",
-        "transform",
         "normalized_ideal",
         "_hilbert",
         "_line_scheme",
         "_d_p",
     )
 
-    def __init__(self, ring, ideal, point, basis_matrix, transform, normalized_ideal):
+    def __init__(self, ring, ideal, point, basis_matrix, normalized_ideal):
         self.ring = ring
         self.ideal = ideal
         self.point = tuple(point)
         self.basis_matrix = basis_matrix
-        self.transform = transform
         self.normalized_ideal = normalized_ideal
         self._hilbert = None
         self._line_scheme = None
@@ -209,8 +197,7 @@ def normalize_point(ideal, point):
             raise PointError("point does not lie on the variety")
     n = ring.nvars
     if _is_base_point(point, field):
-        identity = linalg.identity(n, field)
-        return PointedVariety(ring, ideal, point, identity, identity, ideal)
+        return PointedVariety(ring, ideal, point, linalg.identity(n, field), ideal)
     pivot = next(i for i in range(n) if not field.is_zero(point[i]))
     basis = [[field.zero] * n for _ in range(n)]
     for i in range(n):
@@ -221,11 +208,10 @@ def normalize_point(ideal, point):
             continue
         basis[j][col] = field.one
         col += 1
-    transform = linalg.invert(basis, field)
     normalized = Ideal(
         ring, [substitute_linear(g, basis).primitive() for g in ideal.generators]
     )
-    return PointedVariety(ring, ideal, point, basis, transform, normalized)
+    return PointedVariety(ring, ideal, point, basis, normalized)
 
 
 def line_scheme(X):
@@ -236,7 +222,7 @@ def line_scheme(X):
     target = slice_ring(X.ring)
     slices = []
     for g in X.normalized_ideal.generators:
-        slices.extend(s for s in slice_decomposition(g).slices if s)
+        slices.extend(s for s in slice_decomposition(g) if s)
     scheme_ideal = Ideal(target, slices)
     X._line_scheme = LineScheme(scheme_ideal, hilbert_data(scheme_ideal))
     return X._line_scheme

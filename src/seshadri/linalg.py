@@ -17,16 +17,6 @@ def identity(n, field):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def matvec(matrix, vector, field):
-    out = []
-    for row in matrix:
-        acc = field.zero
-        for a, x in zip(row, vector):
-            acc = field.add(acc, field.mul(a, x))
-        out.append(acc)
-    return out
-
-
 def invert(matrix, field):
     """Inverse of a square matrix; raises SingularMatrixError otherwise."""
     n = len(matrix)

@@ -472,19 +472,29 @@ class Polynomial:
     # -- evaluation / substitution ------------------------------------------
 
     def evaluate(self, point):
-        """Exact value at a point (sequence of field scalars)."""
+        """Exact value at a point (sequence of field scalars); each power x_i^e
+        is computed once, and a term with a zero factor is skipped."""
         field = self.ring.field
         point = [field.coerce(x) for x in point]
         if len(point) != self.ring.nvars:
             raise ValueError("point length does not match variable count")
         q = field.characteristic
+        powers = [None if field.is_zero(x) else {} for x in point]  # None: x_i = 0
         total = field.zero
         for mono, coeff in self.terms:
             value = coeff
-            for x, e in zip(point, mono):
-                if e:
-                    value = field.mul(value, pow(x, e, q) if q else x**e)
-            total = field.add(total, value)
+            for i, e in enumerate(mono):
+                if not e:
+                    continue
+                cache = powers[i]
+                if cache is None:
+                    break
+                power = cache.get(e)
+                if power is None:
+                    power = cache[e] = pow(point[i], e, q) if q else point[i] ** e
+                value = field.mul(value, power)
+            else:
+                total = field.add(total, value)
         return total
 
     # -- comparison / display ------------------------------------------------

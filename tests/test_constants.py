@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from seshadri.cli import load_instance
 from seshadri.polynomials import PolynomialRing
-from seshadri.groebner import Ideal
-from seshadri.geometry import line_scheme, normalize_point, slice_ring
+from seshadri.groebner import Ideal, hilbert_data
+from seshadri.geometry import line_scheme, normalize_point, slice_decomposition, slice_ring
 from seshadri.constants import (
     EXACT,
     LINE_FOUND,
@@ -21,7 +22,7 @@ from seshadri.constants import (
     sharpness_example,
 )
 
-from conftest import random_homogeneous
+from conftest import bundled, random_homogeneous
 
 
 def projective_space(ring, point=None):
@@ -186,6 +187,50 @@ class TestClassify:
             ambient=projective_space(ring4), cutting=(cubic, quadric)
         )
         assert ci.degrees == (2, 3)
+
+
+def reference_line_scheme_of_x(ci):
+    """F_p(X) built by hand: the line scheme of Y plus every slice of the
+    normalized cuts, in the slice ring."""
+    slices = list(line_scheme(ci.ambient).ideal.generators)
+    for f in ci.normalized_cutting():
+        slices.extend(s for s in slice_decomposition(f) if s)
+    return Ideal(slice_ring(ci.ambient.ring), slices)
+
+
+def _form_through(ring, degree, point, rng):
+    """A random form of the given degree vanishing at a point with a
+    nonzero x0 coordinate: the x0^degree coefficient absorbs the value."""
+    g = random_homogeneous(ring, degree, rng)
+    x0_power = ring.variable(0) ** degree
+    return g - x0_power.scale(g.evaluate(point) / x0_power.evaluate(point))
+
+
+class TestLineSchemeOfX:
+    @pytest.mark.parametrize("name", [
+        "fermat-cubic", "gr24-hyperplanes", "quadric-surface", "quadric-threefold",
+        "quartic-threefold", "two-quadrics-p4",
+    ])
+    def test_bundled(self, name):
+        ci = load_instance(bundled(name)).ci_input()
+        assert line_scheme(ci.variety()).hilbert == hilbert_data(
+            reference_line_scheme_of_x(ci)
+        )
+
+    @pytest.mark.parametrize("ambient,degrees", [
+        ((), (2,)), ((), (3,)), ((), (2, 2)), ((2,), (2,)), ((2,), (2, 3)),
+    ])
+    def test_random_at_a_non_base_point(self, ring5, ambient, degrees):
+        # in P^4 itself the scheme is nonempty for one quadric or cubic
+        rng = random.Random(sum(ambient + degrees) * 31 + len(degrees))
+        point = (1, 2, -1, 0, 3)
+        gens = [_form_through(ring5, d, point, rng) for d in ambient]
+        Y = normalize_point(Ideal(ring5, gens), point)
+        cuts = tuple(_form_through(ring5, d, point, rng) for d in degrees)
+        ci = CompleteIntersectionInput(ambient=Y, cutting=cuts)
+        assert line_scheme(ci.variety()).hilbert == hilbert_data(
+            reference_line_scheme_of_x(ci)
+        )
 
 
 class TestSeshadriCurve:

@@ -44,8 +44,9 @@ EMPTY = HilbertData(-1, None, ())
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Generators of every ideal whose Hilbert data geometry and constants
-    ask for, keyed by ring and generator text."""
+    """Generators of every ideal whose Hilbert data geometry asks for (the
+    procedures of constants ask through it), keyed by ring and generator
+    text."""
     seen = {}
 
     def recording(I):
@@ -53,7 +54,6 @@ def recorded(monkeypatch):
         return hilbert_data(I)
 
     monkeypatch.setattr(geometry, "hilbert_data", recording)
-    monkeypatch.setattr(constants, "hilbert_data", recording)
     return seen
 
 

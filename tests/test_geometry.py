@@ -27,6 +27,7 @@ from seshadri.geometry import (
     base_point,
     cone_ideal,
     cut_out_degree,
+    lift_slices,
     line_scheme,
     multiplicity_at,
     normalize_point,
@@ -36,6 +37,7 @@ from seshadri.geometry import (
     supported_only_at_basepoint,
     singular_locus_is_empty,
 )
+from seshadri.linalg import identity
 from seshadri.oracle import count_lines_mod_q, lowest_form_mult, modular_instance
 
 from conftest import bundled, random_homogeneous
@@ -48,7 +50,7 @@ def conic_variety(ring3, point=(1, 0, 0)):
 class TestNormalizePoint:
     def test_already_normalized(self, ring3):
         X = conic_variety(ring3)
-        assert X.basis_matrix == X.transform
+        assert X.basis_matrix == identity(3, QQ)
         assert X.normalized_ideal is X.ideal
 
     @pytest.mark.parametrize("point", [(1, 0, 0), (3, 0, 0), (1, 1, 1), (0, 0, 1)])
@@ -83,26 +85,40 @@ class TestSliceDecomposition:
     def test_conic(self, ring3):
         d = slice_decomposition(ring3.parse("x0*x2 - x1^2"))
         chart = slice_ring(ring3)
-        assert d.slices[0] == chart.parse("x2")
-        assert d.slices[1] == chart.parse("-x1^2")
+        assert d == (chart.parse("x2"), chart.parse("-x1^2"))
 
     def test_quadric_surface(self, ring4):
         d = slice_decomposition(ring4.parse("x0*x3 - x1*x2"))
         chart = slice_ring(ring4)
-        assert d.slices[0] == chart.parse("x3")
-        assert d.slices[1] == chart.parse("-x1*x2")
+        assert d == (chart.parse("x3"), chart.parse("-x1*x2"))
 
     def test_three_slices(self, ring4):
         d = slice_decomposition(ring4.parse("x0^2*x1 + x0*x2^2 + x3^3"))
         chart = slice_ring(ring4)
-        assert d.slices[0] == chart.parse("x1")
-        assert d.slices[1] == chart.parse("x2^2")
-        assert d.slices[2] == chart.parse("x3^3")
+        assert d == (chart.parse("x1"), chart.parse("x2^2"), chart.parse("x3^3"))
 
     def test_reassembly_identity(self, ring4, rng):
         for _ in range(15):
             f = random_homogeneous(ring4, rng.randint(1, 4), rng, through_origin=True)
-            assert slice_decomposition(f).reassemble() == f
+            assert lift_slices(slice_decomposition(f), ring4, f.total_degree()) == f
+
+    def test_lift_of_two_slices(self, ring4):
+        chart = slice_ring(ring4)
+        a, b = chart.parse("x1 - 2*x3"), chart.parse("x2*x3 + 3*x1^2")
+        x0a = ring4.variable(0) * ring4.parse("x1 - 2*x3")
+        assert lift_slices((a, b), ring4, 2) == x0a + ring4.parse("x2*x3 + 3*x1^2")
+
+    def test_truncations_match_the_weighted_sum(self, ring4, rng):
+        x0 = ring4.variable(0)
+        for _ in range(10):
+            f = random_homogeneous(ring4, rng.randint(2, 4), rng, through_origin=True)
+            slices = slice_decomposition(f)
+            for upto in range(1, len(slices) + 1):
+                expected = ring4.zero()
+                for i, piece in enumerate(slices[:upto], start=1):
+                    lifted = ring4.from_terms(((0, *m), c) for m, c in piece.terms)
+                    expected = expected + x0 ** (upto - i) * lifted
+                assert lift_slices(slices, ring4, upto) == expected
 
     def test_rejects_nonvanishing(self, ring3):
         with pytest.raises(ValueError):

@@ -207,10 +207,10 @@ class TestCountLines:
 
     def test_directions_satisfy_slices_at_a_general_point(self, ring4):
         # cross-module consistency: directions found in the original
-        # coordinates, mapped through the normalizing transform, satisfy
-        # the slice equations of the line scheme
+        # coordinates, mapped through the inverse of the normalizing basis,
+        # satisfy the slice equations of the line scheme
         from seshadri.geometry import line_scheme, slice_ring
-        from seshadri.linalg import matvec
+        from seshadri.linalg import invert
 
         X = quadric_surface(ring4, (2, 6, 1, 3))
         scheme = line_scheme(X)
@@ -218,10 +218,12 @@ class TestCountLines:
         field = PrimeField(q)
         found = count_lines_mod_q(modular_instance(X, q))
         assert found.count == 2
-        transform = [[field.coerce(a) for a in row] for row in X.transform]
+        basis = [[field.coerce(a) for a in row] for row in X.basis_matrix]
+        transform = invert(basis, field)
         chart = slice_ring(ring4).with_field(field)
         for direction in found.directions:
-            mapped = matvec(transform, [field.coerce(v) for v in direction], field)
+            vector = [field.coerce(v) for v in direction]
+            mapped = [sum(a * v for a, v in zip(row, vector)) % q for row in transform]
             for g in scheme.ideal.generators:
                 reduced = chart.from_terms(g.terms)
                 assert reduced.evaluate(mapped[1:]) == 0

@@ -98,6 +98,16 @@ class TestParser:
         assert str(err.value) == f"{message} (at position {position})"
 
 
+def _per_term_value(f, point, q):
+    """sum of c * x_1^e_1 * ... * x_n^e_n over the terms, with 0**0 == 1."""
+    total = 0
+    for mono, c in f.terms:
+        for x, e in zip(point, mono):
+            c *= x**e
+        total += c
+    return total % q if q else total
+
+
 class TestEvaluate:
     def test_point_on_quadric(self, ring4):
         f = ring4.parse("x0*x2 - x1^2")
@@ -123,6 +133,18 @@ class TestEvaluate:
             assert f.evaluate([a, b]) == pow(a, 199999) * b - pow(b, 200000)
         f5 = ring2.with_field(PrimeField(5)).parse(text)
         assert f5.evaluate([2, 3]) == (pow(2, 199999, 5) * 3 - pow(3, 200000, 5)) % 5
+
+    @pytest.mark.parametrize("q", [0, 7])
+    def test_matches_the_per_term_formula(self, ring4, rng, q):
+        # zero coordinates, x^0 with x = 0 (read as 1), constant terms
+        ring = ring4.with_field(PrimeField(q)) if q else ring4
+        for _ in range(40):
+            f = random_poly(ring, 4, rng) + ring.constant(rng.randint(-3, 3))
+            point = [rng.choice([0, 0, 1, -2, Fraction(3, 5) if not q else 4])
+                     for _ in range(4)]
+            assert f.evaluate(point) == _per_term_value(f, point, q)
+        assert ring.constant(5).evaluate([0, 0, 0, 0]) == ring.field.coerce(5)
+        assert ring.zero().evaluate([0, 1, 0, 1]) == 0
 
 
 class TestSubstituteLinear:
