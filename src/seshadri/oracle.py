@@ -6,10 +6,14 @@ space ker J(p) over F_q (plain linear algebra), one coset of the reduced
 kernel basis at a time: g(p + t*v) is expanded once per generator with t
 and the coset's free digits symbolic, and the digits are then fixed one
 at a time, a branch ending as soon as one t-coefficient becomes a nonzero
-constant.  Conics come from a randomized search that expands
-g(p + t*v + t^2*w); both expansions run on packed exponent keys.
-Plane-curve multiplicities read off the lowest form after translating
-the point to the affine origin.  The hot loops run on plain ints mod q.
+constant; a coset too large to expand at once is split by its lowest
+digit first.  Conics come from a randomized search over tangent
+directions v = sum_j c_j*b_j: g(p + t*v + t^2*w) is expanded once per
+generator with the tangent coordinates c_j and w symbolic, and each draw
+only evaluates that expansion at its c.  Both expansions run on packed
+exponent keys.  Plane-curve multiplicities read off the lowest form after
+translating the point to the affine origin.  The hot loops run on plain
+ints mod q.
 
 The scan is sequential, since the interpreter lock would serialise
 threads over this pure-Python work; the directions found come back in
@@ -19,8 +23,12 @@ sorted order.
 from __future__ import annotations
 
 import itertools
+import logging
 import random
+import time
 from dataclasses import dataclass
+from math import comb
+from operator import mul
 from . import linalg
 from .polynomials import (
     BadReductionError,
@@ -30,6 +38,8 @@ from .polynomials import (
 )
 
 DEFAULT_PRIMES = (7, 11, 13)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -177,38 +187,96 @@ def _common_zeros(polys, depth, q, base):
 
 def _line_directions(forms, point, rows, q):
     """The vectors v = r_i + sum_{j>i} c_j*r_j (c_j in F_q) with
-    g(point + t*v) = 0 in F_q[t] for every form, in sorted order.
-
-    Per coset i, one `_expand` per form of g(point + t*v) with t and the
-    digits c_j symbolic gives each t^k coefficient as a polynomial in the
-    digits; `_common_zeros` finds the digits at which all of them vanish.
+    g(point + t*v) = 0 in F_q[t] for every form, in sorted order; one
+    `_coset_directions` per coset i.
     """
     degree = max((sum(e for _, e in f) for form in forms for _, f in form), default=1)
-    span = degree + 1
     hits = []
     for i, lead in enumerate(rows):
-        tail = rows[i + 1 :]
-        # x_l -> p_l + t*(lead_l + sum_j c_j*r_jl); t^k*prod c_j^a_j has the
-        # key k + sum_j a_j*span^(j+1), which stays additive: `_power` scales
-        # only k, so no exponent passes deg g
-        keys = [0, 1] + [1 + span ** (j + 1) for j in range(len(tail))]
-        images = [
-            {k: x for k, x in zip(keys, column) if x}
-            for column in zip(point, lead, *tail)
-        ]
-        polys = {}
-        for n, form in enumerate(forms):
-            for key, x in _expand(form, images, q, span).items():
-                code, k = divmod(key, span)
-                polys.setdefault((n, k), {})[code] = x
-        polys = sorted(polys.values(), key=len)
-        for digits in _common_zeros(polys, len(tail), q, span):
-            v = list(lead)
-            for c, row in zip(digits, tail):
-                if c:
-                    v = [(a + c * b) % q for a, b in zip(v, row)]
-            hits.append(tuple(v))
+        hits.extend(_coset_directions(forms, point, lead, rows[i + 1 :], q, degree + 1))
     return sorted(hits)
+
+
+# a coset whose expansion may hold more terms than this is split by fixing
+# its lowest digit to each value in F_q
+COSET_TERM_LIMIT = 1 << 16
+
+
+def _coset_directions(forms, point, lead, tail, q, span):
+    """The vectors v = lead + sum_j c_j*tail_j (c_j in F_q) with
+    g(point + t*v) = 0 in F_q[t] for every form; span > every degree.
+
+    One `_expand` per form of g(point + t*v) with t and the digits c_j
+    symbolic gives each t^k coefficient as a polynomial in the digits;
+    `_common_zeros` finds the digits at which all of them vanish.  A coset
+    whose expansion may exceed COSET_TERM_LIMIT terms (`_expansion_bound`)
+    is split into q cosets with its lowest digit fixed.  A single
+    direction v is first tested on the t^(deg g) coefficient of each
+    g(point + t*v), the top form of g at v, which rejects all but about
+    1/q of the directions without an expansion.
+    """
+    # x_l -> p_l + t*(lead_l + sum_j c_j*tail_jl); t^k*prod c_j^a_j has the
+    # key k + sum_j a_j*span^(j+1), which stays additive: `_power` scales
+    # only k, so no exponent passes deg g
+    keys = [0, 1] + [1 + span ** (j + 1) for j in range(len(tail))]
+    images = [
+        {k: x for k, x in zip(keys, column) if x} for column in zip(point, lead, *tail)
+    ]
+    if not tail:
+        for form in forms:
+            degree = max((sum(e for _, e in f) for _, f in form), default=0)
+            if _value([t for t in form if sum(e for _, e in t[1]) == degree], lead, q):
+                return []
+    elif _expansion_bound(forms, images, q, len(tail)) > COSET_TERM_LIMIT:
+        return [
+            v
+            for a in range(q)
+            for v in _coset_directions(
+                forms,
+                point,
+                [(x + a * y) % q for x, y in zip(lead, tail[0])],
+                tail[1:],
+                q,
+                span,
+            )
+        ]
+    polys = {}
+    for n, form in enumerate(forms):
+        for key, x in _expand(form, images, q, span).items():
+            code, k = divmod(key, span)
+            polys.setdefault((n, k), {})[code] = x
+    polys = sorted(polys.values(), key=len)
+    hits = []
+    for digits in _common_zeros(polys, len(tail), q, span):
+        v = list(lead)
+        for c, row in zip(digits, tail):
+            if c:
+                v = [(a + c * b) % q for a, b in zip(v, row)]
+        hits.append(tuple(v))
+    return hits
+
+
+def _expansion_bound(forms, images, q, digits):
+    """An upper bound on the terms of every product `_expand` forms for
+    g(images), with images p + t*(linear form in `digits` digits).
+
+    By Lucas, f^e is the product of f^(e_j) over the base-q digits e_j of
+    e, and f^(e_j) has at most C(e_j + s - 1, e_j) terms for s terms of f.
+    A product of degree d holds only t^k*c^a with |a| <= k <= d, at most
+    C(d + digits + 1, digits + 1) monomials.
+    """
+    total = 0
+    for form in forms:
+        for _, factors in form:
+            size = 1
+            for i, e in factors:
+                s = max(len(images[i]), 1)
+                while e:
+                    e, d = divmod(e, q)
+                    size *= comb(d + s - 1, d)
+            degree = sum(e for _, e in factors)
+            total += min(size, comb(degree + digits + 1, digits + 1))
+    return total
 
 
 @dataclass(frozen=True)
@@ -240,6 +308,7 @@ def count_lines_mod_q(instance):
     expansion per generator.  Returns the count and the sorted direction
     list; raises EnumerationLimitError beyond ENUMERATION_LIMIT directions.
     """
+    started = time.perf_counter()
     q = instance.prime
     field = instance.ring.field
     nvars = instance.ring.nvars
@@ -254,6 +323,10 @@ def count_lines_mod_q(instance):
             f"{total} directions exceed the enumeration limit; lower q"
         )
     hits = _line_directions([_form(g) for g in instance.generators], point, basis, q)
+    logger.debug(
+        "line scan mod %d: %d tangent directions decided, %d lines, in %.1f ms",
+        q, total, len(hits), 1000 * (time.perf_counter() - started),
+    )
     return LineCount(count=len(hits), directions=tuple(hits))
 
 
@@ -279,45 +352,126 @@ def _rank(vectors, field):
     return len(rows)
 
 
-def _conic_buckets(form, point, v, q):
-    """The t-buckets of g(point + t*v + t^2*w) over F_q, for w symbolic.
+def _conic_expansion(forms, point, tangent_basis, q):
+    """Every generator along p + t*v + t^2*w, v = sum_j c_j*b_j, expanded
+    once with the tangent coordinates c_j and w symbolic.
 
-    Returns {t-degree: {w-factors: coefficient}} without zero entries,
-    where w-factors is ((index, exponent), ...) as in `_form`.  While
-    expanding, w^c*t^k is the integer key k + span*sum c_i*base^i
-    (base > deg g bounds each c_i, span > 2 deg g bounds k), so a product
-    of monomials is a sum of keys.
+    Returns (terms, buckets): the number of terms of the expansion, and
+    buckets(c), the t-buckets of g(p + t*v + t^2*w) over F_q at the
+    coordinates c, w symbolic, as {(generator, t-degree): {w-factors:
+    coefficient}} without zero entries; w-factors is ((i, a_i), ...) as in
+    `_form`, and w^(q^j) is kept.
+
+    A key is k + tspan*wcode + span*ccode for t^k*w^a*c^b, with wcode =
+    sum a_i*base^i and ccode = sum b_j*base^j (base > deg g bounds every
+    exponent, tspan > 2 deg g bounds k), so products add keys.  The c_j
+    take values in F_q only, so `_power` scales k + tspan*wcode alone.
+    The terms are grouped by (generator, k, w-monomial).  buckets(c)
+    evaluates each c-monomial with one product, as an earlier one times
+    its lowest variable, and sums every group at once: each c-monomial
+    carries its groups' coefficients in fixed-width byte fields of one
+    integer, wide enough that no field's sum carries into the next.
     """
-    degree = max((sum(e for _, e in factors) for _, factors in form), default=0)
-    base, span = degree + 1, 2 * degree + 1
-    images = [
-        {k: x for k, x in ((0, a), (1, b), (span * base**i + 2, 1)) if x}
-        for i, (a, b) in enumerate(zip(point, v))
-    ]
-    buckets = {}
-    for key, x in _expand(form, images, q).items():
-        code, k = divmod(key, span)
-        factors = []
-        i = 0
-        while code:
-            code, e = divmod(code, base)
-            if e:
-                factors.append((i, e))
-            i += 1
-        buckets.setdefault(k, {})[tuple(factors)] = x
-    return buckets
+    nvars = len(point)
+    degree = max((sum(e for _, e in f) for form in forms for _, f in form), default=0)
+    base, tspan = degree + 1, 2 * degree + 1
+    span = tspan * base**nvars
+    images = []
+    for i, a in enumerate(point):
+        image = {0: a, 2 + tspan * base**i: 1}
+        for j, b in enumerate(tangent_basis):
+            if b[i]:
+                image[1 + span * base**j] = b[i]
+        images.append({k: x for k, x in image.items() if x})
+    groups = {}
+    for n, form in enumerate(forms):
+        for key, x in _expand(form, images, q, span).items():
+            ccode, key = divmod(key, span)
+            wcode, k = divmod(key, tspan)
+            groups.setdefault((n, k, wcode), []).append((ccode, x))
+    # close the c-monomials under dividing by their lowest variable; the
+    # divisors this adds carry no terms
+    codes = {0}
+    for terms in groups.values():
+        for code, _ in terms:
+            while code not in codes:
+                codes.add(code)
+                code -= _lowest(code, base)[1]
+    codes = sorted(codes)
+    position = {code: i for i, code in enumerate(codes)}
+    chain = []
+    for code in codes[1:]:
+        j, step = _lowest(code, base)
+        chain.append((position[code - step], j))
+    # a group's value before reduction fits in `width` bytes
+    width = ((len(codes) * (q - 1) ** 2).bit_length() + 7) // 8
+    fields = {}
+    rows = [[] for _ in codes]
+    for g, ((n, k, wcode), terms) in enumerate(groups.items()):
+        fields.setdefault((n, k), []).append((_digits(wcode, base), width * g))
+        for code, x in terms:
+            rows[position[code]].append((width * g, x))
+    size = width * len(groups)
+    packed = []
+    for row in rows:
+        data = bytearray(size)
+        for at, x in row:
+            data[at : at + width] = x.to_bytes(width, "little")
+        packed.append(int.from_bytes(data, "little"))
+
+    def buckets(c):
+        values = [1]
+        for i, j in chain:
+            values.append(values[i] * c[j] % q)
+        data = sum(map(mul, values, packed)).to_bytes(size, "little")
+        out = {}
+        for key, field in fields.items():
+            piece = {}
+            for factors, at in field:
+                x = int.from_bytes(data[at : at + width], "little") % q
+                if x:
+                    piece[factors] = x
+            if piece:
+                out[key] = piece
+        return out
+
+    return sum(map(len, groups.values())), buckets
+
+
+def _lowest(code, base):
+    """(j, base^j) for the lowest nonzero base-`base` digit of code > 0."""
+    j, step = 0, 1
+    while code // step % base == 0:
+        j, step = j + 1, step * base
+    return j, step
+
+
+def _digits(code, base):
+    """((i, a_i), ...) for the nonzero base-`base` digits a_i of code."""
+    factors = []
+    i = 0
+    while code:
+        code, e = divmod(code, base)
+        if e:
+            factors.append((i, e))
+        i += 1
+    return tuple(factors)
 
 
 def find_conic_mod_q(instance, budget=200, seed=0):
     """Randomized search for a conic on X through the point over F_q.
 
-    Draws tangent directions from the Jacobian kernel at the point and
-    expands each generator along p + t*v + t^2*w with w symbolic
-    (`_conic_buckets`).  Every t-coefficient of total degree at most one
-    in w is a linear constraint on w; the search solves those, fills the
-    free choices at random, and keeps a draw only if the remaining
-    coefficients vanish at w and the three vectors are independent.
+    Draws tangent directions v = sum_j c_j*b_j from the Jacobian kernel
+    basis b_j at the point.  Each generator is expanded once along
+    p + t*v + t^2*w with the c_j and w symbolic (`_conic_expansion`); a
+    draw evaluates the c-monomials at its c and sums each bucket, which
+    gives the t-coefficients of g(p + t*v + t^2*w) with w symbolic.  Every
+    t-coefficient of total degree at most one in w is a linear constraint
+    on w; the search solves those, fills the free choices at random, and
+    keeps a draw only if the remaining coefficients vanish at w and the
+    three vectors are independent.
     """
+    started = time.perf_counter()
     q = instance.prime
     field = instance.ring.field
     nvars = instance.ring.nvars
@@ -326,31 +480,38 @@ def find_conic_mod_q(instance, budget=200, seed=0):
     # with no generators the zero row leaves the whole space tangent
     gradient = _gradient(instance) or [[0] * nvars]
     _, tangent_basis = linalg.solve_affine(gradient, [0] * len(gradient), field)
-    if not tangent_basis:
-        return ConicSearchResult(False, None, 0)
 
+    def done(result, terms=0):
+        logger.debug(
+            "conic search mod %d: %d tangent coordinates, %d terms, %d draws, %s in %.1f ms",
+            q, len(tangent_basis), terms, result.attempts,
+            "found" if result.found else "inconclusive",
+            1000 * (time.perf_counter() - started),
+        )
+        return result
+
+    if not tangent_basis:
+        return done(ConicSearchResult(False, None, 0))
+    terms, buckets = _conic_expansion(forms, point, tangent_basis, q)
     rng = random.Random(seed)
     for attempt in range(1, budget + 1):
-        v = [0] * nvars
-        for vec in tangent_basis:
-            c = rng.randrange(q)
-            v = [(a + c * b) % q for a, b in zip(v, vec)]
-        if all(x == 0 for x in v) or _rank([point, v], field) < 2:
+        c = [rng.randrange(q) for _ in tangent_basis]
+        v = [sum(map(mul, c, column)) % q for column in zip(*tangent_basis)]
+        if not any(v) or _rank([point, v], field) < 2:
             continue
         linear_rows = []
         linear_rhs = []
         higher = []
-        for form in forms:
-            for piece in _conic_buckets(form, point, v, q).values():
-                if all(sum(e for _, e in f) <= 1 for f in piece):
-                    row = [0] * nvars
-                    for f, c in piece.items():
-                        if f:
-                            row[f[0][0]] = c
-                    linear_rows.append(row)
-                    linear_rhs.append(-piece.get((), 0) % q)
-                else:
-                    higher.append([(c, f) for f, c in piece.items()])
+        for piece in buckets(c).values():
+            if all(sum(e for _, e in f) <= 1 for f in piece):
+                row = [0] * nvars
+                for f, x in piece.items():
+                    if f:
+                        row[f[0][0]] = x
+                linear_rows.append(row)
+                linear_rhs.append(-piece.get((), 0) % q)
+            else:
+                higher.append([(x, f) for f, x in piece.items()])
         if linear_rows:
             solved = linalg.solve_affine(linear_rows, linear_rhs, field)
             if solved is None:
@@ -361,14 +522,14 @@ def find_conic_mod_q(instance, budget=200, seed=0):
             free_basis = [list(row) for row in linalg.identity(nvars, field)]
         w = list(particular)
         for vec in free_basis:
-            c = rng.randrange(q)
-            w = [(a + c * b) % q for a, b in zip(w, vec)]
+            a = rng.randrange(q)
+            w = [(x + a * y) % q for x, y in zip(w, vec)]
         if _rank([point, v, w], field) < 3:
             continue
         if not any(_value(h, w, q) for h in higher):
             witness = (tuple(point), tuple(v), tuple(w))
-            return ConicSearchResult(True, witness, attempt)
-    return ConicSearchResult(False, None, budget)
+            return done(ConicSearchResult(True, witness, attempt), terms)
+    return done(ConicSearchResult(False, None, budget), terms)
 
 
 def lowest_form_mult(plane_curve, point):

@@ -1,5 +1,7 @@
 import ast
 import itertools
+import json
+import logging
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -20,9 +22,13 @@ from seshadri.groebner import Ideal, monomials_of_degree
 from seshadri.geometry import multiplicity_at, normalize_point
 from seshadri.oracle import (
     ModularInstance,
-    _conic_buckets,
+    _conic_expansion,
+    _expand,
     _form,
+    _gradient,
     _line_directions,
+    _rank,
+    _value,
     count_lines_mod_q,
     find_conic_mod_q,
     lowest_form_mult,
@@ -114,6 +120,82 @@ def reference_conic_buckets(g, point, v):
         factors = tuple((i, e) for i, e in enumerate(mono[:nvars]) if e)
         buckets.setdefault(mono[nvars], {})[factors] = c
     return buckets
+
+
+def _per_draw_buckets(form, point, v, q):
+    """t-degree -> {w-factors: coefficient} of g(point + t*v + t^2*w) over
+    F_q, one expansion per direction v (w^c*t^k is the key
+    k + span*sum c_i*base^i)."""
+    degree = max((sum(e for _, e in factors) for _, factors in form), default=0)
+    base, span = degree + 1, 2 * degree + 1
+    images = [
+        {k: x for k, x in ((0, a), (1, b), (span * base**i + 2, 1)) if x}
+        for i, (a, b) in enumerate(zip(point, v))
+    ]
+    buckets = {}
+    for key, x in _expand(form, images, q).items():
+        code, k = divmod(key, span)
+        factors = []
+        i = 0
+        while code:
+            code, e = divmod(code, base)
+            if e:
+                factors.append((i, e))
+            i += 1
+        buckets.setdefault(k, {})[tuple(factors)] = x
+    return buckets
+
+
+def reference_find_conic(instance, budget=200, seed=0):
+    """The conic search that expands every generator afresh for each draw."""
+    q = instance.prime
+    field = instance.ring.field
+    nvars = instance.ring.nvars
+    point = list(instance.point)
+    forms = [_form(g) for g in instance.generators]
+    gradient = _gradient(instance) or [[0] * nvars]
+    _, tangent_basis = linalg.solve_affine(gradient, [0] * len(gradient), field)
+    if not tangent_basis:
+        return False, None, 0
+    rng = random.Random(seed)
+    for attempt in range(1, budget + 1):
+        v = [0] * nvars
+        for vec in tangent_basis:
+            c = rng.randrange(q)
+            v = [(a + c * b) % q for a, b in zip(v, vec)]
+        if all(x == 0 for x in v) or _rank([point, v], field) < 2:
+            continue
+        linear_rows = []
+        linear_rhs = []
+        higher = []
+        for form in forms:
+            for piece in _per_draw_buckets(form, point, v, q).values():
+                if all(sum(e for _, e in f) <= 1 for f in piece):
+                    row = [0] * nvars
+                    for f, c in piece.items():
+                        if f:
+                            row[f[0][0]] = c
+                    linear_rows.append(row)
+                    linear_rhs.append(-piece.get((), 0) % q)
+                else:
+                    higher.append([(c, f) for f, c in piece.items()])
+        if linear_rows:
+            solved = linalg.solve_affine(linear_rows, linear_rhs, field)
+            if solved is None:
+                continue
+            particular, free_basis = solved
+        else:
+            particular = [0] * nvars
+            free_basis = [list(row) for row in linalg.identity(nvars, field)]
+        w = list(particular)
+        for vec in free_basis:
+            c = rng.randrange(q)
+            w = [(a + c * b) % q for a, b in zip(w, vec)]
+        if _rank([point, v, w], field) < 3:
+            continue
+        if not any(_value(h, w, q) for h in higher):
+            return True, (tuple(point), tuple(v), tuple(w)), attempt
+    return False, None, budget
 
 
 def _random_form(ring, degree, rng):
@@ -324,6 +406,54 @@ class TestCountLines:
         assert result.count == 31
         assert all(v[0] == v[5] == 0 and sum(v) % q == 0 for v in result.directions)
 
+    def test_many_digit_exponent_is_split(self, monkeypatch):
+        # the same line scan at 390620 = 5^8 - 5: seven base-5 digits 4, so
+        # a coset with its digits symbolic would expand to millions of
+        # terms.  Cosets past COSET_TERM_LIMIT are split digit by digit,
+        # and each direction with v5 != 0 fails on its t^390620
+        # coefficient, so no product of the scan passes the limit
+        q, e = 5, 390620
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(6)), PrimeField(q))
+        g = ring.parse(f"x5^{e} - x0^{e} + x1 + x2 + x3 + x4 + x5")
+        inst = ModularInstance(prime=q, ring=ring, generators=(g,), point=(1,) * 6)
+        times = oracle._times
+
+        def guarded(f, h, q):
+            out = times(f, h, q)
+            assert len(out) <= oracle.COSET_TERM_LIMIT
+            return out
+
+        monkeypatch.setattr(oracle, "_times", guarded)
+        result = count_lines_mod_q(inst)
+        assert result.count == 31
+        assert all(v[0] == v[5] == 0 and sum(v) % q == 0 for v in result.directions)
+
+    @pytest.mark.parametrize("limit", [0, 30])
+    def test_split_cosets_keep_their_directions(self, rng, monkeypatch, limit):
+        # with the limit at 0 every coset is split down to single
+        # directions, at 30 only some are; the hits stay the reference's
+        monkeypatch.setattr(oracle, "COSET_TERM_LIMIT", limit)
+        for q in (2, 3, 5):
+            field = PrimeField(q)
+            ring = PolynomialRing(tuple(f"x{i}" for i in range(5)), field)
+            point = [1, 0, 0, 0, 0]
+            for size in range(1, 5):
+                matrix = [[rng.randrange(q) for _ in range(5)] for _ in range(size)]
+                rows, _ = linalg.rref(matrix, field)
+                gens = [
+                    ring.from_terms(
+                        (exps, rng.randrange(q))
+                        for exps in monomials_of_degree(5, degree)
+                        if exps[0] < degree and rng.random() < 0.3
+                    )
+                    for degree in (rng.randint(1, 3), rng.randint(2, 7))
+                ]
+                expected = sorted(
+                    v for v in reference_directions(rows, q)
+                    if all(reference_line_vanishes(g, point, v, q) for g in gens)
+                )
+                assert _line_directions([_form(g) for g in gens], point, rows, q) == expected
+
     def test_one_tangent_direction_at_a_huge_prime(self, ring4):
         # a smooth curve has one tangent direction, a coset without digits,
         # so the scan decides it without a pass over F_q
@@ -436,21 +566,37 @@ class TestIntegerKernels:
                 assert _scan_hits(g, p, v, q, rng) == expected
 
     def test_conic_buckets_match_composition(self, rng):
-        # degrees up to 7 at q = 5 and 7 take exponents with two base-q digits
+        # degrees up to 7 at q = 5 and 7 take exponents with two base-q
+        # digits; the expansion is made once per pair of forms, with random
+        # vectors b_j, and evaluated at several coordinate vectors c
         for q in (5, 7, 11):
             for nvars in (4, 5):
                 names = tuple(f"x{i}" for i in range(nvars))
                 ring = PolynomialRing(names, PrimeField(q))
-                for _ in range(6):
-                    g = ring.from_terms(
-                        (exps, rng.randrange(q))
-                        for exps in monomials_of_degree(nvars, rng.randint(1, 7))
-                        if rng.random() < 0.3
-                    )
+                for _ in range(3):
+                    gens = [
+                        ring.from_terms(
+                            (exps, rng.randrange(q))
+                            for exps in monomials_of_degree(nvars, rng.randint(1, 7))
+                            if rng.random() < 0.3
+                        )
+                        for _ in range(2)
+                    ]
                     point = [rng.choice((0, rng.randrange(q))) for _ in range(nvars)]
-                    v = [rng.choice((0, rng.randrange(q))) for _ in range(nvars)]
-                    expected = reference_conic_buckets(g, point, v)
-                    assert _conic_buckets(_form(g), point, v, q) == expected
+                    basis = [
+                        [rng.choice((0, rng.randrange(q))) for _ in range(nvars)]
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                    _, buckets = _conic_expansion(
+                        [_form(g) for g in gens], point, basis, q
+                    )
+                    for _ in range(4):
+                        c = [rng.randrange(q) for _ in basis]
+                        v = [sum(a * b[i] for a, b in zip(c, basis)) % q for i in range(nvars)]
+                        got = buckets(c)
+                        for n, g in enumerate(gens):
+                            expected = reference_conic_buckets(g, point, v)
+                            assert {k: x for (m, k), x in got.items() if m == n} == expected
 
     @pytest.mark.parametrize(
         "name, q, found, attempts, witness",
@@ -479,6 +625,75 @@ class TestIntegerKernels:
         assert result.found is found
         assert result.attempts == attempts
         assert (result.witness and [list(x) for x in result.witness]) == witness
+
+
+BUNDLED = sorted(
+    (name, q)
+    for name in (
+        "fermat-cubic",
+        "gr24-hyperplanes",
+        "gr25-pluecker",
+        "quadric-surface",
+        "quadric-threefold",
+        "quartic-threefold",
+        "twisted-cubic",
+        "two-quadrics-p4",
+    )
+    for q in {2, 3, 5, *json.loads(Path(bundled(name)).read_text())["primes"]}
+)
+
+
+class TestConicExpansion:
+    """The search that expands once per instance takes the same draws, and
+    returns the same outcome, as the one that expands once per draw."""
+
+    @pytest.mark.parametrize("name, q", BUNDLED)
+    def test_bundled_instances(self, name, q):
+        instance = load_instance(bundled(name))
+        try:
+            inst = modular_instance(instance.variety(), q)
+        except BadReductionError:
+            pytest.skip("bad reduction")
+        result = find_conic_mod_q(inst, seed=instance.seed)
+        expected = reference_find_conic(inst, seed=instance.seed)
+        assert (result.found, result.witness, result.attempts) == expected
+
+    def test_random_instances_with_exponents_past_q(self, rng):
+        # forms of degree up to 7 at q = 2, 3 and 5 through p = (1, ...):
+        # g - g(p)*x0^d vanishes at p; quadrics, half of them, give conics
+        for q in (2, 3, 5):
+            field = PrimeField(q)
+            for nvars in (3, 4, 5):
+                ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)), field)
+                point = (1,) + tuple(rng.randrange(q) for _ in range(nvars - 1))
+                for _ in range(3):
+                    gens = []
+                    for _ in range(rng.randint(1, nvars - 2)):
+                        degree = rng.choice((2, rng.randint(3, 7)))
+                        g = ring.from_terms(
+                            (exps, rng.randrange(q))
+                            for exps in monomials_of_degree(nvars, degree)
+                            if rng.random() < 0.4
+                        )
+                        top = ring.from_terms([((degree,) + (0,) * (nvars - 1), 1)])
+                        gens.append(g - top.scale(g.evaluate(point)))
+                    inst = ModularInstance(
+                        prime=q, ring=ring, generators=tuple(gens), point=point
+                    )
+                    seed = rng.randrange(100)
+                    result = find_conic_mod_q(inst, budget=40, seed=seed)
+                    expected = reference_find_conic(inst, budget=40, seed=seed)
+                    assert (result.found, result.witness, result.attempts) == expected
+
+    def test_one_debug_line_per_search(self, caplog):
+        instance = load_instance(bundled("quadric-surface"))
+        inst = modular_instance(instance.variety(), 5)
+        with caplog.at_level(logging.DEBUG, logger="seshadri.oracle"):
+            count_lines_mod_q(inst)
+            find_conic_mod_q(inst, seed=instance.seed)
+        lines, conics = (r.getMessage() for r in caplog.records)
+        assert lines.startswith("line scan mod 5: 6 tangent directions decided, 2 lines")
+        assert conics.startswith("conic search mod 5: 3 tangent coordinates, 7 terms, 5 draws, found in ")
 
 
 class TestFindConic:
