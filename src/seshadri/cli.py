@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .constants import (
+    LOWER_BOUND_ONLY,
     CompleteIntersectionInput,
     HypothesisError,
     InconsistencyError,
@@ -188,18 +189,17 @@ class Instance:
             raise InputError(f"{self.path}: {expr!r} is not homogeneous")
         return poly
 
-    def variety(self):
-        gens = list(self.ambient_generators) + list(self.cutting)
+    def _pointed(self, generators):
         try:
-            return normalize_point(Ideal(self.ring, gens), self.point)
+            return normalize_point(Ideal(self.ring, generators), self.point)
         except PointError as exc:
             raise InputError(f"{self.path}: {exc}") from exc
 
+    def variety(self):
+        return self._pointed(self.ambient_generators + self.cutting)
+
     def ambient_variety(self):
-        try:
-            return normalize_point(Ideal(self.ring, self.ambient_generators), self.point)
-        except PointError as exc:
-            raise InputError(f"{self.path}: {exc}") from exc
+        return self._pointed(self.ambient_generators)
 
     def ci_input(self, validate=False):
         if not self.cutting:
@@ -301,14 +301,13 @@ def _cmd_classify(instance, args):
         "cut_out_degree": ambient.d_p,
         "line_scheme_dimension": line_scheme(ambient).dimension,
     }
-    if report.status == "LOWER_BOUND_ONLY" and ci.degrees[-1] == 1:
+    if report.status == LOWER_BOUND_ONLY and ci.degrees[-1] == 1:
         # corroborating conic search; a modular witness never upgrades the
         # status, and NOT_FOUND is inconclusive
-        X = instance.variety()
         annotations = {}
         for q in args.primes:
             try:
-                inst = modular_instance(X, q)
+                inst = modular_instance(ci.variety(), q)
             except BadReductionError:
                 continue
             conic = find_conic_mod_q(inst, seed=args.seed)

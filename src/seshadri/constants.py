@@ -122,6 +122,7 @@ class CompleteIntersectionInput:
     cutting: tuple
     ambient_homogeneous: bool = False
     validate_smoothness: bool = False
+    _variety: PointedVariety | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cuts = list(self.cutting)
@@ -145,30 +146,50 @@ class CompleteIntersectionInput:
         return tuple(self.ambient.to_normalized(f).primitive() for f in self.cutting)
 
     def variety(self):
-        """X itself as a pointed variety (generators: ambient plus cuts)."""
-        Y = self.ambient
-        gens = list(Y.ideal.generators) + list(self.cutting)
-        return normalize_point(Ideal(Y.ring, gens), Y.point)
+        """X itself as a pointed variety (generators: ambient plus cuts), built once."""
+        if self._variety is None:
+            Y = self.ambient
+            gens = list(Y.ideal.generators) + list(self.cutting)
+            self._variety = normalize_point(Ideal(Y.ring, gens), Y.point)
+        return self._variety
+
+
+def _line_report(X, assumptions):
+    """The LINE_FOUND report when a line on X passes through the point, else
+    None; ValueError when X (of dimension 0) has no curve through the point."""
+    if X.dimension < 1:
+        raise ValueError("the variety must contain a curve through the point")
+    scheme = line_scheme(X)
+    if scheme.is_empty:
+        return None
+    return SeshadriReport(
+        status=LINE_FOUND,
+        epsilon=Fraction(1),
+        lower_bound=Fraction(1),
+        cut_out_degree=None,
+        line_scheme_dimension=scheme.dimension,
+        assumptions=tuple(assumptions),
+    )
+
+
+def _ambient_line_scheme(Y):
+    """The lines on the ambient Y through the point; hypothesis (ii) needs one."""
+    scheme = line_scheme(Y)
+    if scheme.is_empty:
+        raise HypothesisError("ii", "no line on the ambient passes through the point")
+    return scheme
 
 
 def lower_bound(X):
     """Certified lower bound for the Seshadri constant of O_X(1) at the point.
 
-    A line through the point pins the constant to exactly 1; otherwise the
-    bound is d_p/(d_p - 1) from the local cut-out degree.
+    X must contain a curve through the point: a zero-dimensional X raises
+    ValueError.  A line through the point pins the constant to exactly 1;
+    otherwise the bound is d_p/(d_p - 1) from the local cut-out degree.
     """
-    if X.dimension < 1:
-        raise ValueError("the variety must contain a curve through the point")
-    scheme = line_scheme(X)
-    if not scheme.is_empty:
-        return SeshadriReport(
-            status=LINE_FOUND,
-            epsilon=Fraction(1),
-            lower_bound=Fraction(1),
-            cut_out_degree=None,
-            line_scheme_dimension=scheme.dimension,
-            assumptions=("line through the point (verified)",),
-        )
+    report = _line_report(X, ("line through the point (verified)",))
+    if report is not None:
+        return report
     d = X.d_p
     if d == 1:
         raise InconsistencyError(
@@ -218,9 +239,11 @@ def classify_ci(ci):
     """Exact Seshadri constant for a complete intersection in a line-covered
     ambient, after machine-checking every hypothesis that can be checked.
 
-    The hyperplane-section branch (largest degree 1) additionally needs the
-    user-asserted homogeneity flag; without it the result downgrades to the
-    lower bound 2 with a pointer at the conic oracle.
+    The value is d_r/(d_r - 1), or 2 in the hyperplane-section branch
+    (largest degree 1), which also needs the user-asserted homogeneity flag;
+    without it the result downgrades to the lower bound 2 with a pointer at
+    the conic oracle.  As in `lower_bound`, an X with no curve through the
+    point raises ValueError.
     """
     Y = ci.ambient
     X = ci.variety()
@@ -235,9 +258,7 @@ def classify_ci(ci):
         )
     assumptions.append("i: complete intersection of codimension r (verified)")
 
-    scheme_y = line_scheme(Y)
-    if scheme_y.is_empty:
-        raise HypothesisError("ii", "no line on the ambient passes through the point")
+    scheme_y = _ambient_line_scheme(Y)
     if sum(degrees) > scheme_y.dimension + 1:
         raise HypothesisError(
             "ii",
@@ -263,48 +284,26 @@ def classify_ci(ci):
         _check_smoothness(X)
         assumptions.append("smoothness (verified)")
 
-    scheme_x = line_scheme(X)
-    if not scheme_x.is_empty:
-        assumptions.append("line through the point on X (verified)")
-        return SeshadriReport(
-            status=LINE_FOUND,
-            epsilon=Fraction(1),
-            lower_bound=Fraction(1),
-            cut_out_degree=None,
-            line_scheme_dimension=scheme_x.dimension,
-            assumptions=tuple(assumptions),
-        )
+    report = _line_report(X, (*assumptions, "line through the point on X (verified)"))
+    if report is not None:
+        return report
 
     assumptions.append("line scheme of X empty (verified)")
-    if d_r >= 2:
-        value = Fraction(d_r, d_r - 1)
-        return SeshadriReport(
-            status=EXACT,
-            epsilon=value,
-            lower_bound=value,
-            cut_out_degree=d_r,
-            line_scheme_dimension=-1,
-            assumptions=tuple(assumptions),
-        )
-    if ci.ambient_homogeneous:
+    exact = d_r >= 2 or ci.ambient_homogeneous
+    if d_r == 1 and exact:
         assumptions.append("ambient homogeneity (user-asserted)")
-        return SeshadriReport(
-            status=EXACT,
-            epsilon=Fraction(2),
-            lower_bound=Fraction(2),
-            cut_out_degree=2,
-            line_scheme_dimension=-1,
-            assumptions=tuple(assumptions),
+    elif d_r == 1:
+        assumptions.append(
+            "ambient homogeneity not asserted: lower bound only; "
+            "a conic through the point (see the oracle search) would close the gap"
         )
-    assumptions.append(
-        "ambient homogeneity not asserted: lower bound only; "
-        "a conic through the point (see the oracle search) would close the gap"
-    )
+    degree = max(d_r, 2)
+    value = Fraction(degree, degree - 1)
     return SeshadriReport(
-        status=LOWER_BOUND_ONLY,
-        epsilon=None,
-        lower_bound=Fraction(2),
-        cut_out_degree=2,
+        status=EXACT if exact else LOWER_BOUND_ONLY,
+        epsilon=value if exact else None,
+        lower_bound=value,
+        cut_out_degree=degree,
         line_scheme_dimension=-1,
         assumptions=tuple(assumptions),
     )
@@ -371,9 +370,7 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
     d_r = degrees[-1]
     if d_r < 2:
         raise HypothesisError("d_r", "the cone-cut construction needs d_r >= 2")
-    scheme_y = line_scheme(Y)
-    if scheme_y.is_empty:
-        raise HypothesisError("ii", "no line on the ambient passes through the point")
+    scheme_y = _ambient_line_scheme(Y)
     if sum(degrees) != scheme_y.dimension + 1:
         raise HypothesisError(
             "ii",

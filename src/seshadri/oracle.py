@@ -105,13 +105,13 @@ def _times(f, g, q):
     return {k: c for k, c in out.items() if c}
 
 
-def _power(f, e, q, span=None):
+def _power(f, e, q, span):
     """f^e mod q for a sparse polynomial with additive keys.
 
     Over F_q, f^(q^j) is f with every key multiplied by q^j (Frobenius),
     so f^e is the product of f^(e_j), keys scaled by q^j, over the base-q
     digits e_j of e (Lucas): x1^200000 costs a handful of short products.
-    Given span, a key is k + span*code, with k the exponent of t and code
+    A key is k + span*code, with k < span the exponent of t and code
     packing variables that only take values in F_q; as functions on F_q
     those satisfy c^q = c, so only k is scaled.
     """
@@ -122,16 +122,13 @@ def _power(f, e, q, span=None):
         piece = {0: 1}
         for _ in range(digit):
             piece = _times(piece, f, q)
-        if span is None:
-            piece = {k * place: c for k, c in piece.items()}
-        else:
-            piece = {k + k % span * (place - 1): c for k, c in piece.items()}
+        piece = {k + k % span * (place - 1): c for k, c in piece.items()}
         out = _times(out, piece, q)
         place *= q
     return out
 
 
-def _expand(form, images, q, span=None):
+def _expand(form, images, q, span):
     """g(images) mod q, each variable replaced by a sparse polynomial
     {key: coefficient} with additive keys; zero coefficients are dropped.
     span is passed to `_power`."""

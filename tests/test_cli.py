@@ -163,11 +163,17 @@ class TestCommands:
         assert code == EXIT_OK
         assert report["result"]["cut_out_degree"] == 2
 
-    def test_downgraded_classify_carries_conic_annotation(self, tmp_path):
+    def test_downgraded_classify_carries_conic_annotation(self, tmp_path, monkeypatch):
         raw = json.loads(Path(bundled("gr24-hyperplanes")).read_text())
         raw["ambient_homogeneous"] = False
         unflagged = tmp_path / "unflagged.json"
         unflagged.write_text(json.dumps(raw))
+
+        # the conic search reads the X that classify_ci built
+        def rebuilt(instance):
+            raise AssertionError("classify built X a second time")
+
+        monkeypatch.setattr(cli.Instance, "variety", rebuilt)
         report, code = run_report(["classify", str(unflagged)])
         assert code == EXIT_OK
         assert report["result"]["seshadri"]["status"] == "LOWER_BOUND_ONLY"
@@ -199,6 +205,21 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    @pytest.mark.parametrize("command", ["bound", "classify"])
+    def test_zero_dimensional_variety_is_refused(self, tmp_path, command, homogeneous):
+        # two lines of P^2 meet in the point alone: no curve passes through it
+        raw = json.loads((Path(__file__).parent / "data" / "point-p2.json").read_text())
+        raw["ambient_homogeneous"] = homogeneous
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps(raw))
+        report, code = run_report([command, str(point)])
+        assert code == EXIT_INPUT
+        assert report["error"] == {
+            "kind": "input",
+            "message": "the variety must contain a curve through the point",
+        }
+
     def test_missing_file(self, capsys):
         code = main(["dp", "no-such-file.json"])
         capsys.readouterr()

@@ -164,6 +164,25 @@ class TestClassify:
         assert flagged.status == EXACT
         assert flagged.epsilon == 2
 
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_point_is_rejected(self, ring3, homogeneous):
+        # the hypotheses hold, but X is the point: the error of lower_bound
+        ci = CompleteIntersectionInput(
+            ambient=projective_space(ring3),
+            cutting=(ring3.parse("x1"), ring3.parse("x2")),
+            ambient_homogeneous=homogeneous,
+        )
+        with pytest.raises(ValueError) as err:
+            classify_ci(ci)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "the variety must contain a curve through the point"
+
+    def test_variety_is_built_once(self, ring4):
+        ci = CompleteIntersectionInput(
+            ambient=projective_space(ring4), cutting=(ring4.parse("x0*x3 - x1*x2"),)
+        )
+        assert ci.variety() is ci.variety()
+
     def test_smoothness_validation(self, ring4):
         ci = CompleteIntersectionInput(
             ambient=projective_space(ring4, (3, 4, 5, -6)),

@@ -2,8 +2,10 @@
 
 Each example takes a bundled instance file and deletes one top-level
 field or one field of its first cutting entry, or replaces that field with
-a small JSON value of another type.  `bound` and `dp` must still end with
-one of the documented exit codes, never with a traceback.
+a small JSON value of another type.  `bound`, `dp` and `classify` must
+still end with one of the documented exit codes, never with a traceback;
+`classify` carries the mutated `cutting` and `ambient_homogeneous` fields
+through the complete-intersection input and its classification.
 """
 
 import json
@@ -34,12 +36,12 @@ def _json_type(value):
     return type(value)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=90, derandomize=True, deadline=None)
 @given(
     name=st.sampled_from(INSTANCES),
     field=st.sampled_from(TOP_LEVEL + tuple(f"cutting.{f}" for f in ENTRY)),
     value=st.sampled_from((DELETE,) + SMALL_VALUES),
-    command=st.sampled_from(("bound", "dp")),
+    command=st.sampled_from(("bound", "dp", "classify")),
 )
 def test_mutated_instance_exits_with_a_documented_code(name, field, value, command):
     raw = json.loads((resources.files("seshadri") / "instances" / name).read_text())

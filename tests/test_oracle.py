@@ -125,7 +125,8 @@ def reference_conic_buckets(g, point, v):
 def _per_draw_buckets(form, point, v, q):
     """t-degree -> {w-factors: coefficient} of g(point + t*v + t^2*w) over
     F_q, one expansion per direction v (w^c*t^k is the key
-    k + span*sum c_i*base^i)."""
+    k + span*sum c_i*base^i).  Every key it builds, of degree at most
+    deg g, is below span*base^n, so `_power` scales whole keys."""
     degree = max((sum(e for _, e in factors) for _, factors in form), default=0)
     base, span = degree + 1, 2 * degree + 1
     images = [
@@ -133,7 +134,7 @@ def _per_draw_buckets(form, point, v, q):
         for i, (a, b) in enumerate(zip(point, v))
     ]
     buckets = {}
-    for key, x in _expand(form, images, q).items():
+    for key, x in _expand(form, images, q, span * base ** len(point)).items():
         code, k = divmod(key, span)
         factors = []
         i = 0

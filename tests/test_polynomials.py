@@ -59,6 +59,10 @@ class TestParser:
     def test_integer_power(self, ring2):
         assert ring2.parse("2^3") == ring2.constant(8)
 
+    def test_other_decimal_digits_read_as_integers(self, ring2):
+        # ARABIC-INDIC DIGIT THREE is a decimal digit: int() reads it as 3
+        assert ring2.parse("x0^\u0663") == ring2.parse("x0^3")
+
     def test_roundtrip_random(self, ring3, rng):
         for _ in range(25):
             f = random_poly(ring3, 3, rng)
@@ -89,6 +93,9 @@ class TestParser:
             ("x0*(x1 + w)", "unknown variable 'w'", 9),
             ("x0*1/0", "zero denominator", 5),
             ("x0^2^3", "unexpected '^'", 4),
+            # superscripts pass str.isdigit but are no decimal digits
+            ("x0^\u00b2", "unexpected character '\u00b2'", 3),
+            ("x0^2\u00b2", "unexpected character '\u00b2'", 4),
         ],
     )
     def test_errors_keep_their_message_and_position(self, ring3, text, message, position):
