@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groebner import Ideal, graded_piece, monomials_of_degree
+from .groebner import Ideal, complete_intersection_data, graded_piece, monomials_of_degree
 from .geometry import (
     PointedVariety,
     base_point,
@@ -26,6 +26,7 @@ from .geometry import (
     lift_slice,
     lift_slices,
     line_scheme,
+    lowest_forms_multiplicity,
     multiplicity_at,
     normalize_point,
     ord_at,
@@ -172,6 +173,13 @@ def _line_report(X, assumptions):
     )
 
 
+def _check_codimension(Y, X, r):
+    """Hypothesis (i): X = Y cut by r hypersurfaces has codimension r in Y."""
+    codim = Y.dimension - X.dimension
+    if codim != r:
+        raise HypothesisError("i", f"codim(X, Y) = {codim} does not match r = {r}")
+
+
 def _ambient_line_scheme(Y):
     """The lines on the ambient Y through the point; hypothesis (ii) needs one."""
     scheme = line_scheme(Y)
@@ -252,10 +260,7 @@ def classify_ci(ci):
     d_r = degrees[-1]
     assumptions = []
 
-    if Y.dimension - X.dimension != r:
-        raise HypothesisError(
-            "i", f"codim(X, Y) = {Y.dimension - X.dimension} does not match r = {r}"
-        )
+    _check_codimension(Y, X, r)
     assumptions.append("i: complete intersection of codimension r (verified)")
 
     scheme_y = _ambient_line_scheme(Y)
@@ -344,13 +349,26 @@ def _rerandomized_cutting(cuts, rng):
 def _curve_certificate(curve_ideal, trace):
     """(dimension, certificate) of an ideal through [1:0:...:0]: the degree
     and multiplicity are recomputed from the ideal itself, and the
-    certificate is None unless the scheme is a curve."""
+    certificate is None unless the scheme is a curve.
+
+    The cone cuts of `sharpness_example`, and of `seshadri_curve` on
+    Y = P^N, make the ideal a complete intersection, so one prime first
+    tries to prove its generators a regular sequence (dimension and degree
+    in closed form) and their lowest forms one too (mult_p as a product of
+    orders); each test that proves nothing leaves its answer to the route
+    over Q.
+    """
     curve = normalize_point(curve_ideal, base_point(curve_ideal.ring))
-    if curve.dimension != 1:
-        return curve.dimension, None
-    mult = multiplicity_at(curve)
-    ratio = Fraction(curve.degree, mult)
-    return 1, CurveCertificate(curve_ideal, curve.degree, mult, ratio, trace)
+    hilbert = complete_intersection_data(curve_ideal)
+    if hilbert is None:
+        hilbert = curve.hilbert
+    if hilbert.dimension != 1:
+        return hilbert.dimension, None
+    mult = lowest_forms_multiplicity(curve)
+    if mult is None:
+        mult = multiplicity_at(curve)
+    ratio = Fraction(hilbert.degree, mult)
+    return 1, CurveCertificate(curve_ideal, hilbert.degree, mult, ratio, trace)
 
 
 def seshadri_curve(ci, component=None, seed=0, retries=4):
@@ -361,8 +379,9 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
     default takes the whole line-scheme ideal).  A degenerate random draw
     retries with fresh randomness; a dimension-1 result whose ratio misses
     d_r/(d_r - 1) is reported as a counterexample candidate, never accepted.
-    With `ci.validate_smoothness` the singular locus of X is checked first,
-    as in `classify_ci`.
+    Hypotheses (i) and (ii) are checked first, and with
+    `ci.validate_smoothness` the singular locus of X, as in `classify_ci`;
+    with Y = P^N one prime can prove (i) without a basis over Q.
     """
     Y = ci.ambient
     degrees = ci.degrees
@@ -370,6 +389,10 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
     d_r = degrees[-1]
     if d_r < 2:
         raise HypothesisError("d_r", "the cone-cut construction needs d_r >= 2")
+    # with Y = P^N, hypothesis (i) says the r cuts are a regular sequence,
+    # which one prime can prove without building X or a basis over Q
+    if Y.ideal.generators or complete_intersection_data(Ideal(Y.ring, ci.cutting)) is None:
+        _check_codimension(Y, ci.variety(), r)
     scheme_y = _ambient_line_scheme(Y)
     if sum(degrees) != scheme_y.dimension + 1:
         raise HypothesisError(

@@ -6,9 +6,8 @@ invariants mult_p and ord_p.
 A pointed variety carries a saturated homogeneous ideal together with an
 invertible coordinate change sending the base point to [1:0:...:0].  Each
 Hilbert question is asked in one place: `PointedVariety.hilbert` (dimension
-and degree, also of the certificate curves that
-`constants._curve_certificate` checks), `line_scheme` (the lines through
-the point) and `multiplicity_at` (the tangent cone).
+and degree), `line_scheme` (the lines through the point) and
+`multiplicity_at` (the tangent cone).
 
 The local answers come from reduced Groebner bases for the order comparing
 x_0 degrees first, which are local standard bases at the point: the top x_0
@@ -20,6 +19,20 @@ Whether a zero-dimensional scheme is supported at the point alone is read
 off two Hilbert-series numerators as well: its degree against its length
 there.  Every answer is exact; no truncation level, cap or degree bound is
 involved.
+
+The multiplicity of a complete intersection has a shortcut proved at one
+prime, `lowest_forms_multiplicity`: when the lowest forms of the
+generators at the point are a regular sequence in k[x_1..x_N], the
+associated graded ring of the local ring of P^N at p, they generate the
+tangent cone (Valabrega and Valla, "Form rings and regular sequences",
+Nagoya Math. J. 72 (1978), 93-101), a complete intersection of degrees
+ord_p(g_i), so mult_p = prod ord_p(g_i).  The regular sequence is proved
+by `groebner.complete_intersection_data` (the one-sided bound of Arnold
+and Pauer with Krull's principal ideal theorem; see `groebner`), and
+`multiplicity_at` answers whenever the prime proves nothing.  Its one call
+site is `constants._curve_certificate`, which reads the certificate
+curve's dimension and degree from `complete_intersection_data` in the same
+way.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from .groebner import (
     Ideal,
     _leading_numerator,
     _strip_unit_root,
+    complete_intersection_data,
     hilbert_data,
 )
 from .polynomials import (
@@ -371,6 +385,31 @@ def multiplicity_at(X):
     cone = _tangent_cone(X)
     numerator, _ = _strip_unit_root(_leading_numerator(cone), cone.ring.nvars)
     return sum(numerator)
+
+
+def lowest_forms_multiplicity(X):
+    """mult_p as the product of the orders ord_p(g_i) of the normalized
+    generators, when one prime proves their lowest forms at the base point
+    a regular sequence in the slice ring; None otherwise.
+
+    The lowest form of g at [1:0:...:0] is its first nonzero slice, of
+    degree ord_p(g).  If the lowest forms of g_1 .. g_r are a regular
+    sequence in k[x_1..x_N], the associated graded ring of the local ring
+    of P^N at p, they generate the tangent cone ideal (Valabrega and
+    Valla, "Form rings and regular sequences", Nagoya Math. J. 72 (1978)),
+    which is then a complete intersection of degrees ord_p(g_i) and
+    multiplicity their product.  The regular sequence is proved by
+    `groebner.complete_intersection_data` in the slice ring.
+    """
+    lowest, orders = [], []
+    for g in X.normalized_ideal.generators:
+        order, form = next((i, s) for i, s in enumerate(slice_decomposition(g), 1) if s)
+        lowest.append(form)
+        orders.append(order)
+    cone = Ideal(slice_ring(X.ring), lowest)
+    if complete_intersection_data(cone, "lowest forms") is None:
+        return None
+    return math.prod(orders)
 
 
 def _tangent_cone(X):

@@ -24,19 +24,39 @@ step and the scale stays 1.  `buchberger` runs entirely on these forms and
 packed monomials, S-pairs and pair criteria included, and builds
 `Fraction`/`Polynomial` values only for the reduced basis it returns.
 
-Whether a homogeneous ideal over Q cuts out the empty scheme is first
-asked at one fixed prime, EMPTINESS_PRIME.  For integer generators the rank
-of each degree-D Macaulay matrix can only drop mod p, so the Hilbert
-function mod p bounds the one over Q from above, and a scheme empty over
-the closure of F_p is empty over the closure of Q (Arnold, "Modular
-algorithms for computing Groebner bases", J. Symbolic Comput. 35 (2003);
-Pauer, "On lucky ideals for Groebner basis computations", J. Symbolic
-Comput. 14 (1992)).  `hilbert_data` tries this only on ideals whose basis
-over Q is not cached and which have at least nvars generators, since fewer
-forms of positive degree always meet.  `buchberger`'s pair loop runs on
-the generators' primitive integer forms read mod p, and a leading ideal
-primary to the irrelevant ideal is the proof.  Every other outcome, an unlucky prime included, falls
-back to the basis over Q, so the prime costs time and never an answer.
+Two questions about a homogeneous ideal I over Q are first asked at one
+fixed prime, EMPTINESS_PRIME, through one reader of the leading ideal mod
+p (`_leads_mod_p`): the Buchberger pair loop runs on the generators'
+primitive integer forms read mod p, and the leading monomials give the
+Krull dimension of F_p[x]/I_p.  The theorems they rest on:
+
+- The one-sided bound.  For integer generators the rank of each degree-D
+  Macaulay matrix can only drop mod p, so HF(R/I, D) <= HF(F_p[x]/I_p, D)
+  for every D, and dim R/I <= dim F_p[x]/I_p (Arnold, "Modular algorithms
+  for computing Groebner bases", J. Symbolic Comput. 35 (2003); Pauer, "On
+  lucky ideals for Groebner basis computations", J. Symbolic Comput. 14
+  (1992)).
+- Krull's principal ideal theorem.  An ideal generated by r elements has
+  height at most r, so r forms in n variables give dim R/I >= n - r.
+- Regular sequences.  r forms of height r in a polynomial ring (a
+  Cohen-Macaulay ring) are a regular sequence, and R/I then has the
+  Hilbert series prod (1 - t^d_i) / (1 - t)^n.  Their ideal is unmixed
+  (Macaulay's unmixedness theorem): every associated prime has height r,
+  so for r < n the irrelevant ideal is not one, I is saturated, and
+  Proj(R/I) has no embedded or lower-dimensional component.
+
+Emptiness (`_certified_empty`): a leading ideal mod p of Krull dimension
+at most 0, one holding a pure power of every variable, proves V(I) empty.
+`hilbert_data` tries this only on ideals whose basis over Q is not cached
+and which have at least nvars generators, since fewer forms of positive
+degree always meet.  Complete intersections (`complete_intersection_data`):
+r forms whose leading ideal mod p has dimension n - r, read off its
+Hilbert-series numerator, are a regular sequence over Q, by the bound and
+Krull's theorem together, and their Hilbert data is the closed form above.
+The curve certificates of `constants` ask this, and `geometry` asks it of
+their lowest forms for the multiplicity.  Every other outcome, an unlucky
+prime included, falls back to the basis over Q, so the prime costs time
+and never an answer.
 """
 
 from __future__ import annotations
@@ -60,8 +80,8 @@ from .polynomials import (
 
 logger = logging.getLogger(__name__)
 
-# the prime of the emptiness certificate in `hilbert_data`; fixed, so that
-# every run takes the same route
+# the prime of the certificates mod p (emptiness in `hilbert_data`, and
+# `complete_intersection_data`); fixed, so that every run takes the same route
 EMPTINESS_PRIME = 32003
 
 
@@ -744,23 +764,17 @@ def _binomial_polynomial(shift, k):
     return coeffs
 
 
-def _certified_empty(I):
-    """Whether one prime proves V(I) empty over the algebraic closure of Q.
+def _leads_mod_p(I):
+    """Exponent tuples that generate LT(I_p), p = EMPTINESS_PRIME.
 
-    I is a homogeneous ideal over Q.  Its generators' primitive integer
-    forms are read mod p = EMPTINESS_PRIME and the Buchberger pair loop
-    runs on them over F_p.  If the leading monomials hold a pure power of
-    every variable, or a constant, the leading ideal mod p is primary to
-    the irrelevant ideal.  That proves V(I) empty: the rank of a
-    degree-D Macaulay matrix of integer forms can only drop mod p, so
-    HF(R/I, D) <= HF(F_p[x]/(I mod p), D) for every D, and the right side
-    is 0 for large D (Arnold, "Modular algorithms for computing Groebner
-    bases", J. Symbolic Comput. 35 (2003); Pauer, "On lucky ideals for
-    Groebner basis computations", J. Symbolic Comput. 14 (1992)).  False
-    means only that this prime proves nothing.
+    I_p is generated by the primitive integer forms of I's generators read
+    mod p; the Buchberger pair loop runs on them over F_p, and the leading
+    monomials of the Groebner generating set it returns generate LT(I_p).
+    For homogeneous I over Q, HF(R/I, D) <= HF(F_p[x]/I_p, D) for every D (see
+    the module docstring), so a dimension read off these leads bounds that
+    of R/I from above.
     """
-    started = time.perf_counter()
-    p, n = EMPTINESS_PRIME, I.ring.nvars
+    p = EMPTINESS_PRIME
 
     def run(packing):
         forms = []
@@ -768,20 +782,96 @@ def _certified_empty(I):
             terms = [(m, c % p) for m, c in [(lm, lc), *tail] if c % p]
             if terms:
                 forms.append(_form(terms, p))
+        return [packing.unpack(lm) for lm, _, _ in _pair_loop(forms, packing, p)]
+
+    return _packed(run, I.ring.order, I.generators)
+
+
+def _certified(test, I, holds, verdict="certified"):
+    """Whether `holds` accepts the generators of LT(I_p), with one debug
+    line per attempt naming the test, its verdict and its time."""
+    started = time.perf_counter()
+    certified = holds(_leads_mod_p(I))
+    logger.debug(
+        "%s mod %d: %d generators, %d variables, %s in %.1f ms",
+        test, EMPTINESS_PRIME, len(I.generators), I.ring.nvars,
+        verdict if certified else "fell back to Q",
+        1000 * (time.perf_counter() - started),
+    )
+    return certified
+
+
+def _certified_empty(I):
+    """Whether one prime proves V(I) empty over the algebraic closure of Q.
+
+    I is a homogeneous ideal over Q.  If the leading monomials mod p hold
+    a pure power of every variable, or a constant, LT(I_p) is primary to
+    the irrelevant ideal; by the bound HF(R/I) <= HF(F_p[x]/I_p) so is I,
+    and V(I) is empty.  False means only that this prime proves nothing.
+    """
+    n = I.ring.nvars
+
+    def artinian(leads):
         missing = set(range(n))
-        for lm, _, _ in _pair_loop(forms, packing, p):
-            support = [j for j, e in enumerate(packing.unpack(lm)) if e]
+        for m in leads:
+            support = [j for j, e in enumerate(m) if e]
             if len(support) <= 1:
                 missing.difference_update(support or range(n))
         return not missing
 
-    empty = _packed(run, I.ring.order, I.generators)
-    logger.debug(
-        "emptiness mod %d: %d generators, %d variables, %s in %.1f ms",
-        p, len(I.generators), n, "certified empty" if empty else "fell back to Q",
-        1000 * (time.perf_counter() - started),
-    )
-    return empty
+    return _certified("emptiness", I, artinian, "certified empty")
+
+
+def complete_intersection_data(I, test="complete intersection"):
+    """The Hilbert data of R/I when one prime proves the generators of I a
+    regular sequence, else None.
+
+    I is generated by r forms of positive degree in n variables over Q.
+    Krull's principal ideal theorem gives dim R/I >= n - r, and the bound
+    HF(R/I) <= HF(F_p[x]/I_p) gives dim R/I <= dim F_p[x]/LT(I_p); so
+    dimension n - r mod p proves dim R/I = n - r.  Forms of height r in a
+    polynomial ring are a regular sequence, and the Hilbert series of R/I
+    is then prod (1 - t^d_i) / (1 - t)^n.  None means only that this
+    prime proves nothing; the caller asks over Q.  `test` names the
+    attempt in the debug log.
+    """
+    ring = I.ring
+    if ring.field != QQ or not I.is_homogeneous:
+        return None
+    n = ring.nvars
+
+    def expected_dimension(leads):
+        numerator = _hilbert_numerator(leads, n)
+        return bool(numerator) and _strip_unit_root(numerator, n)[1] == n - len(I.generators)
+
+    if not _certified(test, I, expected_dimension):
+        return None
+    numerator = [1]
+    for g in I.generators:
+        numerator = _poly_mul(numerator, [1] + [0] * (g.total_degree() - 1) + [-1])
+    return _hilbert_from_numerator(numerator, n)
+
+
+def _hilbert_from_numerator(numerator, nvars):
+    """Hilbert data of R/M from the numerator of its Hilbert series over
+    (1 - t)^nvars."""
+    if not numerator:
+        return HilbertData(-1, None, ())
+    quotient, D = _strip_unit_root(numerator, nvars)
+    if D < 0:
+        raise RuntimeError("Hilbert series reduced below constant rank")
+    if D == 0:
+        return HilbertData(-1, None, ())
+    degree = sum(quotient)
+    coeffs = [Fraction(0)] * D
+    for j, q in enumerate(quotient):
+        if q:
+            part = _binomial_polynomial(D - 1 - j, D - 1)
+            for k, c in enumerate(part):
+                coeffs[k] += q * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return HilbertData(D - 1, degree, tuple(coeffs))
 
 
 def hilbert_data(I):
@@ -793,9 +883,9 @@ def hilbert_data(I):
 
     Over Q an ideal with at least nvars generators whose basis is not
     cached yet is first tested for emptiness at one fixed prime
-    (`_certified_empty`, which states the theorem).  Fewer forms of
-    positive degree always meet in P^(nvars - 1), by the projective
-    dimension theorem, so the test is left out for them; so it is when
+    (`_certified_empty`).  Fewer forms of positive degree always meet in
+    P^(nvars - 1), by the projective dimension theorem, so the test is
+    left out for them; so it is when
     no generator has an x0^deg term, since V(I) then holds [1:0:...:0]
     (the ideals of `supported_only_at_basepoint` do).  A proof mod p
     returns the empty data at once; otherwise, an unlucky prime included,
@@ -813,24 +903,7 @@ def hilbert_data(I):
         and _certified_empty(I)
     ):
         return HilbertData(-1, None, ())
-    numerator = _leading_numerator(I)
-    if not numerator:
-        return HilbertData(-1, None, ())
-    quotient, D = _strip_unit_root(numerator, ring.nvars)
-    if D < 0:
-        raise RuntimeError("Hilbert series reduced below constant rank")
-    if D == 0:
-        return HilbertData(-1, None, ())
-    degree = sum(quotient)
-    coeffs = [Fraction(0)] * D
-    for j, q in enumerate(quotient):
-        if q:
-            part = _binomial_polynomial(D - 1 - j, D - 1)
-            for k, c in enumerate(part):
-                coeffs[k] += q * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return HilbertData(D - 1, degree, tuple(coeffs))
+    return _hilbert_from_numerator(_leading_numerator(I), ring.nvars)
 
 
 def hilbert_function(I, d):

@@ -1,0 +1,225 @@
+"""The complete-intersection and lowest-form certificates mod one prime in
+`constants._curve_certificate`, against the route over Q they are tried
+ahead of."""
+
+import logging
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from seshadri import constants
+from seshadri.cli import EXIT_HYPOTHESIS, EXIT_OK, run
+from seshadri.geometry import (
+    base_point,
+    lowest_forms_multiplicity,
+    multiplicity_at,
+    normalize_point,
+)
+from seshadri.groebner import (
+    EMPTINESS_PRIME,
+    Ideal,
+    complete_intersection_data,
+    hilbert_data,
+)
+from seshadri.polynomials import PolynomialRing
+
+from conftest import bundled, random_homogeneous
+
+SHARPNESS = (
+    (2, 3), (2, 4), (2, 5), (2, 6),
+    (3, 4), (3, 5), (3, 6), (3, 7),
+    (4, 5), (4, 6), (4, 7), (4, 8),
+)
+BUNDLED = (
+    "quadric-surface",
+    "quadric-threefold",
+    "twisted-cubic",
+    "fermat-cubic",
+    "quartic-threefold",
+    "two-quadrics-p4",
+    "gr24-hyperplanes",
+    "gr25-pluecker",
+)
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
+
+
+@pytest.fixture
+def curve_ideals(monkeypatch):
+    """The ideals `_curve_certificate` is asked about, in order."""
+    seen = []
+    original = constants._curve_certificate
+
+    def recording(curve_ideal, trace):
+        seen.append(curve_ideal)
+        return original(curve_ideal, trace)
+
+    monkeypatch.setattr(constants, "_curve_certificate", recording)
+    return seen
+
+
+def _over_q(I):
+    """Hilbert data and multiplicity at [1:0:...:0] of a fresh copy of I,
+    both from Groebner bases over Q."""
+    fresh = Ideal(I.ring, I.generators)
+    data = hilbert_data(fresh)
+    return data, multiplicity_at(normalize_point(fresh, base_point(I.ring)))
+
+
+def _certified(I):
+    """The certified Hilbert data and multiplicity of I, each None where the
+    prime proves nothing."""
+    data = complete_intersection_data(Ideal(I.ring, I.generators))
+    curve = normalize_point(Ideal(I.ring, I.generators), base_point(I.ring))
+    return data, lowest_forms_multiplicity(curve)
+
+
+def _assert_certified_like_q(I):
+    data, mult = _certified(I)
+    assert data is not None and mult is not None, I
+    assert (data, mult) == _over_q(I), I
+
+
+def test_sharpness_curves_agree(curve_ideals):
+    for n, d in SHARPNESS:
+        _, certificate = constants.sharpness_example(n, d, seed=0)
+        # slices of degrees 1 .. n - 1 and one of order d - 1, degree d
+        orders = math.factorial(n - 1)
+        assert (certificate.degree, certificate.multiplicity) == (d * orders, (d - 1) * orders)
+    assert len(curve_ideals) >= len(SHARPNESS)
+    for I in curve_ideals:
+        _assert_certified_like_q(I)
+
+
+def test_bundled_curves_agree(curve_ideals):
+    codes = [run(["curve", bundled(name)])[1] for name in BUNDLED]
+    assert codes.count(EXIT_OK) == 3
+    assert len(curve_ideals) == 3
+    for I in curve_ideals:
+        _assert_certified_like_q(I)
+
+
+def _with_order(form, k):
+    """The terms of a form through [1:0:...:0] whose slice degree is at
+    least k: a form of order k there, if any term is left."""
+    return form.ring.from_terms((m, c) for m, c in form.terms if sum(m[1:]) >= k)
+
+
+@pytest.mark.parametrize("nvars, shape", [
+    (4, ((2, 1), (2, 1))),
+    (4, ((2, 1), (3, 2))),
+    (4, ((3, 2), (3, 2))),
+    (5, ((1, 1), (2, 1), (2, 2))),
+    (5, ((2, 1), (2, 1), (3, 1))),
+    (5, ((2, 1), (3, 2))),
+    (6, ((2, 1), (2, 2), (2, 2), (3, 2))),
+])
+def test_random_complete_intersections_agree(nvars, shape):
+    # (degree, order at the point) of each form; two forms in P^4 cut a
+    # surface, so the dimension is not always 1
+    ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)))
+    rng = random.Random(nvars * 100 + len(shape))
+    for _ in range(3):
+        gens = [
+            _with_order(random_homogeneous(ring, d, rng, through_origin=True), k)
+            for d, k in shape
+        ]
+        _assert_certified_like_q(Ideal(ring, gens))
+
+
+def test_excess_component_falls_back():
+    # x1*x2, x1*x3 in P^3: the plane x1 = 0 and the line x2 = x3 = 0, not
+    # the curve two forms in P^3 would cut out
+    ring = PolynomialRing(("x0", "x1", "x2", "x3"))
+    I = Ideal(ring, [ring.parse("x1*x2"), ring.parse("x1*x3")])
+    assert complete_intersection_data(Ideal(ring, I.generators)) is None
+    assert _over_q(I)[0].dimension == 2
+    assert constants._curve_certificate(I, {}) == (2, None)
+
+
+def test_lowest_forms_not_a_regular_sequence_fall_back():
+    # both lowest forms are x1; the curve is the complete intersection
+    # x0*x1 = x2^2 = -x3^2, with a node at the point: mult 2, not 1 * 1
+    ring = PolynomialRing(("x0", "x1", "x2", "x3"))
+    I = Ideal(ring, [ring.parse("x0*x1 - x2^2"), ring.parse("x0*x1 + x3^2")])
+    data, mult = _certified(I)
+    assert data is not None and mult is None
+    assert _over_q(I) == (data, 2)
+    _, certificate = constants._curve_certificate(I, {})
+    assert (certificate.degree, certificate.multiplicity) == (data.degree, 2) == (4, 2)
+
+
+def test_unlucky_prime_falls_back(caplog):
+    # mod p both generators are x1, so nothing is proved there; over Q the
+    # ideal is (x1, x2), a line through the point
+    ring = PolynomialRing(("x0", "x1", "x2", "x3"))
+    I = Ideal(ring, [ring.parse("x1"), ring.parse(f"x1 + {EMPTINESS_PRIME}*x2")])
+    assert _certified(I) == (None, None)
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
+    _, certificate = constants._curve_certificate(I, {})
+    data, mult = _over_q(I)
+    assert (certificate.degree, certificate.multiplicity) == (data.degree, mult) == (1, 1)
+    messages = [r.getMessage() for r in caplog.records if r.name == "seshadri.groebner"]
+    assert len(messages) == 2
+    assert all("fell back to Q" in m for m in messages)
+
+
+def test_each_attempt_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
+    ring = PolynomialRing(("x0", "x1", "x2", "x3"))
+    I = Ideal(ring, [ring.parse("x0*x1 - x2^2"), ring.parse("x0^2*x2 + x3^3 - x1*x2*x3")])
+    constants._curve_certificate(I, {})
+    messages = [r.getMessage() for r in caplog.records if r.name == "seshadri.groebner"]
+    assert len(messages) == 2
+    assert messages[0].startswith(
+        f"complete intersection mod {EMPTINESS_PRIME}: 2 generators, 4 variables, certified in "
+    )
+    assert messages[1].startswith(
+        f"lowest forms mod {EMPTINESS_PRIME}: 2 generators, 3 variables, certified in "
+    )
+    assert all(m.endswith(" ms") for m in messages)
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", bundled("two-quadrics-p4")],
+    ["sharpness", "3", "4"],
+])
+def test_reports_are_the_same_with_debug_logging(argv, tmp_path):
+    reports = []
+    for level in ("warning", "debug"):
+        path = tmp_path / f"{level}.json"
+        env = {**os.environ, "PYTHONPATH": str(SRC), "SESHADRI_LOG": level}
+        done = subprocess.run(
+            [sys.executable, "-m", "seshadri.cli", *argv, "--json", str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        logged = "certified in" in done.stderr
+        assert logged == (level == "debug")
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_proportional_cuts_fail_condition_i():
+    # q and 2*q cut out one quadric: codimension 1, not r = 2; curve used
+    # to retry its draws and exit 4
+    for command in ("classify", "curve"):
+        report, code, _ = run([command, str(DATA / "proportional-quadrics.json")])
+        assert code == EXIT_HYPOTHESIS
+        assert report["error"]["condition"] == "i"
+        assert report["error"]["message"] == (
+            "condition i: codim(X, Y) = 1 does not match r = 2"
+        )
+
+
+def test_curve_on_the_p6_sextic_reaches_six_fifths():
+    # no result in a minute over Q; one prime certifies the curve
+    report, code, _ = run(["curve", str(DATA / "p6-sextic.json")])
+    assert code == EXIT_OK
+    certificate = report["result"]["certificate"]
+    assert (certificate["degree"], certificate["multiplicity"]) == (144, 120)
+    assert certificate["ratio"] == "6/5"
