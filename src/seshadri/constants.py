@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groebner import Ideal, complete_intersection_data, graded_piece, monomials_of_degree
+from .groebner import Ideal, graded_piece, monomials_of_degree
 from .geometry import (
     PointedVariety,
     base_point,
@@ -26,7 +26,6 @@ from .geometry import (
     lift_slice,
     lift_slices,
     line_scheme,
-    lowest_forms_multiplicity,
     multiplicity_at,
     normalize_point,
     ord_at,
@@ -143,9 +142,6 @@ class CompleteIntersectionInput:
     def degrees(self):
         return tuple(f.total_degree() for f in self.cutting)
 
-    def normalized_cutting(self):
-        return tuple(self.ambient.to_normalized(f).primitive() for f in self.cutting)
-
     def variety(self):
         """X itself as a pointed variety (generators: ambient plus cuts), built once."""
         if self._variety is None:
@@ -171,21 +167,6 @@ def _line_report(X, assumptions):
         line_scheme_dimension=scheme.dimension,
         assumptions=tuple(assumptions),
     )
-
-
-def _check_codimension(Y, X, r):
-    """Hypothesis (i): X = Y cut by r hypersurfaces has codimension r in Y."""
-    codim = Y.dimension - X.dimension
-    if codim != r:
-        raise HypothesisError("i", f"codim(X, Y) = {codim} does not match r = {r}")
-
-
-def _ambient_line_scheme(Y):
-    """The lines on the ambient Y through the point; hypothesis (ii) needs one."""
-    scheme = line_scheme(Y)
-    if scheme.is_empty:
-        raise HypothesisError("ii", "no line on the ambient passes through the point")
-    return scheme
 
 
 def lower_bound(X):
@@ -236,13 +217,6 @@ def aux_divisors(X):
     return divisors, flag
 
 
-def _check_smoothness(X):
-    """Raise the smoothness hypothesis error unless the singular locus of
-    the complete intersection X is empty (the Jacobian criterion)."""
-    if not singular_locus_is_empty(X):
-        raise HypothesisError("smoothness", "the intersection is singular")
-
-
 def classify_ci(ci):
     """Exact Seshadri constant for a complete intersection in a line-covered
     ambient, after machine-checking every hypothesis that can be checked.
@@ -260,10 +234,14 @@ def classify_ci(ci):
     d_r = degrees[-1]
     assumptions = []
 
-    _check_codimension(Y, X, r)
+    codim = Y.dimension - X.dimension
+    if codim != r:
+        raise HypothesisError("i", f"codim(X, Y) = {codim} does not match r = {r}")
     assumptions.append("i: complete intersection of codimension r (verified)")
 
-    scheme_y = _ambient_line_scheme(Y)
+    scheme_y = line_scheme(Y)
+    if scheme_y.is_empty:
+        raise HypothesisError("ii", "no line on the ambient passes through the point")
     if sum(degrees) > scheme_y.dimension + 1:
         raise HypothesisError(
             "ii",
@@ -286,7 +264,8 @@ def classify_ci(ci):
         assumptions.append("iii': d_p(Y) <= 2 (verified)")
 
     if ci.validate_smoothness:
-        _check_smoothness(X)
+        if not singular_locus_is_empty(X):
+            raise HypothesisError("smoothness", "the intersection is singular")
         assumptions.append("smoothness (verified)")
 
     report = _line_report(X, (*assumptions, "line through the point on X (verified)"))
@@ -349,24 +328,15 @@ def _rerandomized_cutting(cuts, rng):
 def _curve_certificate(curve_ideal, trace):
     """(dimension, certificate) of an ideal through [1:0:...:0]: the degree
     and multiplicity are recomputed from the ideal itself, and the
-    certificate is None unless the scheme is a curve.
-
-    The cone cuts of `sharpness_example`, and of `seshadri_curve` on
-    Y = P^N, make the ideal a complete intersection, so one prime first
-    tries to prove its generators a regular sequence (dimension and degree
-    in closed form) and their lowest forms one too (mult_p as a product of
-    orders); each test that proves nothing leaves its answer to the route
-    over Q.
+    certificate is None unless the scheme is a curve.  The cone cuts make
+    the ideal a complete intersection as a rule, which `curve.hilbert` and
+    `multiplicity_at` try to prove at one prime before they ask over Q.
     """
     curve = normalize_point(curve_ideal, base_point(curve_ideal.ring))
-    hilbert = complete_intersection_data(curve_ideal)
-    if hilbert is None:
-        hilbert = curve.hilbert
+    hilbert = curve.hilbert
     if hilbert.dimension != 1:
         return hilbert.dimension, None
-    mult = lowest_forms_multiplicity(curve)
-    if mult is None:
-        mult = multiplicity_at(curve)
+    mult = multiplicity_at(curve)
     ratio = Fraction(hilbert.degree, mult)
     return 1, CurveCertificate(curve_ideal, hilbert.degree, mult, ratio, trace)
 
@@ -376,12 +346,12 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
 
     `component` must be an irreducible component of maximal dimension of
     the ambient line scheme (the caller vouches for irreducibility; the
-    default takes the whole line-scheme ideal).  A degenerate random draw
-    retries with fresh randomness; a dimension-1 result whose ratio misses
-    d_r/(d_r - 1) is reported as a counterexample candidate, never accepted.
-    Hypotheses (i) and (ii) are checked first, and with
-    `ci.validate_smoothness` the singular locus of X, as in `classify_ci`;
-    with Y = P^N one prime can prove (i) without a basis over Q.
+    default takes the whole line-scheme ideal).  The hypotheses and the
+    target ratio are `classify_ci`'s, and a line on X through the point
+    fails hypothesis `line`; the cone cuts further need the degree sum to
+    equal dim F_p(Y) + 1.  A degenerate random draw retries with fresh
+    randomness; a dimension-1 result whose ratio misses the classified
+    value is reported as a counterexample candidate, never accepted.
     """
     Y = ci.ambient
     degrees = ci.degrees
@@ -389,25 +359,23 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
     d_r = degrees[-1]
     if d_r < 2:
         raise HypothesisError("d_r", "the cone-cut construction needs d_r >= 2")
-    # with Y = P^N, hypothesis (i) says the r cuts are a regular sequence,
-    # which one prime can prove without building X or a basis over Q
-    if Y.ideal.generators or complete_intersection_data(Ideal(Y.ring, ci.cutting)) is None:
-        _check_codimension(Y, ci.variety(), r)
-    scheme_y = _ambient_line_scheme(Y)
+    report = classify_ci(ci)
+    scheme_y = line_scheme(Y)
     if sum(degrees) != scheme_y.dimension + 1:
         raise HypothesisError(
             "ii",
             f"cone cutting needs sum of degrees = dim F_p(Y) + 1 = {scheme_y.dimension + 1}, "
             f"got {sum(degrees)}",
         )
-    if ci.validate_smoothness:
-        _check_smoothness(ci.variety())
+    if report.status == LINE_FOUND:
+        raise HypothesisError("line", "a line on X passes through the point")
+    target = report.epsilon
     Z = component if component is not None else scheme_y.ideal
     if Z.ring != slice_ring(Y.ring):
         raise ValueError("component ideal must live in the direction ring of Y")
     rng = random.Random(seed)
-    target = Fraction(d_r, d_r - 1)
-    base_cuts = ci.normalized_cutting()
+    # X's normalized generators end with the cuts, moved once by ci.variety()
+    base_cuts = tuple(f.primitive() for f in ci.variety().normalized_ideal.generators[-r:])
     last_failure = None
     for attempt in range(retries + 1):
         cuts = base_cuts if attempt == 0 else _rerandomized_cutting(base_cuts, rng)

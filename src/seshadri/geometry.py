@@ -7,7 +7,8 @@ A pointed variety carries a saturated homogeneous ideal together with an
 invertible coordinate change sending the base point to [1:0:...:0].  Each
 Hilbert question is asked in one place: `PointedVariety.hilbert` (dimension
 and degree), `line_scheme` (the lines through the point) and
-`multiplicity_at` (the tangent cone).
+`multiplicity_at` (the tangent cone).  The first and the last try one
+prime on the variety's own generators before a basis over Q (see below).
 
 The local answers come from reduced Groebner bases for the order comparing
 x_0 degrees first, which are local standard bases at the point: the top x_0
@@ -20,19 +21,21 @@ off two Hilbert-series numerators as well: its degree against its length
 there.  Every answer is exact; no truncation level, cap or degree bound is
 involved.
 
-The multiplicity of a complete intersection has a shortcut proved at one
-prime, `lowest_forms_multiplicity`: when the lowest forms of the
-generators at the point are a regular sequence in k[x_1..x_N], the
-associated graded ring of the local ring of P^N at p, they generate the
-tangent cone (Valabrega and Valla, "Form rings and regular sequences",
-Nagoya Math. J. 72 (1978), 93-101), a complete intersection of degrees
-ord_p(g_i), so mult_p = prod ord_p(g_i).  The regular sequence is proved
-by `groebner.complete_intersection_data` (the one-sided bound of Arnold
-and Pauer with Krull's principal ideal theorem; see `groebner`), and
-`multiplicity_at` answers whenever the prime proves nothing.  Its one call
-site is `constants._curve_certificate`, which reads the certificate
-curve's dimension and degree from `complete_intersection_data` in the same
-way.
+Complete intersections have shortcuts proved at one prime by
+`groebner.complete_intersection_data` (the one-sided bound of Arnold and
+Pauer with Krull's principal ideal theorem; see `groebner`).
+`PointedVariety.hilbert` asks it of the normalized generators: a regular
+sequence has its Hilbert data in closed form.  `multiplicity_at` asks it
+of their lowest forms, `lowest_forms_multiplicity`: when the lowest forms
+at the point are a regular sequence in k[x_1..x_N], the associated graded
+ring of the local ring of P^N at p, they generate the tangent cone
+(Valabrega and Valla, "Form rings and regular sequences", Nagoya Math. J.
+72 (1978), 93-101), a complete intersection of degrees ord_p(g_i), so
+mult_p = prod ord_p(g_i).  Whenever the prime proves nothing, the basis
+over Q answers.  Line schemes, singular loci and
+`supported_only_at_basepoint` call `hilbert_data` directly: their ideals
+are rarely complete intersections, and a failed attempt mod p would only
+cost time.
 """
 
 from __future__ import annotations
@@ -155,7 +158,8 @@ class PointedVariety:
     @property
     def hilbert(self):
         if self._hilbert is None:
-            self._hilbert = hilbert_data(self.normalized_ideal)
+            I = self.normalized_ideal
+            self._hilbert = complete_intersection_data(I) or hilbert_data(I)
         return self._hilbert
 
     @property
@@ -371,7 +375,16 @@ def _agree_at_point(J, I):
 
 
 def multiplicity_at(X):
-    """Hilbert-Samuel multiplicity of the local ring of X at its base point.
+    """Hilbert-Samuel multiplicity of the local ring of X at its base point:
+    the product of the orders when one prime proves the lowest forms of
+    the generators a regular sequence (`lowest_forms_multiplicity`), else
+    read off the tangent cone (`_tangent_cone_multiplicity`)."""
+    mult = lowest_forms_multiplicity(X)
+    return _tangent_cone_multiplicity(X) if mult is None else mult
+
+
+def _tangent_cone_multiplicity(X):
+    """mult_p from the tangent cone, over any field.
 
     The tangent cone ideal TC is generated by the top x_0 slices of the
     local basis.  The chart ring modulo TC is the associated graded ring

@@ -50,13 +50,13 @@ at most 0, one holding a pure power of every variable, proves V(I) empty.
 `hilbert_data` tries this only on ideals whose basis over Q is not cached
 and which have at least nvars generators, since fewer forms of positive
 degree always meet.  Complete intersections (`complete_intersection_data`):
-r forms whose leading ideal mod p has dimension n - r, read off its
+0 < r < n forms whose leading ideal mod p has dimension n - r, read off its
 Hilbert-series numerator, are a regular sequence over Q, by the bound and
 Krull's theorem together, and their Hilbert data is the closed form above.
-The curve certificates of `constants` ask this, and `geometry` asks it of
-their lowest forms for the multiplicity.  Every other outcome, an unlucky
-prime included, falls back to the basis over Q, so the prime costs time
-and never an answer.
+`geometry` asks this of every pointed variety for its Hilbert data, and of
+its lowest forms at the point for the multiplicity.  Every other outcome,
+an unlucky prime included, falls back to the basis over Q, so the prime
+costs time and never an answer.
 """
 
 from __future__ import annotations
@@ -832,13 +832,15 @@ def complete_intersection_data(I, test="complete intersection"):
     dimension n - r mod p proves dim R/I = n - r.  Forms of height r in a
     polynomial ring are a regular sequence, and the Hilbert series of R/I
     is then prod (1 - t^d_i) / (1 - t)^n.  None means only that this
-    prime proves nothing; the caller asks over Q.  `test` names the
-    attempt in the debug log.
+    prime proves nothing; the caller asks over Q.  Only 0 < r < n is
+    tried: r = 0 needs no prime, and from r = n on a regular sequence cuts
+    out the empty scheme, which `hilbert_data` tests mod p itself.  `test`
+    names the attempt in the debug log.
     """
     ring = I.ring
-    if ring.field != QQ or not I.is_homogeneous:
-        return None
     n = ring.nvars
+    if ring.field != QQ or not 0 < len(I.generators) < n or not I.is_homogeneous:
+        return None
 
     def expected_dimension(leads):
         numerator = _hilbert_numerator(leads, n)

@@ -273,9 +273,14 @@ class TestExitCodes:
             ],
             "point": ["1", "0", "0", "0", "0"],
         }))
-        report, code, _ = run(["classify", str(bad)])
-        assert code == EXIT_HYPOTHESIS
-        assert report["error"]["condition"] == "ii"
+        messages = []
+        for command in ("classify", "curve"):
+            report, code, _ = run([command, str(bad)])
+            assert code == EXIT_HYPOTHESIS
+            assert report["error"]["condition"] == "ii"
+            messages.append(report["error"]["message"])
+        # curve's hypotheses are classify's, in the same words
+        assert messages[0] == messages[1]
 
     def test_internal_failure_on_bad_component(self, tmp_path, capsys):
         # a component ideal that is not a maximal component of the ambient

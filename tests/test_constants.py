@@ -212,7 +212,8 @@ def reference_line_scheme_of_x(ci):
     """F_p(X) built by hand: the line scheme of Y plus every slice of the
     normalized cuts, in the slice ring."""
     slices = list(line_scheme(ci.ambient).ideal.generators)
-    for f in ci.normalized_cutting():
+    for f in ci.cutting:
+        f = ci.ambient.to_normalized(f).primitive()
         slices.extend(s for s in slice_decomposition(f) if s)
     return Ideal(slice_ring(ci.ambient.ring), slices)
 

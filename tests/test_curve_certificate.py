@@ -1,7 +1,10 @@
-"""The complete-intersection and lowest-form certificates mod one prime in
-`constants._curve_certificate`, against the route over Q they are tried
-ahead of."""
+"""The complete-intersection and lowest-form certificates mod one prime,
+which `PointedVariety.hilbert` and `multiplicity_at` try ahead of the route
+over Q, against that route; and `curve`, which certifies what `classify`
+decides."""
 
+import importlib.util
+import json
 import logging
 import math
 import os
@@ -13,8 +16,9 @@ from pathlib import Path
 import pytest
 
 from seshadri import constants
-from seshadri.cli import EXIT_HYPOTHESIS, EXIT_OK, run
+from seshadri.cli import EXIT_HYPOTHESIS, EXIT_OK, load_instance, run
 from seshadri.geometry import (
+    _tangent_cone_multiplicity,
     base_point,
     lowest_forms_multiplicity,
     multiplicity_at,
@@ -47,6 +51,7 @@ BUNDLED = (
 )
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.fixture
@@ -68,7 +73,7 @@ def _over_q(I):
     both from Groebner bases over Q."""
     fresh = Ideal(I.ring, I.generators)
     data = hilbert_data(fresh)
-    return data, multiplicity_at(normalize_point(fresh, base_point(I.ring)))
+    return data, _tangent_cone_multiplicity(normalize_point(fresh, base_point(I.ring)))
 
 
 def _certified(I):
@@ -156,7 +161,8 @@ def test_lowest_forms_not_a_regular_sequence_fall_back():
 
 def test_unlucky_prime_falls_back(caplog):
     # mod p both generators are x1, so nothing is proved there; over Q the
-    # ideal is (x1, x2), a line through the point
+    # ideal is (x1, x2), a line through the point.  The certificate reads
+    # `curve.hilbert` and `multiplicity_at`, one attempt mod p each
     ring = PolynomialRing(("x0", "x1", "x2", "x3"))
     I = Ideal(ring, [ring.parse("x1"), ring.parse(f"x1 + {EMPTINESS_PRIME}*x2")])
     assert _certified(I) == (None, None)
@@ -173,7 +179,11 @@ def test_each_attempt_is_logged(caplog):
     caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
     ring = PolynomialRing(("x0", "x1", "x2", "x3"))
     I = Ideal(ring, [ring.parse("x0*x1 - x2^2"), ring.parse("x0^2*x2 + x3^3 - x1*x2*x3")])
-    constants._curve_certificate(I, {})
+    curve = normalize_point(I, base_point(ring))
+    # the variety asks the prime once and caches the answer; the lowest
+    # forms x1, x2 give mult 1
+    assert curve.hilbert == curve.hilbert
+    assert multiplicity_at(curve) == 1
     messages = [r.getMessage() for r in caplog.records if r.name == "seshadri.groebner"]
     assert len(messages) == 2
     assert messages[0].startswith(
@@ -223,3 +233,59 @@ def test_curve_on_the_p6_sextic_reaches_six_fifths():
     certificate = report["result"]["certificate"]
     assert (certificate["degree"], certificate["multiplicity"]) == (144, 120)
     assert certificate["ratio"] == "6/5"
+
+
+def _synthetic_instances(seed):
+    """The synthetic-ci instances of the benchmark for one seed."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.synthetic_instances(seed)
+
+
+def test_variety_hilbert_equals_the_route_over_q(tmp_path):
+    paths = [bundled(name) for name in BUNDLED]
+    paths += [DATA / "point-p2.json", DATA / "proportional-quadrics.json"]
+    for name, raw in _synthetic_instances(1):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(raw))
+    certified = set()
+    for path in paths:
+        instance = load_instance(str(path))
+        X, Y = instance.variety(), instance.ambient_variety()
+        for Z in (X, Y):
+            fresh = Ideal(Z.ring, Z.normalized_ideal.generators)
+            assert Z.hilbert == hilbert_data(fresh), path
+        if complete_intersection_data(X.normalized_ideal) is not None:
+            certified.add(Path(path).stem)
+    # the X that are not complete intersections fall back to Q
+    assert certified.isdisjoint({"gr25-pluecker", "twisted-cubic", "proportional-quadrics"})
+    assert {"two-quadrics-p4", "point-p2", "p5-2-2-2-0"} <= certified
+
+
+def test_classify_builds_no_basis_of_x():
+    # two quadrics in P^4: one prime proves (i), the line scheme has its
+    # own ideal, so X's basis over Q is never needed
+    ci = load_instance(bundled("two-quadrics-p4")).ci_input()
+    assert constants.classify_ci(ci).status == constants.EXACT
+    assert ci.variety().normalized_ideal._basis_cache == {}
+
+
+@pytest.mark.parametrize("path", [
+    DATA / "line-pair-p2.json",
+    # a smooth cubic surface with the line x1 = x2 = 0 through [1:0:0:0];
+    # curve used to certify 3/2 where classify finds epsilon = 1
+    {"variables": ["x0", "x1", "x2", "x3"], "ambient": [],
+     "cutting": [{"expression": "x0^2*x1 + x0*x2*x3 + x2^3 + x1^3 + x1*x3^2", "degree": 3}],
+     "point": ["1", "0", "0", "0"]},
+])
+def test_curve_fails_on_a_line_through_the_point(path, tmp_path):
+    if isinstance(path, dict):
+        (tmp_path / "cubic.json").write_text(json.dumps(path))
+        path = tmp_path / "cubic.json"
+    report, code, _ = run(["classify", str(path)])
+    assert code == EXIT_OK
+    assert report["result"]["seshadri"]["status"] == constants.LINE_FOUND
+    report, code, _ = run(["curve", str(path)])
+    assert code == EXIT_HYPOTHESIS
+    assert report["error"]["condition"] == "line"

@@ -224,12 +224,13 @@ class TestCurveValidate:
         assert checked["result"] == plain["result"]
 
     def test_singular_intersection_exits_2(self, tmp_path):
-        # a cubic surface smooth at [1:0:0:0], singular at [0:0:0:1]
+        # a cubic surface smooth at [1:0:0:0], singular at [0:0:0:1], with
+        # no line through [1:0:0:0]
         path = tmp_path / "singular.json"
         path.write_text(json.dumps({
             "variables": ["x0", "x1", "x2", "x3"],
             "ambient": [],
-            "cutting": [{"expression": "x0^2*x1 + x2^3 + x1*x2*x3", "degree": 3}],
+            "cutting": [{"expression": "x0^2*x3 + x0*x1^2 + x2^3 + x1*x2*x3", "degree": 3}],
             "point": ["1", "0", "0", "0"],
         }))
         report, code, _ = run(["curve", str(path), "--validate"])
