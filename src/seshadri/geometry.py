@@ -7,8 +7,8 @@ A pointed variety carries a saturated homogeneous ideal together with an
 invertible coordinate change sending the base point to [1:0:...:0].  Each
 Hilbert question is asked in one place: `PointedVariety.hilbert` (dimension
 and degree), `line_scheme` (the lines through the point) and
-`multiplicity_at` (the tangent cone).  The first and the last try one
-prime on the variety's own generators before a basis over Q (see below).
+`multiplicity_at` (the tangent cone).  Each tries one prime before a basis
+over Q (see below).
 
 The local answers come from reduced Groebner bases for the order comparing
 x_0 degrees first, which are local standard bases at the point: the top x_0
@@ -31,11 +31,19 @@ at the point are a regular sequence in k[x_1..x_N], the associated graded
 ring of the local ring of P^N at p, they generate the tangent cone
 (Valabrega and Valla, "Form rings and regular sequences", Nagoya Math. J.
 72 (1978), 93-101), a complete intersection of degrees ord_p(g_i), so
-mult_p = prod ord_p(g_i).  Whenever the prime proves nothing, the basis
-over Q answers.  Line schemes, singular loci and
-`supported_only_at_basepoint` call `hilbert_data` directly: their ideals
-are rarely complete intersections, and a failed attempt mod p would only
-cost time.
+mult_p = prod ord_p(g_i).  `line_scheme` asks it of the slices of the
+generators: when they are fewer than the directions and a regular
+sequence, the line scheme's data is in closed form; with as many slices
+as directions or more, no attempt is made.  Whenever the prime proves
+nothing, the basis over Q answers.  Singular loci and
+`supported_only_at_basepoint` still call `hilbert_data` directly: their
+ideals are rarely complete intersections, and a failed attempt mod p would
+only cost time.
+
+Dimension counts decide before any basis where they can: `cut_out_degree`
+skips every degree whose generators are too few to cut out X near the
+point, by Krull's principal ideal theorem, so a complete intersection has
+d_p equal to its top cutting degree without a local basis.
 """
 
 from __future__ import annotations
@@ -234,7 +242,13 @@ def normalize_point(ideal, point):
 
 def line_scheme(X):
     """The scheme of lines on X through the base point, defined by all slices
-    of the normalized generators; computed once per variety."""
+    of the normalized generators; computed once per variety.
+
+    Its Hilbert data comes from `complete_intersection_data` when one prime
+    proves the slices a regular sequence (only tried for fewer slices than
+    variables), else from `hilbert_data`, which tests emptiness mod the
+    same prime itself.
+    """
     if X._line_scheme is not None:
         return X._line_scheme
     target = slice_ring(X.ring)
@@ -242,7 +256,8 @@ def line_scheme(X):
     for g in X.normalized_ideal.generators:
         slices.extend(s for s in slice_decomposition(g) if s)
     scheme_ideal = Ideal(target, slices)
-    X._line_scheme = LineScheme(scheme_ideal, hilbert_data(scheme_ideal))
+    hilbert = complete_intersection_data(scheme_ideal, "line scheme")
+    X._line_scheme = LineScheme(scheme_ideal, hilbert or hilbert_data(scheme_ideal))
     return X._line_scheme
 
 
@@ -271,6 +286,15 @@ def cut_out_degree(X):
     which I_<=d and I agree at the point is returned; the top degree always
     qualifies.  On a scheme that is reducible or non-reduced at the point
     the answer may exceed deg X.  Each call recomputes; `X.d_p` caches.
+
+    A degree whose generators J number fewer than codim X = N - dim X is
+    skipped without a local basis.  Were J to agree with I at p, every
+    component of X through p would be a component of V(J) there, of
+    codimension at most #J by Krull's principal ideal theorem (Matsumura,
+    "Commutative Ring Theory", Thm. 13.5); and codim X is at most the
+    codimension of any component, so #J >= codim X.  For a complete
+    intersection in P^N no lower degree passes, and d_p is the top
+    cutting degree.
     """
     I = X.normalized_ideal
     if X.hilbert.is_empty:
@@ -278,9 +302,10 @@ def cut_out_degree(X):
     degrees = sorted({g.total_degree() for g in I.generators})
     if not degrees:
         return 1
+    codim = X.ambient_dimension - X.dimension
     for d in degrees[:-1]:
-        J = Ideal(X.ring, [g for g in I.generators if g.total_degree() <= d])
-        if _agree_at_point(J, I):
+        J = [g for g in I.generators if g.total_degree() <= d]
+        if len(J) >= codim and _agree_at_point(Ideal(X.ring, J), I):
             return d
     return degrees[-1]
 

@@ -746,8 +746,10 @@ def _strip_unit_root(numerator, nvars):
     return poly, nvars - divisions
 
 
+@lru_cache(maxsize=None)
 def _binomial_polynomial(shift, k):
-    """Coefficients of binom(m + shift, k) as a polynomial in m."""
+    """Coefficients of binom(m + shift, k) as a polynomial in m, as a tuple:
+    cached, since every Hilbert question asks for the same few."""
     coeffs = [Fraction(1)]
     for i in range(1, k + 1):
         root = Fraction(shift - i + 1)
@@ -761,7 +763,7 @@ def _binomial_polynomial(shift, k):
         for i in range(2, k + 1):
             fact *= i
         coeffs = [c / fact for c in coeffs]
-    return coeffs
+    return tuple(coeffs)
 
 
 def _leads_mod_p(I):
