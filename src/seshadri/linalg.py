@@ -1,8 +1,9 @@
 """Small exact linear algebra over a field (rationals or a prime field).
 
 Matrices are lists of lists of field scalars.  Everything here is dense
-Gaussian elimination; the problem sizes are tiny (coordinate changes,
-the oracle's tangent-vector solves and kernels).
+Gaussian elimination; the problem sizes are tiny (coordinate changes).
+`rref` and `solve_affine` have no caller in the package: the oracle
+eliminates on plain ints mod q, and the tests check it against these.
 """
 
 from __future__ import annotations

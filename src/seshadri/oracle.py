@@ -10,10 +10,16 @@ constant; a coset too large to expand at once is split by its lowest
 digit first.  Conics come from a randomized search over tangent
 directions v = sum_j c_j*b_j: g(p + t*v + t^2*w) is expanded once per
 generator with the tangent coordinates c_j and w symbolic, and each draw
-only evaluates that expansion at its c.  Both expansions run on packed
+only evaluates that expansion at its c: one packed sum of integers whose
+fields are the t-coefficients, read off already split into the
+constraints linear in w and the higher ones, since each group of terms
+is classed once by its w-monomial.  Both expansions run on packed
 exponent keys.  Plane-curve multiplicities read off the lowest form after
-translating the point to the affine origin.  The hot loops run on plain
-ints mod q.
+translating the point to the affine origin.  Everything runs on plain
+ints mod q, the linear algebra too: the Jacobian comes from the terms,
+and the tangent kernel, the solve for w and the rank tests are one
+reduced echelon form (`_echelon`, `_solve`), so `linalg` stays an
+independent reference for them.
 
 The scan is sequential, since the interpreter lock would serialise
 threads over this pure-Python work; the directions found come back in
@@ -29,7 +35,6 @@ import time
 from dataclasses import dataclass
 from math import comb
 from operator import mul
-from . import linalg
 from .polynomials import (
     BadReductionError,
     PolynomialRing,
@@ -71,13 +76,75 @@ def modular_instance(X, q):
     return ModularInstance(prime=q, ring=ring, generators=gens, point=point)
 
 
-def _gradient(instance):
-    """Rows of the Jacobian matrix of the generators at the point."""
-    point = instance.point
-    return [
-        [g.derivative(i).evaluate(point) for i in range(instance.ring.nvars)]
-        for g in instance.generators
-    ]
+def _gradient(forms, point, q):
+    """Rows of the Jacobian matrix at a point of F_q^n of the `_form`s: the
+    partial derivative d/dx_i of c*x^a is c*a_i*x^(a - e_i), and a term
+    whose a_i is divisible by q adds nothing."""
+    rows = []
+    for form in forms:
+        row = [0] * len(point)
+        for c, factors in form:
+            for i, e in factors:
+                if e % q:
+                    x = c * e
+                    for j, f in factors:
+                        x = x * pow(point[j], f - (j == i), q) % q
+                    row[i] += x
+        rows.append([x % q for x in row])
+    return rows
+
+
+def _echelon(rows, q):
+    """Reduced row echelon form over F_q of rows of ints; returns (rows,
+    pivot columns) with zero rows dropped and monic pivots cleared above
+    and below, as `linalg.rref` does."""
+    rows = [[x % q for x in row] for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        lead = rows[rank] = [x * inv % q for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                f = row[col]
+                rows[r] = [(x - f * y) % q for x, y in zip(row, lead)]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows[:rank], pivots
+
+
+def _solve(rows, rhs, q):
+    """Solve rows*x = rhs over F_q; returns (particular, free vectors), or
+    None if there is no solution.  As in `linalg.solve_affine`, the
+    particular solution is zero on the free columns, and the free vector
+    of free column f is one at f and zero at the other free columns, in
+    increasing f.  Both are read off the reduced echelon form, which is
+    unique, so they do not depend on the order of the rows."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    reduced, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)], q)
+    if ncols in pivots:
+        return None
+    particular = [0] * ncols
+    for row, col in zip(reduced, pivots):
+        particular[col] = row[-1]
+    taken = set(pivots)
+    free = []
+    for f in range(ncols):
+        if f not in taken:
+            vec = [0] * ncols
+            vec[f] = 1
+            for row, col in zip(reduced, pivots):
+                vec[col] = -row[f] % q
+            free.append(vec)
+    return particular, free
 
 
 def _form(g):
@@ -307,19 +374,19 @@ def count_lines_mod_q(instance):
     """
     started = time.perf_counter()
     q = instance.prime
-    field = instance.ring.field
     nvars = instance.ring.nvars
     point = instance.point
+    forms = [_form(g) for g in instance.generators]
     pivot = next(i for i, x in enumerate(point) if x % q != 0)
-    rows = _gradient(instance) + [[int(i == pivot) for i in range(nvars)]]
-    _, kernel = linalg.solve_affine(rows, [0] * len(rows), field)
-    basis, _ = linalg.rref(kernel, field)
+    rows = _gradient(forms, point, q) + [[int(i == pivot) for i in range(nvars)]]
+    _, kernel = _solve(rows, [0] * len(rows), q)
+    basis, _ = _echelon(kernel, q)
     total = sum(q**k for k in range(len(basis)))
     if total > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"{total} directions exceed the enumeration limit; lower q"
         )
-    hits = _line_directions([_form(g) for g in instance.generators], point, basis, q)
+    hits = _line_directions(forms, point, basis, q)
     logger.debug(
         "line scan mod %d: %d tangent directions decided, %d lines, in %.1f ms",
         q, total, len(hits), 1000 * (time.perf_counter() - started),
@@ -344,30 +411,30 @@ class ConicSearchResult:
         return not self.found
 
 
-def _rank(vectors, field):
-    rows, _ = linalg.rref([list(v) for v in vectors], field)
-    return len(rows)
-
-
 def _conic_expansion(forms, point, tangent_basis, q):
     """Every generator along p + t*v + t^2*w, v = sum_j c_j*b_j, expanded
     once with the tangent coordinates c_j and w symbolic.
 
-    Returns (terms, buckets): the number of terms of the expansion, and
-    buckets(c), the t-buckets of g(p + t*v + t^2*w) over F_q at the
-    coordinates c, w symbolic, as {(generator, t-degree): {w-factors:
-    coefficient}} without zero entries; w-factors is ((i, a_i), ...) as in
-    `_form`, and w^(q^j) is kept.
+    Returns (terms, constraints): the number of terms of the expansion,
+    and constraints(c), the conditions on w for g(p + t*v + t^2*w) = 0
+    over F_q at the coordinates c, as (linear_rows, rhs, higher).  Each
+    t-coefficient of each generator, a bucket, is a polynomial in w.  A
+    bucket of total degree at most one in w at c is the row of a linear
+    equation linear_rows*w = rhs, unless it is zero at c; any other bucket
+    goes to higher as its nonzero terms (coefficient, w-factors), with
+    w-factors ((i, a_i), ...) as in `_form` and w^(q^j) kept.
 
     A key is k + tspan*wcode + span*ccode for t^k*w^a*c^b, with wcode =
     sum a_i*base^i and ccode = sum b_j*base^j (base > deg g bounds every
     exponent, tspan > 2 deg g bounds k), so products add keys.  The c_j
     take values in F_q only, so `_power` scales k + tspan*wcode alone.
-    The terms are grouped by (generator, k, w-monomial).  buckets(c)
-    evaluates each c-monomial with one product, as an earlier one times
-    its lowest variable, and sums every group at once: each c-monomial
-    carries its groups' coefficients in fixed-width byte fields of one
-    integer, wide enough that no field's sum carries into the next.
+    The terms are grouped by (generator, k, w-monomial), and each group
+    is classed once by its w-monomial: constant, linear in one w_i, or
+    higher.  constraints(c) evaluates each c-monomial with one product, as
+    an earlier one times its lowest variable, and sums every group at
+    once: each c-monomial carries its groups' coefficients in fixed-width
+    byte fields of one integer, wide enough that no field's sum carries
+    into the next.  A bucket is then read off the fields of its groups.
     """
     nvars = len(point)
     degree = max((sum(e for _, e in f) for form in forms for _, f in form), default=0)
@@ -402,10 +469,10 @@ def _conic_expansion(forms, point, tangent_basis, q):
         chain.append((position[code - step], j))
     # a group's value before reduction fits in `width` bytes
     width = ((len(codes) * (q - 1) ** 2).bit_length() + 7) // 8
-    fields = {}
+    members = {}
     rows = [[] for _ in codes]
     for g, ((n, k, wcode), terms) in enumerate(groups.items()):
-        fields.setdefault((n, k), []).append((_digits(wcode, base), width * g))
+        members.setdefault((n, k), []).append((g, _digits(wcode, base)))
         for code, x in terms:
             rows[position[code]].append((width * g, x))
     size = width * len(groups)
@@ -415,24 +482,43 @@ def _conic_expansion(forms, point, tangent_basis, q):
         for at, x in row:
             data[at : at + width] = x.to_bytes(width, "little")
         packed.append(int.from_bytes(data, "little"))
+    # per bucket: its constant group (or None), its groups linear in one
+    # w_i as (i, group), its other groups, and all of them with w-factors
+    buckets = []
+    for bucket in members.values():
+        constant, linear, rest = None, [], []
+        for g, factors in bucket:
+            if not factors:
+                constant = g
+            elif len(factors) == 1 and factors[0][1] == 1:
+                linear.append((factors[0][0], g))
+            else:
+                rest.append(g)
+        buckets.append((constant, linear, rest, bucket))
+    offsets = range(0, size, width)
+    read = int.from_bytes
 
-    def buckets(c):
+    def constraints(c):
         values = [1]
         for i, j in chain:
             values.append(values[i] * c[j] % q)
         data = sum(map(mul, values, packed)).to_bytes(size, "little")
-        out = {}
-        for key, field in fields.items():
-            piece = {}
-            for factors, at in field:
-                x = int.from_bytes(data[at : at + width], "little") % q
-                if x:
-                    piece[factors] = x
-            if piece:
-                out[key] = piece
-        return out
+        x = [read(data[at : at + width], "little") % q for at in offsets]
+        linear_rows, rhs, higher = [], [], []
+        for constant, linear, rest, bucket in buckets:
+            if any(x[g] for g in rest):
+                higher.append([(x[g], factors) for g, factors in bucket if x[g]])
+                continue
+            row = [0] * nvars
+            for i, g in linear:
+                row[i] = x[g]
+            b = 0 if constant is None else -x[constant] % q
+            if b or any(row):
+                linear_rows.append(row)
+                rhs.append(b)
+        return linear_rows, rhs, higher
 
-    return sum(map(len, groups.values())), buckets
+    return sum(map(len, groups.values())), constraints
 
 
 def _lowest(code, base):
@@ -461,22 +547,24 @@ def find_conic_mod_q(instance, budget=200, seed=0):
     Draws tangent directions v = sum_j c_j*b_j from the Jacobian kernel
     basis b_j at the point.  Each generator is expanded once along
     p + t*v + t^2*w with the c_j and w symbolic (`_conic_expansion`); a
-    draw evaluates the c-monomials at its c and sums each bucket, which
-    gives the t-coefficients of g(p + t*v + t^2*w) with w symbolic.  Every
-    t-coefficient of total degree at most one in w is a linear constraint
-    on w; the search solves those, fills the free choices at random, and
-    keeps a draw only if the remaining coefficients vanish at w and the
-    three vectors are independent.
+    draw evaluates the c-monomials at its c and reads the t-coefficients
+    of g(p + t*v + t^2*w), w symbolic, off one packed sum, already split
+    into the linear constraints on w (those of total degree at most one
+    in w) and the higher ones.  The search solves the linear ones, fills
+    the free choices at random, and keeps a draw only if the higher
+    coefficients vanish at w and p, v, w are independent.  The solve and
+    the rank tests are one reduced echelon form on ints mod q
+    (`_echelon`); the draw's w is `_solve`'s canonical solution, so the
+    draws do not depend on how the constraints are ordered.
     """
     started = time.perf_counter()
     q = instance.prime
-    field = instance.ring.field
     nvars = instance.ring.nvars
     point = list(instance.point)
     forms = [_form(g) for g in instance.generators]
     # with no generators the zero row leaves the whole space tangent
-    gradient = _gradient(instance) or [[0] * nvars]
-    _, tangent_basis = linalg.solve_affine(gradient, [0] * len(gradient), field)
+    gradient = _gradient(forms, point, q) or [[0] * nvars]
+    _, tangent_basis = _solve(gradient, [0] * len(gradient), q)
 
     def done(result, terms=0):
         logger.debug(
@@ -489,39 +577,29 @@ def find_conic_mod_q(instance, budget=200, seed=0):
 
     if not tangent_basis:
         return done(ConicSearchResult(False, None, 0))
-    terms, buckets = _conic_expansion(forms, point, tangent_basis, q)
+    terms, constraints = _conic_expansion(forms, point, tangent_basis, q)
+    # v is a multiple of p iff v_i*p_k = v_k*p_i for every i, k the
+    # first coordinate of p that is nonzero
+    k = next(i for i, x in enumerate(point) if x % q)
     rng = random.Random(seed)
     for attempt in range(1, budget + 1):
         c = [rng.randrange(q) for _ in tangent_basis]
         v = [sum(map(mul, c, column)) % q for column in zip(*tangent_basis)]
-        if not any(v) or _rank([point, v], field) < 2:
+        if not any((x * point[k] - v[k] * y) % q for x, y in zip(v, point)):
             continue
-        linear_rows = []
-        linear_rhs = []
-        higher = []
-        for piece in buckets(c).values():
-            if all(sum(e for _, e in f) <= 1 for f in piece):
-                row = [0] * nvars
-                for f, x in piece.items():
-                    if f:
-                        row[f[0][0]] = x
-                linear_rows.append(row)
-                linear_rhs.append(-piece.get((), 0) % q)
-            else:
-                higher.append([(x, f) for f, x in piece.items()])
+        linear_rows, rhs, higher = constraints(c)
         if linear_rows:
-            solved = linalg.solve_affine(linear_rows, linear_rhs, field)
+            solved = _solve(linear_rows, rhs, q)
             if solved is None:
                 continue
-            particular, free_basis = solved
+            w, free_basis = solved
         else:
-            particular = [0] * nvars
-            free_basis = [list(row) for row in linalg.identity(nvars, field)]
-        w = list(particular)
+            w = [0] * nvars
+            free_basis = [[int(i == j) for j in range(nvars)] for i in range(nvars)]
         for vec in free_basis:
             a = rng.randrange(q)
             w = [(x + a * y) % q for x, y in zip(w, vec)]
-        if _rank([point, v, w], field) < 3:
+        if len(_echelon([point, v, w], q)[0]) < 3:
             continue
         if not any(_value(h, w, q) for h in higher):
             witness = (tuple(point), tuple(v), tuple(w))

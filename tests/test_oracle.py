@@ -23,11 +23,12 @@ from seshadri.geometry import multiplicity_at, normalize_point
 from seshadri.oracle import (
     ModularInstance,
     _conic_expansion,
+    _echelon,
     _expand,
     _form,
     _gradient,
     _line_directions,
-    _rank,
+    _solve,
     _value,
     count_lines_mod_q,
     find_conic_mod_q,
@@ -147,14 +148,41 @@ def _per_draw_buckets(form, point, v, q):
     return buckets
 
 
+def split_constraints(pieces, nvars, q):
+    """(linear, higher) for t-coefficients {w-factors: coefficient}: one of
+    total degree at most one in w is a pair (row, rhs) of linear, any
+    other its list of terms (coefficient, w-factors) in higher."""
+    linear, higher = [], []
+    for piece in pieces:
+        if all(sum(e for _, e in f) <= 1 for f in piece):
+            row = [0] * nvars
+            for f, x in piece.items():
+                if f:
+                    row[f[0][0]] = x
+            linear.append((row, -piece.get((), 0) % q))
+        else:
+            higher.append([(x, f) for f, x in piece.items()])
+    return linear, higher
+
+
+def reference_gradient(gens, point):
+    """Rows of the Jacobian matrix at the point, by `Polynomial.derivative`."""
+    return [[g.derivative(i).evaluate(point) for i in range(len(point))] for g in gens]
+
+
+def reference_rank(vectors, field):
+    return len(linalg.rref([list(v) for v in vectors], field)[0])
+
+
 def reference_find_conic(instance, budget=200, seed=0):
-    """The conic search that expands every generator afresh for each draw."""
+    """The conic search that expands every generator afresh for each draw,
+    on `Polynomial.derivative` and `linalg` over PrimeField(q)."""
     q = instance.prime
-    field = instance.ring.field
+    field = PrimeField(q)
     nvars = instance.ring.nvars
     point = list(instance.point)
     forms = [_form(g) for g in instance.generators]
-    gradient = _gradient(instance) or [[0] * nvars]
+    gradient = reference_gradient(instance.generators, point) or [[0] * nvars]
     _, tangent_basis = linalg.solve_affine(gradient, [0] * len(gradient), field)
     if not tangent_basis:
         return False, None, 0
@@ -164,22 +192,14 @@ def reference_find_conic(instance, budget=200, seed=0):
         for vec in tangent_basis:
             c = rng.randrange(q)
             v = [(a + c * b) % q for a, b in zip(v, vec)]
-        if all(x == 0 for x in v) or _rank([point, v], field) < 2:
+        if all(x == 0 for x in v) or reference_rank([point, v], field) < 2:
             continue
-        linear_rows = []
-        linear_rhs = []
-        higher = []
-        for form in forms:
-            for piece in _per_draw_buckets(form, point, v, q).values():
-                if all(sum(e for _, e in f) <= 1 for f in piece):
-                    row = [0] * nvars
-                    for f, c in piece.items():
-                        if f:
-                            row[f[0][0]] = c
-                    linear_rows.append(row)
-                    linear_rhs.append(-piece.get((), 0) % q)
-                else:
-                    higher.append([(c, f) for f, c in piece.items()])
+        pieces = [
+            piece for form in forms for piece in _per_draw_buckets(form, point, v, q).values()
+        ]
+        linear, higher = split_constraints(pieces, nvars, q)
+        linear_rows = [row for row, _ in linear]
+        linear_rhs = [b for _, b in linear]
         if linear_rows:
             solved = linalg.solve_affine(linear_rows, linear_rhs, field)
             if solved is None:
@@ -192,7 +212,7 @@ def reference_find_conic(instance, budget=200, seed=0):
         for vec in free_basis:
             c = rng.randrange(q)
             w = [(a + c * b) % q for a, b in zip(w, vec)]
-        if _rank([point, v, w], field) < 3:
+        if reference_rank([point, v, w], field) < 3:
             continue
         if not any(_value(h, w, q) for h in higher):
             return True, (tuple(point), tuple(v), tuple(w)), attempt
@@ -566,10 +586,70 @@ class TestIntegerKernels:
                 expected = reference_line_vanishes(g, p, v, q)
                 assert _scan_hits(g, p, v, q, rng) == expected
 
+    def test_gradient_matches_polynomial_derivatives(self, rng):
+        # exponents at, past and divisible by q, where d/dx_i of x_i^a
+        # vanishes mod q; inhomogeneous generators and points off them
+        for q in (2, 3, 5, 7):
+            exponents = (0, 1, q - 1, q, q + 1, 2 * q, q * q)
+            for nvars in (3, 4, 5):
+                ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)), PrimeField(q))
+                for _ in range(10):
+                    gens = [
+                        ring.from_terms(
+                            (
+                                tuple(
+                                    rng.choice((rng.choice(exponents), rng.randint(0, 3 * q)))
+                                    for _ in range(nvars)
+                                ),
+                                rng.randrange(q),
+                            )
+                            for _ in range(rng.randint(0, 6))
+                        )
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                    point = [rng.randrange(q) for _ in range(nvars)]
+                    expected = reference_gradient(gens, point)
+                    assert _gradient([_form(g) for g in gens], point, q) == expected
+
+    def test_echelon_and_solve_match_linalg(self, rng):
+        # empty input, zero rows, wide and tall matrices of every rank, and
+        # right-hand sides that are zero, in the column space, or random,
+        # which on a rank-deficient matrix is often inconsistent
+        for q in (2, 3, 7, 32003):
+            field = PrimeField(q)
+            matrices = [[], [[]], [[0, 0, 0]], [[0] * 4 for _ in range(3)]]
+            for _ in range(60):
+                nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+                rank = rng.randint(0, min(nrows, ncols))
+                left = [[rng.randrange(q) for _ in range(rank)] for _ in range(nrows)]
+                right = [[rng.randrange(q) for _ in range(ncols)] for _ in range(rank)]
+                matrices.append(
+                    [
+                        [sum(a * b[j] for a, b in zip(row, right)) % q for j in range(ncols)]
+                        for row in left
+                    ]
+                )
+            outcomes = set()
+            for matrix in matrices:
+                assert _echelon(matrix, q) == linalg.rref(matrix, field)
+                ncols = len(matrix[0]) if matrix else 0
+                x = [rng.randrange(q) for _ in range(ncols)]
+                image = [sum(a * b for a, b in zip(row, x)) % q for row in matrix]
+                for rhs in ([0] * len(matrix), image, [rng.randrange(q) for _ in matrix]):
+                    solved = _solve(matrix, rhs, q)
+                    assert solved == linalg.solve_affine(matrix, rhs, field)
+                    outcomes.add(None if solved is None else bool(solved[1]))
+                    if matrix and rhs == image:
+                        assert solved is not None
+            assert outcomes == {None, True, False}
+
     def test_conic_buckets_match_composition(self, rng):
         # degrees up to 7 at q = 5 and 7 take exponents with two base-q
         # digits; the expansion is made once per pair of forms, with random
-        # vectors b_j, and evaluated at several coordinate vectors c
+        # vectors b_j, and evaluated at several coordinate vectors c; its
+        # constraints are those that composition gives, split by the same
+        # rule (the order of the buckets is not part of the answer)
+        seen = [0, 0]  # linear rows, higher constraints
         for q in (5, 7, 11):
             for nvars in (4, 5):
                 names = tuple(f"x{i}" for i in range(nvars))
@@ -588,16 +668,25 @@ class TestIntegerKernels:
                         [rng.choice((0, rng.randrange(q))) for _ in range(nvars)]
                         for _ in range(rng.randint(1, 3))
                     ]
-                    _, buckets = _conic_expansion(
+                    _, constraints = _conic_expansion(
                         [_form(g) for g in gens], point, basis, q
                     )
                     for _ in range(4):
                         c = [rng.randrange(q) for _ in basis]
                         v = [sum(a * b[i] for a, b in zip(c, basis)) % q for i in range(nvars)]
-                        got = buckets(c)
-                        for n, g in enumerate(gens):
-                            expected = reference_conic_buckets(g, point, v)
-                            assert {k: x for (m, k), x in got.items() if m == n} == expected
+                        rows, rhs, higher = constraints(c)
+                        pieces = [
+                            piece
+                            for g in gens
+                            for piece in reference_conic_buckets(g, point, v).values()
+                        ]
+                        linear, expected = split_constraints(pieces, nvars, q)
+                        assert len(rows) == len(rhs)
+                        assert sorted(zip(rows, rhs)) == sorted(linear)
+                        assert sorted(map(sorted, higher)) == sorted(map(sorted, expected))
+                        seen[0] += len(rows)
+                        seen[1] += len(higher)
+        assert all(seen)
 
     @pytest.mark.parametrize(
         "name, q, found, attempts, witness",
@@ -815,6 +904,11 @@ class TestIndependence:
     def test_oracle_imports_only_polynomials_and_linalg(self):
         source = Path(oracle.__file__).read_text(encoding="utf-8")
         assert _seshadri_imports(source) <= {"polynomials", "linalg"}
+
+    def test_oracle_solves_without_linalg(self):
+        # `linalg` is the tests' reference for the oracle's own elimination
+        source = Path(oracle.__file__).read_text(encoding="utf-8")
+        assert "linalg" not in _seshadri_imports(source)
 
     @pytest.mark.parametrize(
         "source",
