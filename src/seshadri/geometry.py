@@ -4,11 +4,9 @@ of lines through the point, the local cut-out degree d_p, and the local
 invariants mult_p and ord_p.
 
 A pointed variety carries a saturated homogeneous ideal together with an
-invertible coordinate change sending the base point to [1:0:...:0].  Each
-Hilbert question is asked in one place: `PointedVariety.hilbert` (dimension
-and degree), `line_scheme` (the lines through the point) and
-`multiplicity_at` (the tangent cone).  Each tries one prime before a basis
-over Q (see below).
+invertible coordinate change sending the base point to [1:0:...:0].  Every
+Hilbert question goes through `groebner.hilbert_data`, which asks one prime
+before a basis over Q (see `groebner.certified_hilbert_data`).
 
 The local answers come from reduced Groebner bases for the order comparing
 x_0 degrees first, which are local standard bases at the point: the top x_0
@@ -21,24 +19,14 @@ off two Hilbert-series numerators as well: its degree against its length
 there.  Every answer is exact; no truncation level, cap or degree bound is
 involved.
 
-Complete intersections have shortcuts proved at one prime by
-`groebner.complete_intersection_data` (the one-sided bound of Arnold and
-Pauer with Krull's principal ideal theorem; see `groebner`).
-`PointedVariety.hilbert` asks it of the normalized generators: a regular
-sequence has its Hilbert data in closed form.  `multiplicity_at` asks it
-of their lowest forms, `lowest_forms_multiplicity`: when the lowest forms
-at the point are a regular sequence in k[x_1..x_N], the associated graded
-ring of the local ring of P^N at p, they generate the tangent cone
-(Valabrega and Valla, "Form rings and regular sequences", Nagoya Math. J.
-72 (1978), 93-101), a complete intersection of degrees ord_p(g_i), so
-mult_p = prod ord_p(g_i).  `line_scheme` asks it of the slices of the
-generators: when they are fewer than the directions and a regular
-sequence, the line scheme's data is in closed form; with as many slices
-as directions or more, no attempt is made.  Whenever the prime proves
-nothing, the basis over Q answers.  Singular loci and
-`supported_only_at_basepoint` still call `hilbert_data` directly: their
-ideals are rarely complete intersections, and a failed attempt mod p would
-only cost time.
+When the prime proves the r < n normalized generators a regular sequence,
+the dimension and degree of X are in closed form, and so are those of the
+line scheme when its slices are.  `multiplicity_at` asks the same of the
+lowest forms at the point, `lowest_forms_multiplicity`: when they are a
+regular sequence in k[x_1..x_N], the associated graded ring of the local
+ring of P^N at p, they generate the tangent cone (Valabrega and Valla,
+"Form rings and regular sequences", Nagoya Math. J. 72 (1978), 93-101), a
+complete intersection of degrees ord_p(g_i), so mult_p = prod ord_p(g_i).
 
 Dimension counts decide before any basis where they can: `cut_out_degree`
 skips every degree whose generators are too few to cut out X near the
@@ -58,7 +46,7 @@ from .groebner import (
     Ideal,
     _leading_numerator,
     _strip_unit_root,
-    complete_intersection_data,
+    certified_hilbert_data,
     hilbert_data,
 )
 from .polynomials import (
@@ -166,8 +154,7 @@ class PointedVariety:
     @property
     def hilbert(self):
         if self._hilbert is None:
-            I = self.normalized_ideal
-            self._hilbert = complete_intersection_data(I) or hilbert_data(I)
+            self._hilbert = hilbert_data(self.normalized_ideal)
         return self._hilbert
 
     @property
@@ -242,13 +229,7 @@ def normalize_point(ideal, point):
 
 def line_scheme(X):
     """The scheme of lines on X through the base point, defined by all slices
-    of the normalized generators; computed once per variety.
-
-    Its Hilbert data comes from `complete_intersection_data` when one prime
-    proves the slices a regular sequence (only tried for fewer slices than
-    variables), else from `hilbert_data`, which tests emptiness mod the
-    same prime itself.
-    """
+    of the normalized generators; computed once per variety."""
     if X._line_scheme is not None:
         return X._line_scheme
     target = slice_ring(X.ring)
@@ -256,8 +237,7 @@ def line_scheme(X):
     for g in X.normalized_ideal.generators:
         slices.extend(s for s in slice_decomposition(g) if s)
     scheme_ideal = Ideal(target, slices)
-    hilbert = complete_intersection_data(scheme_ideal, "line scheme")
-    X._line_scheme = LineScheme(scheme_ideal, hilbert or hilbert_data(scheme_ideal))
+    X._line_scheme = LineScheme(scheme_ideal, hilbert_data(scheme_ideal))
     return X._line_scheme
 
 
@@ -436,18 +416,18 @@ def lowest_forms_multiplicity(X):
     of P^N at p, they generate the tangent cone ideal (Valabrega and
     Valla, "Form rings and regular sequences", Nagoya Math. J. 72 (1978)),
     which is then a complete intersection of degrees ord_p(g_i) and
-    multiplicity their product.  The regular sequence is proved by
-    `groebner.complete_intersection_data` in the slice ring.
+    multiplicity their product, the degree of the cone's closed-form data
+    from `groebner.certified_hilbert_data` in the slice ring.  Only fewer
+    lowest forms than slice variables are tried.
     """
-    lowest, orders = [], []
-    for g in X.normalized_ideal.generators:
-        order, form = next((i, s) for i, s in enumerate(slice_decomposition(g), 1) if s)
-        lowest.append(form)
-        orders.append(order)
-    cone = Ideal(slice_ring(X.ring), lowest)
-    if complete_intersection_data(cone, "lowest forms") is None:
+    chart = slice_ring(X.ring)
+    lowest = [
+        next(s for s in slice_decomposition(g) if s) for g in X.normalized_ideal.generators
+    ]
+    if len(lowest) >= chart.nvars:
         return None
-    return math.prod(orders)
+    certified = certified_hilbert_data(Ideal(chart, lowest))
+    return None if certified is None else certified.degree
 
 
 def _tangent_cone(X):

@@ -45,18 +45,19 @@ Krull dimension of F_p[x]/I_p.  The theorems they rest on:
   so for r < n the irrelevant ideal is not one, I is saturated, and
   Proj(R/I) has no embedded or lower-dimensional component.
 
-Emptiness (`_certified_empty`): a leading ideal mod p of Krull dimension
-at most 0, one holding a pure power of every variable, proves V(I) empty.
-`hilbert_data` tries this only on ideals whose basis over Q is not cached
-and which have at least nvars generators, since fewer forms of positive
-degree always meet.  Complete intersections (`complete_intersection_data`):
-0 < r < n forms whose leading ideal mod p has dimension n - r, read off its
-Hilbert-series numerator, are a regular sequence over Q, by the bound and
-Krull's theorem together, and their Hilbert data is the closed form above.
-`geometry` asks this of every pointed variety for its Hilbert data, and of
-its lowest forms at the point for the multiplicity.  Every other outcome,
-an unlucky prime included, falls back to the basis over Q, so the prime
-costs time and never an answer.
+Every Hilbert question goes through `hilbert_data`, and one function,
+`certified_hilbert_data`, decides whether the prime is asked: for r > 0
+forms over Q whose basis over Q is not cached (a cached basis answers at
+once).  It reads the leading ideal mod p once.  For r < n forms
+(`complete intersection` in the debug log), dimension n - r mod p proves
+them a regular sequence over Q, by the bound and Krull's theorem together,
+and their Hilbert data is the closed form above.  For r >= n forms
+(`emptiness`), a pure power of every variable among the leads, or a
+constant, makes LT(I_p) primary to the irrelevant ideal, so I is too and
+V(I) is empty; this is asked only when some generator has an x0^deg term,
+since otherwise V(I) holds [1:0:...:0].  Every other outcome, an unlucky
+prime included, falls back to the basis over Q, so the prime costs time
+and never an answer.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import le, mul, sub
 
 from .polynomials import (
@@ -80,8 +81,8 @@ from .polynomials import (
 
 logger = logging.getLogger(__name__)
 
-# the prime of the certificates mod p (emptiness in `hilbert_data`, and
-# `complete_intersection_data`); fixed, so that every run takes the same route
+# the prime of `certified_hilbert_data`; fixed, so that every run takes the
+# same route
 EMPTINESS_PRIME = 32003
 
 
@@ -758,12 +759,7 @@ def _binomial_polynomial(shift, k):
             longer[j] += c * root
             longer[j + 1] += c
         coeffs = longer
-    if k:
-        fact = 1
-        for i in range(2, k + 1):
-            fact *= i
-        coeffs = [c / fact for c in coeffs]
-    return tuple(coeffs)
+    return tuple(c / factorial(k) for c in coeffs)
 
 
 def _leads_mod_p(I):
@@ -789,73 +785,6 @@ def _leads_mod_p(I):
     return _packed(run, I.ring.order, I.generators)
 
 
-def _certified(test, I, holds, verdict="certified"):
-    """Whether `holds` accepts the generators of LT(I_p), with one debug
-    line per attempt naming the test, its verdict and its time."""
-    started = time.perf_counter()
-    certified = holds(_leads_mod_p(I))
-    logger.debug(
-        "%s mod %d: %d generators, %d variables, %s in %.1f ms",
-        test, EMPTINESS_PRIME, len(I.generators), I.ring.nvars,
-        verdict if certified else "fell back to Q",
-        1000 * (time.perf_counter() - started),
-    )
-    return certified
-
-
-def _certified_empty(I):
-    """Whether one prime proves V(I) empty over the algebraic closure of Q.
-
-    I is a homogeneous ideal over Q.  If the leading monomials mod p hold
-    a pure power of every variable, or a constant, LT(I_p) is primary to
-    the irrelevant ideal; by the bound HF(R/I) <= HF(F_p[x]/I_p) so is I,
-    and V(I) is empty.  False means only that this prime proves nothing.
-    """
-    n = I.ring.nvars
-
-    def artinian(leads):
-        missing = set(range(n))
-        for m in leads:
-            support = [j for j, e in enumerate(m) if e]
-            if len(support) <= 1:
-                missing.difference_update(support or range(n))
-        return not missing
-
-    return _certified("emptiness", I, artinian, "certified empty")
-
-
-def complete_intersection_data(I, test="complete intersection"):
-    """The Hilbert data of R/I when one prime proves the generators of I a
-    regular sequence, else None.
-
-    I is generated by r forms of positive degree in n variables over Q.
-    Krull's principal ideal theorem gives dim R/I >= n - r, and the bound
-    HF(R/I) <= HF(F_p[x]/I_p) gives dim R/I <= dim F_p[x]/LT(I_p); so
-    dimension n - r mod p proves dim R/I = n - r.  Forms of height r in a
-    polynomial ring are a regular sequence, and the Hilbert series of R/I
-    is then prod (1 - t^d_i) / (1 - t)^n.  None means only that this
-    prime proves nothing; the caller asks over Q.  Only 0 < r < n is
-    tried: r = 0 needs no prime, and from r = n on a regular sequence cuts
-    out the empty scheme, which `hilbert_data` tests mod p itself.  `test`
-    names the attempt in the debug log.
-    """
-    ring = I.ring
-    n = ring.nvars
-    if ring.field != QQ or not 0 < len(I.generators) < n or not I.is_homogeneous:
-        return None
-
-    def expected_dimension(leads):
-        numerator = _hilbert_numerator(leads, n)
-        return bool(numerator) and _strip_unit_root(numerator, n)[1] == n - len(I.generators)
-
-    if not _certified(test, I, expected_dimension):
-        return None
-    numerator = [1]
-    for g in I.generators:
-        numerator = _poly_mul(numerator, [1] + [0] * (g.total_degree() - 1) + [-1])
-    return _hilbert_from_numerator(numerator, n)
-
-
 def _hilbert_from_numerator(numerator, nvars):
     """Hilbert data of R/M from the numerator of its Hilbert series over
     (1 - t)^nvars."""
@@ -878,36 +807,69 @@ def _hilbert_from_numerator(numerator, nvars):
     return HilbertData(D - 1, degree, tuple(coeffs))
 
 
+def certified_hilbert_data(I):
+    """The Hilbert data of R/I that one prime proves, else None.
+
+    I is a homogeneous ideal of r forms in n variables.  The gate and the
+    two tests, dimension n - r for r < n and a pure power of every variable
+    for r >= n, are those of the module docstring; the second is cheaper
+    than a Hilbert numerator.  None means only that this prime proves
+    nothing.  Each attempt logs one debug line.
+    """
+    ring = I.ring
+    n, r = ring.nvars, len(I.generators)
+    if (
+        ring.field != QQ
+        or not r
+        or ring.order in I._basis_cache
+        or (r >= n and not any(not any(m[1:]) for g in I.generators for m, _ in g.terms))
+    ):
+        return None
+    started = time.perf_counter()
+    leads = _leads_mod_p(I)
+    if r < n:
+        test, verdict = "complete intersection", "certified"
+        numerator = _hilbert_numerator(leads, n)
+        certified = bool(numerator) and _strip_unit_root(numerator, n)[1] == n - r
+    else:
+        test, verdict = "emptiness", "certified empty"
+        missing = set(range(n))
+        for m in leads:
+            support = [j for j, e in enumerate(m) if e]
+            if len(support) <= 1:
+                missing.difference_update(support or range(n))
+        certified = not missing
+    logger.debug(
+        "%s mod %d: %d generators, %d variables, %s in %.1f ms",
+        test, EMPTINESS_PRIME, r, n, verdict if certified else "fell back to Q",
+        1000 * (time.perf_counter() - started),
+    )
+    if not certified:
+        return None
+    if r >= n:
+        return HilbertData(-1, None, ())
+    numerator = [1]
+    for g in I.generators:
+        numerator = _poly_mul(numerator, [1] + [0] * (g.total_degree() - 1) + [-1])
+    return _hilbert_from_numerator(numerator, n)
+
+
 def hilbert_data(I):
     """Dimension, degree and Hilbert polynomial of Proj of the quotient ring.
 
     Computed from the leading-term ideal of a Groebner basis; the caller
     passes the saturated ideal when scheme-level graded answers matter, but
-    dimension and degree are insensitive to saturation.
-
-    Over Q an ideal with at least nvars generators whose basis is not
-    cached yet is first tested for emptiness at one fixed prime
-    (`_certified_empty`).  Fewer forms of positive degree always meet in
-    P^(nvars - 1), by the projective dimension theorem, so the test is
-    left out for them; so it is when
-    no generator has an x0^deg term, since V(I) then holds [1:0:...:0]
-    (the ideals of `supported_only_at_basepoint` do).  A proof mod p
-    returns the empty data at once; otherwise, an unlucky prime included,
-    the Groebner basis over Q decides, so the prime costs time and never
-    changes an answer.
+    dimension and degree are insensitive to saturation.  The data one prime
+    proves (`certified_hilbert_data`) comes first; where it proves nothing,
+    an unlucky prime included, the basis over Q decides, so the prime costs
+    time and never changes an answer.
     """
-    ring = I.ring
     if not I.is_homogeneous:
         raise NonHomogeneousError("hilbert_data needs a homogeneous ideal")
-    if (
-        ring.field == QQ
-        and len(I.generators) >= ring.nvars
-        and ring.order not in I._basis_cache
-        and any(not any(m[1:]) for g in I.generators for m, _ in g.terms)
-        and _certified_empty(I)
-    ):
-        return HilbertData(-1, None, ())
-    return _hilbert_from_numerator(_leading_numerator(I), ring.nvars)
+    certified = certified_hilbert_data(I)
+    if certified is not None:
+        return certified
+    return _hilbert_from_numerator(_leading_numerator(I), I.ring.nvars)
 
 
 def hilbert_function(I, d):
@@ -919,20 +881,9 @@ def hilbert_function(I, d):
         return 0
     numerator = _leading_numerator(I)
     n = ring.nvars
-    total = 0
-    for j, c in enumerate(numerator):
-        if c and d - j >= 0:
-            total += c * _choose(d - j + n - 1, n - 1)
-    return total
-
-
-def _choose(a, b):
-    if b < 0 or a < 0 or a < b:
-        return 0
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
+    if not n:  # R is the field: the series is the numerator itself
+        return numerator[d] if d < len(numerator) else 0
+    return sum(c * comb(d - j + n - 1, n - 1) for j, c in enumerate(numerator[: d + 1]))
 
 
 def monomials_of_degree(nvars, d):

@@ -1,7 +1,7 @@
 """Dimension counts that decide before a basis: Krull's count in
 `cut_out_degree`, and the complete-intersection certificate mod one prime
-that `line_scheme` tries ahead of `hilbert_data`, each against the route
-over Q it replaces."""
+that `hilbert_data` tries on line schemes, each against the route over Q it
+replaces."""
 
 import importlib.util
 import json
@@ -25,7 +25,7 @@ from seshadri.geometry import (
 from seshadri.groebner import (
     EMPTINESS_PRIME,
     Ideal,
-    complete_intersection_data,
+    certified_hilbert_data,
     hilbert_data,
 )
 from seshadri.polynomials import PolynomialRing
@@ -105,10 +105,11 @@ def _p6(degrees):
     return normalize_point(Ideal(ring, gens), base_point(ring))
 
 
-def _line_scheme_messages(caplog):
+def _ci_messages(caplog):
     return [
         r.getMessage() for r in caplog.records
-        if r.name == "seshadri.groebner" and r.getMessage().startswith("line scheme mod")
+        if r.name == "seshadri.groebner"
+        and r.getMessage().startswith("complete intersection mod")
     ]
 
 
@@ -134,7 +135,8 @@ class TestLineScheme:
                 scheme = line_scheme(Z)
                 assert scheme.hilbert == _over_q(scheme.ideal), path
             slices = line_scheme(X).ideal
-            if complete_intersection_data(Ideal(slices.ring, slices.generators)):
+            data = certified_hilbert_data(Ideal(slices.ring, slices.generators))
+            if data is not None and not data.is_empty:
                 certified.add(Path(path).stem)
         # the quadrics' slices are a regular sequence; the Grassmannian's 8
         # slices in 9 variables are not, and fall back to Q
@@ -145,10 +147,10 @@ class TestLineScheme:
         caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
         scheme = line_scheme(load_instance(str(QUINTIC)).variety())
         assert (scheme.dimension, scheme.hilbert.degree) == (0, 120) == (0, math.factorial(5))
-        messages = _line_scheme_messages(caplog)
+        messages = _ci_messages(caplog)
         assert len(messages) == 1
         assert messages[0].startswith(
-            f"line scheme mod {EMPTINESS_PRIME}: 5 generators, 6 variables, certified in "
+            f"complete intersection mod {EMPTINESS_PRIME}: 5 generators, 6 variables, certified in "
         )
 
     def test_unlucky_prime_falls_back(self, caplog):
@@ -159,20 +161,25 @@ class TestLineScheme:
         X = normalize_point(Ideal(ring, [g]), base_point(ring))
         caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
         scheme = line_scheme(X)
-        messages = _line_scheme_messages(caplog)
+        messages = _ci_messages(caplog)
         assert len(messages) == 1
         assert messages[0].startswith(
-            f"line scheme mod {EMPTINESS_PRIME}: 2 generators, 3 variables, fell back to Q in "
+            f"complete intersection mod {EMPTINESS_PRIME}: 2 generators, 3 variables, fell back to Q in "
         )
         assert (scheme.dimension, scheme.hilbert.degree) == (0, 2)
         assert scheme.hilbert == _over_q(scheme.ideal)
 
     def test_as_many_slices_as_directions_are_not_tried(self, caplog):
-        # the twisted cubic's 3 quadrics give 5 nonzero slices in 3 directions
+        # the twisted cubic's 3 quadrics give 5 nonzero slices in 3
+        # directions; only X, 3 quadrics in 4 variables, is asked
         caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
         report, code, _ = run(["bound", bundled("twisted-cubic")])
         assert code == EXIT_OK
-        assert _line_scheme_messages(caplog) == []
+        messages = _ci_messages(caplog)
+        assert len(messages) == 1
+        assert messages[0].startswith(
+            f"complete intersection mod {EMPTINESS_PRIME}: 3 generators, 4 variables, "
+        )
 
 
 class TestCutOutDegree:

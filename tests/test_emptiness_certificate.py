@@ -1,5 +1,7 @@
-"""The emptiness certificate mod one prime inside `hilbert_data`, against the
-route over Q it is tried ahead of."""
+"""The certificates mod one prime inside `hilbert_data`
+(`certified_hilbert_data`: emptiness for r >= n forms, complete
+intersections for r < n), against the route over Q they are tried ahead
+of."""
 
 import json
 import logging
@@ -11,7 +13,13 @@ import pytest
 
 from seshadri import constants, geometry, groebner
 from seshadri.cli import EXIT_HYPOTHESIS, EXIT_OK, load_instance, run
-from seshadri.groebner import EMPTINESS_PRIME, HilbertData, Ideal, hilbert_data
+from seshadri.groebner import (
+    EMPTINESS_PRIME,
+    HilbertData,
+    Ideal,
+    certified_hilbert_data,
+    hilbert_data,
+)
 from seshadri.polynomials import QQ, PolynomialRing, PrimeField
 
 from conftest import bundled, random_homogeneous
@@ -79,17 +87,18 @@ def _synthetic_instances(tmp_path, seed):
 
 
 def _compare(recorded):
-    """Each recorded ideal the certificate may see gets the same Hilbert data
-    with it as over Q; returns how many the certificate proved empty."""
+    """Each recorded ideal the certificates may see gets the same Hilbert
+    data with them as over Q; returns how many they proved empty or a
+    complete intersection."""
     certified = 0
     for ring, gens in recorded.values():
-        if ring.field != QQ or len(gens) < ring.nvars:
+        if ring.field != QQ:
             continue
         fast = hilbert_data(Ideal(ring, gens))
         slow = Ideal(ring, gens)
         slow.groebner_basis()  # a cached basis leaves the prime out
         assert fast == hilbert_data(slow), gens
-        certified += groebner._certified_empty(Ideal(ring, gens))
+        certified += certified_hilbert_data(Ideal(ring, gens)) is not None
     return certified
 
 
@@ -122,7 +131,7 @@ def test_unlucky_prime_dropping_a_generator_falls_back():
     # ideal is (x0, x1)
     ring = PolynomialRing(("x0", "x1"))
     I = Ideal(ring, [ring.parse("x0"), ring.parse(f"x0 + {EMPTINESS_PRIME}*x1")])
-    assert not groebner._certified_empty(Ideal(ring, I.generators))
+    assert certified_hilbert_data(Ideal(ring, I.generators)) is None
     assert hilbert_data(I) == EMPTY
 
 
@@ -130,7 +139,7 @@ def test_unlucky_prime_dropping_a_leading_term_falls_back():
     # mod p the leading term p*x0^2 vanishes and (x1^2, x0*x1) meets [1:0]
     ring = PolynomialRing(("x0", "x1"))
     I = Ideal(ring, [ring.parse(f"{EMPTINESS_PRIME}*x0^2 + x1^2"), ring.parse("x0*x1")])
-    assert not groebner._certified_empty(Ideal(ring, I.generators))
+    assert certified_hilbert_data(Ideal(ring, I.generators)) is None
     assert hilbert_data(I) == EMPTY
 
 
@@ -138,26 +147,35 @@ def test_lucky_prime_proves_emptiness():
     ring = PolynomialRing(("x0", "x1", "x2"))
     gens = [ring.parse("x0^2 - x1*x2"), ring.parse("x1^2 + 3*x0*x2"),
             ring.parse("x2^3 - 2*x0^3").scale(Fraction(1, 2))]
-    assert groebner._certified_empty(Ideal(ring, gens))
+    assert certified_hilbert_data(Ideal(ring, gens)) == EMPTY
     assert hilbert_data(Ideal(ring, gens)) == EMPTY
 
 
-def test_certificate_needs_nvars_generators_and_no_cached_basis(monkeypatch):
-    def refuse(I):
-        raise AssertionError("mod-p run reached")
+def test_certificate_needs_q_and_no_cached_basis(monkeypatch):
+    asked = []
 
-    monkeypatch.setattr(groebner, "_certified_empty", refuse)
+    def recording(I):
+        asked.append(len(I.generators))
+        return original(I)
+
+    original = groebner._leads_mod_p
+    monkeypatch.setattr(groebner, "_leads_mod_p", recording)
     ring = PolynomialRing(("x0", "x1", "x2"))
-    # r <= m forms in P^m: the prime is never asked
+    # r < n forms are asked too: these two are a complete intersection,
+    # the quadric is one, and the prime proves both
     assert hilbert_data(Ideal(ring, [ring.parse("x1"), ring.parse("x2^2")])).dimension == 0
     assert hilbert_data(Ideal(ring, [ring.parse("x0*x1 - x2^2")])).dimension == 1
+    assert asked == [2, 1]
+    # a cached basis over Q, or a field other than Q, leaves the prime out
     full = Ideal(ring, [ring.variable(i) for i in range(3)])
     full.groebner_basis()
     assert hilbert_data(full) == EMPTY
     field = PolynomialRing(("x0", "x1"), PrimeField(7))
     assert hilbert_data(Ideal(field, [field.parse("x0"), field.parse("x1")])) == EMPTY
-    with pytest.raises(AssertionError, match="reached"):
-        hilbert_data(Ideal(ring, [ring.variable(i) for i in range(3)]))
+    assert hilbert_data(Ideal(field, [field.parse("x0*x1")])).dimension == 0
+    assert asked == [2, 1]
+    assert hilbert_data(Ideal(ring, [ring.variable(i) for i in range(3)])) == EMPTY
+    assert asked == [2, 1, 3]
 
 
 def test_each_attempt_is_logged(caplog):
@@ -175,9 +193,10 @@ def test_each_attempt_is_logged(caplog):
 
 def test_ideals_through_the_base_point_skip_the_prime(caplog, monkeypatch):
     # no generator has an x0^deg term, so V(I) holds [1:0:...:0] and no
-    # prime can prove it empty: nothing is tried, and the route over Q
-    # gives the answers; the ideals `supported_only_at_basepoint` gets
-    # from `aux_divisors` are all of this kind
+    # prime can prove it empty: from nvars generators on nothing is tried;
+    # fewer are asked whether they are a complete intersection, and every
+    # answer is the route over Q's; the ideals `supported_only_at_basepoint`
+    # gets from `aux_divisors` are all of this kind
     ring = PolynomialRing(("x0", "x1", "x2"))
     ideals = [
         (ring, [ring.parse(g) for g in ("x1^2", "x1*x2", "x2^2", "x0*x1")]),
@@ -197,11 +216,33 @@ def test_ideals_through_the_base_point_skip_the_prime(caplog, monkeypatch):
     for ring, gens in ideals:
         caplog.clear()
         fast = hilbert_data(Ideal(ring, gens))
-        assert not [r for r in caplog.records if r.name == "seshadri.groebner"], gens
+        if len(gens) >= ring.nvars:
+            assert not [r for r in caplog.records if r.name == "seshadri.groebner"], gens
         slow = Ideal(ring, gens)
         slow.groebner_basis()
         assert fast == hilbert_data(slow), gens
     assert any(len(gens) >= ring.nvars for ring, gens in ideals[2:])
+
+
+def _attempts(caplog):
+    return [
+        r.getMessage() for r in caplog.records
+        if r.name == "seshadri.groebner" and f"mod {EMPTINESS_PRIME}:" in r.getMessage()
+    ]
+
+
+def test_a_cached_basis_of_x_skips_the_prime(caplog):
+    # --validate checks saturation, which caches the basis of X over Q
+    # before its Hilbert data is asked for
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
+    assert run(["dp", bundled("two-quadrics-p4"), "--validate"])[1] == EXIT_OK
+    assert _attempts(caplog) == []
+    assert run(["dp", bundled("two-quadrics-p4")])[1] == EXIT_OK
+    attempts = _attempts(caplog)
+    assert len(attempts) == 1
+    assert attempts[0].startswith(
+        f"complete intersection mod {EMPTINESS_PRIME}: 2 generators, 5 variables, certified in "
+    )
 
 
 @pytest.mark.parametrize("command", ["bound", "classify"])

@@ -675,6 +675,13 @@ class TestHilbertData:
         for t in range(1, 5):
             assert _standard_monomial_count(basis, 4, t) == 3 * t + 1
         assert data.hilbert_polynomial == (Fraction(1), Fraction(3))
+        assert [hilbert_function(ideal, t) for t in range(-1, 5)] == [0, 1, 4, 7, 10, 13]
+
+    def test_hilbert_function_without_variables(self):
+        # R is the field itself, all in degree 0
+        ring = PolynomialRing(())
+        assert [hilbert_function(Ideal(ring, []), d) for d in range(3)] == [1, 0, 0]
+        assert hilbert_function(Ideal(ring, [ring.one()]), 0) == 0
 
     def test_empty_scheme(self, ring3):
         data = hilbert_data(Ideal(ring3, [ring3.parse("x0"), ring3.parse("x1"), ring3.parse("x2")]))
