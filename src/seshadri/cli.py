@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,6 +34,7 @@ from .constants import (
     sharpness_example,
 )
 from .geometry import (
+    INFINITE,
     PointError,
     line_scheme,
     normalize_point,
@@ -61,24 +63,18 @@ class InputError(ValueError):
     pass
 
 
-def _as_fraction_string(value):
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if value == float("inf"):
-        return "infinite"
-    return value
-
-
 def _render_value(value):
-    if isinstance(value, Fraction) or value == float("inf"):
-        return _as_fraction_string(value)
+    """A report value as JSON: a Fraction becomes its string, INFINITE
+    "infinite", and tuples become lists, through dicts and lists."""
+    if type(value) is int:  # most leaves: the coordinates of oracle directions
+        return value
     if isinstance(value, (list, tuple)):
         return [_render_value(v) for v in value]
     if isinstance(value, dict):
         return {k: _render_value(v) for k, v in value.items()}
-    return value
+    if isinstance(value, Fraction):
+        return str(value)
+    return "infinite" if value == INFINITE else value
 
 
 # instance fields that hold lists: (field, accepted element types, wording)
@@ -177,7 +173,8 @@ class Instance:
             raise InputError(f"{path}: cutting degrees must be ascending")
         self.cutting = tuple(cutting)
         self.ambient_homogeneous = raw.get("ambient_homogeneous", False)
-        self.primes = tuple(raw.get("primes", DEFAULT_PRIMES))
+        # each prime once, in first-seen order, as `_primes` reads --primes
+        self.primes = tuple(dict.fromkeys(raw.get("primes", DEFAULT_PRIMES)))
         self.seed = raw.get("seed", 0)
         # read by nothing: echoed into the report flags so reports stay stable
         self.max_m = raw.get("max_m", 24)
@@ -236,39 +233,21 @@ def load_instance(path):
     return Instance(raw, path)
 
 
-def _report_from_seshadri(report):
-    return {
-        "status": report.status,
-        "epsilon": _as_fraction_string(report.epsilon) if report.epsilon is not None else None,
-        "lower_bound": _as_fraction_string(report.lower_bound),
-        "cut_out_degree": report.cut_out_degree,
-        "line_scheme_dimension": report.line_scheme_dimension,
-        "assumptions": list(report.assumptions),
-    }
-
-
 def _report_from_certificate(cert):
+    # not asdict: it would deep-copy the ideal
     return {
         "degree": cert.degree,
         "multiplicity": cert.multiplicity,
-        "ratio": _as_fraction_string(cert.ratio),
+        "ratio": str(cert.ratio),
         "generators": [str(g) for g in cert.ideal.generators],
         "trace": _render_value(cert.trace),
-    }
-
-
-def _hilbert_dict(data):
-    return {
-        "dimension": data.dimension,
-        "degree": data.degree,
-        "hilbert_polynomial": [_as_fraction_string(c) for c in data.hilbert_polynomial],
     }
 
 
 def _cmd_bound(instance, args):
     X = instance.variety()
     _maybe_validate(X, args)
-    return {"seshadri": _report_from_seshadri(lower_bound(X))}
+    return {"seshadri": _render_value(asdict(lower_bound(X)))}
 
 
 def _cmd_fano(instance, args):
@@ -278,7 +257,7 @@ def _cmd_fano(instance, args):
     return {
         "line_scheme": {
             "generators": [str(g) for g in scheme.ideal.generators],
-            **_hilbert_dict(scheme.hilbert),
+            **_render_value(asdict(scheme.hilbert)),
         }
     }
 
@@ -288,14 +267,14 @@ def _cmd_dp(instance, args):
     _maybe_validate(X, args)
     return {
         "cut_out_degree": X.d_p,
-        "variety": _hilbert_dict(X.hilbert),
+        "variety": _render_value(asdict(X.hilbert)),
     }
 
 
 def _cmd_classify(instance, args):
     ci = instance.ci_input(validate=args.validate)
     report = classify_ci(ci)
-    out = {"seshadri": _report_from_seshadri(report)}
+    out = {"seshadri": _render_value(asdict(report))}
     ambient = ci.ambient
     out["ambient"] = {
         "cut_out_degree": ambient.d_p,
@@ -334,7 +313,7 @@ def _cmd_sharpness(args):
     return {
         "variety": {
             "generators": [str(g) for g in X.ideal.generators],
-            **_hilbert_dict(X.hilbert),
+            **_render_value(asdict(X.hilbert)),
         },
         "certificate": _report_from_certificate(cert),
     }
@@ -360,16 +339,13 @@ def _cmd_oracle(instance, args):
         good += 1
         entry = {
             "line_count": lines.count,
-            "directions": [list(v) for v in lines.directions],
+            "directions": _render_value(lines.directions),
         }
         if args.conics:
             conic = find_conic_mod_q(inst, budget=args.budget, seed=args.seed)
-            entry["conic"] = {
-                "found": conic.found,
-                "witness": [list(v) for v in conic.witness] if conic.witness else None,
-                "attempts": conic.attempts,
-                "inconclusive": conic.inconclusive,
-            }
+            entry["conic"] = _render_value(
+                {**asdict(conic), "inconclusive": conic.inconclusive}
+            )
         results[str(q)] = entry
     if not good:
         raise InputError(str(refused) if refused else "all primes had bad reduction")

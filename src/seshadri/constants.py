@@ -23,7 +23,6 @@ from .geometry import (
     PointedVariety,
     base_point,
     cone_ideal,
-    lift_slice,
     lift_slices,
     line_scheme,
     multiplicity_at,
@@ -325,6 +324,20 @@ def _rerandomized_cutting(cuts, rng):
     return tuple(out)
 
 
+def _cone_cut(cuts, ring, gens):
+    """gens followed by the cone cuts of forms f_1 .. f_r at [1:0:...:0]:
+    every nonzero slice of each f_j, lifted to `ring`, except that the top
+    two slices of f_r enter only as x_0 f_r^(d-1) + f_r^d, d = deg f_r."""
+    *head, last = cuts
+    gens = list(gens)
+    for f in head:
+        gens.extend(lift_slices((s,), ring, 1) for s in slice_decomposition(f) if s)
+    pieces = slice_decomposition(last)
+    gens.extend(lift_slices((s,), ring, 1) for s in pieces[:-2] if s)
+    tail = lift_slices(pieces[-2:], ring, 2)
+    return gens + [tail] if tail else gens
+
+
 def _curve_certificate(curve_ideal, trace):
     """(dimension, certificate) of an ideal through [1:0:...:0]: the degree
     and multiplicity are recomputed from the ideal itself, and the
@@ -379,16 +392,7 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
     last_failure = None
     for attempt in range(retries + 1):
         cuts = base_cuts if attempt == 0 else _rerandomized_cutting(base_cuts, rng)
-        gens = list(cone_ideal(Z, ambient_ring=Y.ring).generators)
-        for j, f in enumerate(cuts):
-            pieces = slice_decomposition(f)
-            if j < r - 1:
-                gens.extend(lift_slice(s, Y.ring) for s in pieces if s)
-            else:
-                gens.extend(lift_slice(s, Y.ring) for s in pieces[: d_r - 2] if s)
-                tail = lift_slices(pieces[d_r - 2 :], Y.ring, 2)
-                if tail:
-                    gens.append(tail)
+        gens = _cone_cut(cuts, Y.ring, cone_ideal(Z, ambient_ring=Y.ring).generators)
         trace = {
             "seed": seed,
             "attempt": attempt,
@@ -432,12 +436,12 @@ def sharpness_example(n, d, seed=0, retries=8):
     for attempt in range(retries + 1):
         drawn = {i: _random_form(chart, i, rng) for i in exponents}
         pieces = tuple(drawn.get(i, chart.zero()) for i in range(1, d + 1))
-        X = normalize_point(Ideal(ring, [lift_slices(pieces, ring, d)]), base_point(ring))
+        form = lift_slices(pieces, ring, d)
+        X = normalize_point(Ideal(ring, [form]), base_point(ring))
         if not line_scheme(X).is_empty:
             last_failure = f"attempt {attempt}: line scheme nonempty"
             continue
-        gens = [lift_slice(pieces[i - 1], ring) for i in range(1, n)]
-        gens.append(lift_slices(pieces[d - 2 :], ring, 2))
+        gens = _cone_cut((form,), ring, ())
         trace = {"seed": seed, "attempt": attempt, "cuts": [str(g) for g in gens]}
         dimension, certificate = _curve_certificate(Ideal(ring, gens), trace)
         if certificate is None:

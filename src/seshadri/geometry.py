@@ -9,8 +9,8 @@ Hilbert question goes through `groebner.hilbert_data`, which asks one prime
 before a basis over Q (see `groebner.certified_hilbert_data`).
 
 The local answers come from reduced Groebner bases for the order comparing
-x_0 degrees first, which are local standard bases at the point: the top x_0
-slices of the normalized ideal's basis generate the tangent cone, whose
+x_0 degrees first, which are local standard bases at the point: the lowest
+forms of the normalized ideal's basis generate the tangent cone, whose
 Hilbert-series numerator gives mult_p; reduction by the basis is a local
 normal form (ord_p); and equal local leading ideals show that a subideal
 cuts out the same scheme near the point (d_p, and ord_p = INFINITE).
@@ -65,12 +65,6 @@ class PointError(ValueError):
 def slice_ring(ring):
     """The ring in x_1..x_N: directions of lines through the base point."""
     return PolynomialRing(ring.names[1:], ring.field)
-
-
-def lift_slice(piece, ring):
-    """A polynomial of the slice ring in `ring`, whose variables after x_0
-    are those of the slice ring."""
-    return ring.from_terms(((0, *m), c) for m, c in piece.terms)
 
 
 def lift_slices(slices, ring, upto):
@@ -254,7 +248,7 @@ def cone_ideal(Z, ambient_ring=None):
         ambient_ring = PolynomialRing((vertex_name,) + source.names, source.field)
     if ambient_ring.names[1:] != source.names:
         raise ValueError("ambient ring does not extend the direction ring")
-    return Ideal(ambient_ring, [lift_slice(g, ambient_ring) for g in Z.generators])
+    return Ideal(ambient_ring, [lift_slices((g,), ambient_ring, 1) for g in Z.generators])
 
 
 def cut_out_degree(X):
@@ -358,9 +352,9 @@ def _local_basis(ideal):
 
     For homogeneous generators this basis is Lazard's standard basis for the
     local degree order at [1:0:...:0] (Greuel-Pfister, A Singular
-    Introduction to Commutative Algebra, sec. 1.7), and its top x_0 slices
-    generate the ideal of lowest forms (Sturmfels, Groebner Bases and Convex
-    Polytopes, Prop. 1.13).
+    Introduction to Commutative Algebra, sec. 1.7), and the lowest forms of
+    its elements generate the ideal of lowest forms (Sturmfels, Groebner
+    Bases and Convex Polytopes, Prop. 1.13).
     """
     order = MonomialOrder.elimination(ideal.ring.nvars, 1)
     return order, ideal.groebner_basis(order)
@@ -391,7 +385,7 @@ def multiplicity_at(X):
 def _tangent_cone_multiplicity(X):
     """mult_p from the tangent cone, over any field.
 
-    The tangent cone ideal TC is generated by the top x_0 slices of the
+    The tangent cone ideal TC is generated by the lowest forms of the
     local basis.  The chart ring modulo TC is the associated graded ring
     gr(O_p) of the local ring, of its dimension D, which may be lower than
     dim X.  Its Hilbert series is Q(t)/(1 - t)^D with Q(1) != 0, and Q(1)
@@ -420,27 +414,22 @@ def lowest_forms_multiplicity(X):
     from `groebner.certified_hilbert_data` in the slice ring.  Only fewer
     lowest forms than slice variables are tried.
     """
-    chart = slice_ring(X.ring)
-    lowest = [
-        next(s for s in slice_decomposition(g) if s) for g in X.normalized_ideal.generators
-    ]
-    if len(lowest) >= chart.nvars:
+    lowest = _lowest_forms(X.normalized_ideal.generators)
+    if len(lowest) >= X.ring.nvars - 1:
         return None
-    certified = certified_hilbert_data(Ideal(chart, lowest))
+    certified = certified_hilbert_data(Ideal(slice_ring(X.ring), lowest))
     return None if certified is None else certified.degree
+
+
+def _lowest_forms(gens):
+    """The lowest form at [1:0:...:0] of each form: its first nonzero slice."""
+    return [next(s for s in slice_decomposition(g) if s) for g in gens]
 
 
 def _tangent_cone(X):
     """The ideal TC of lowest forms at the base point, in the slice ring:
-    the top x_0 slices of the local basis generate it."""
-    _, basis = _local_basis(X.normalized_ideal)
-    chart = slice_ring(X.ring)
-    lowest = []
-    for g in basis:
-        top = g.leading_monomial()[0]
-        terms = [(m[1:], c) for m, c in g.terms if m[0] == top]
-        lowest.append(chart.from_terms(terms))
-    return Ideal(chart, lowest)
+    those of the local basis generate it."""
+    return Ideal(slice_ring(X.ring), _lowest_forms(_local_basis(X.normalized_ideal)[1]))
 
 
 def ord_at(f, X, normalized=False):

@@ -2,8 +2,9 @@
 
 Matrices are lists of lists of field scalars.  Everything here is dense
 Gaussian elimination; the problem sizes are tiny (coordinate changes).
-`rref` and `solve_affine` have no caller in the package: the oracle
-eliminates on plain ints mod q, and the tests check it against these.
+`invert` reads the inverse off `rref([M | I])`.  `solve_affine` has no
+caller in the package: the oracle eliminates on plain ints mod q, and the
+tests check its `_echelon` and `_solve` against `rref` and `solve_affine`.
 """
 
 from __future__ import annotations
@@ -19,23 +20,18 @@ def identity(n, field):
 
 
 def invert(matrix, field):
-    """Inverse of a square matrix; raises SingularMatrixError otherwise."""
+    """Inverse of a square matrix; raises SingularMatrixError otherwise.
+
+    The right half of rref([M | I]): M is invertible exactly when all n
+    pivots fall in its own columns.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    work = [list(row) + list(identity(n, field)[i]) for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not field.is_zero(work[r][col])), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = field.invert(work[col][col])
-        work[col] = [field.mul(inv, a) for a in work[col]]
-        for r in range(n):
-            if r != col and not field.is_zero(work[r][col]):
-                factor = work[r][col]
-                work[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    rows, pivots = rref([list(row) + e for row, e in zip(matrix, identity(n, field))], field)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return [row[n:] for row in rows]
 
 
 def rref(matrix, field):

@@ -21,6 +21,7 @@ threads; every operation is a pure function.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -568,33 +569,26 @@ def _collect(ring, pairs):
 # -- parsing ------------------------------------------------------------------
 
 
+# an integer, a word, an operator or any other character, after whitespace
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*^()/])|(\S))")
+
+
 def _tokenize(text):
+    """The tokens of the whole text, as (kind, text, position) triples ending
+    with ("end", "", len(text)).  Integers are runs of decimal digits; a
+    word is a variable name only when it starts with a letter or "_"."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        value, start = match[group], match.start(group)
+        if group == 3:  # operators, the most frequent tokens
+            tokens.append((value, value, start))
+        elif group == 1:
+            tokens.append(("int", value, start))
+        elif group == 2 and (value[0].isalpha() or value[0] == "_"):
+            tokens.append(("ident", value, start))
+        else:
+            raise ParseError(f"unexpected character {value[0]!r}", start)
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -28,8 +28,32 @@ class TestCommands:
         code = main(["classify", bundled("fermat-cubic")])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert "seshadri.epsilon: 3/2" in out
-        assert "seshadri.status: EXACT" in out
+        assert out == (
+            "command: classify\n"
+            "ambient.cut_out_degree: 1\n"
+            "ambient.line_scheme_dimension: 2\n"
+            'seshadri.assumptions: ["i: complete intersection of codimension r (verified)", '
+            '"ii: ambient line scheme large enough (verified)", '
+            '"iii: d_p(Y) <= d_r (verified)", "line scheme of X empty (verified)"]\n'
+            "seshadri.cut_out_degree: 3\n"
+            "seshadri.epsilon: 3/2\n"
+            "seshadri.line_scheme_dimension: -1\n"
+            "seshadri.lower_bound: 3/2\n"
+            "seshadri.status: EXACT\n"
+        )
+
+    def test_oracle_human_output(self, capsys):
+        code = main(["oracle", bundled("quadric-surface"), "--primes", "5", "--conics"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            "command: oracle\n"
+            "oracle.5.conic.attempts: 5\n"
+            "oracle.5.conic.found: True\n"
+            "oracle.5.conic.inconclusive: False\n"
+            "oracle.5.conic.witness: [[1, 0, 0, 0], [4, 1, 2, 0], [0, 4, 0, 2]]\n"
+            "oracle.5.directions: [[0, 0, 1, 0], [0, 1, 0, 0]]\n"
+            "oracle.5.line_count: 2\n"
+        )
 
     def test_bound_fermat(self):
         report, code = run_report(["bound", bundled("fermat-cubic")])
@@ -110,7 +134,8 @@ class TestCommands:
         assert oracle["5"]["line_count"] == 2
         assert "exceed the enumeration limit" in oracle[str(large)]["error"]
 
-    def test_oracle_repeated_primes_run_once(self, monkeypatch):
+    @staticmethod
+    def _assert_primes_run_once(monkeypatch, argv):
         # a prime listed twice is scanned and searched once, in first-seen order
         scanned = []
         original = cli.count_lines_mod_q
@@ -120,13 +145,23 @@ class TestCommands:
             return original(instance)
 
         monkeypatch.setattr(cli, "count_lines_mod_q", counting)
-        report, code = run_report(
-            ["oracle", bundled("quadric-surface"), "--primes", "7,5,7,5", "--conics"]
-        )
+        report, code = run_report(argv)
         assert code == EXIT_OK
         assert scanned == [7, 5]
         assert report["flags"]["primes"] == [7, 5]
         assert list(report["result"]["oracle"]) == ["7", "5"]
+
+    def test_oracle_repeated_primes_run_once(self, monkeypatch):
+        self._assert_primes_run_once(
+            monkeypatch,
+            ["oracle", bundled("quadric-surface"), "--primes", "7,5,7,5", "--conics"],
+        )
+
+    def test_oracle_repeated_primes_in_the_file_run_once(self, monkeypatch, tmp_path):
+        raw = json.loads(Path(bundled("quadric-surface")).read_text())
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({**raw, "primes": [7, 5, 7]}))
+        self._assert_primes_run_once(monkeypatch, ["oracle", str(path), "--conics"])
 
     def test_oracle_with_conics(self):
         report, code = run_report(

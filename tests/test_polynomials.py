@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -96,6 +97,12 @@ class TestParser:
             # superscripts pass str.isdigit but are no decimal digits
             ("x0^\u00b2", "unexpected character '\u00b2'", 3),
             ("x0^2\u00b2", "unexpected character '\u00b2'", 4),
+            # a word that starts with no letter and no "_" is refused at its start
+            ("\u00b2x0", "unexpected character '\u00b2'", 0),
+            ("x0\u00b2", "unknown variable 'x0\u00b2'", 0),
+            ("x0 +\t ", "unexpected ''", 6),
+            # the whole text is tokenized before it is parsed
+            ("x0 + + $", "unexpected character '$'", 7),
         ],
     )
     def test_errors_keep_their_message_and_position(self, ring3, text, message, position):
@@ -181,6 +188,31 @@ class TestSubstituteLinear:
     def test_size_mismatch(self, ring3):
         with pytest.raises(ValueError):
             substitute_linear(ring3.parse("x0"), [[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+    def test_invert_against_the_determinant(self, field, rng):
+        # singular exactly when the Leibniz determinant vanishes, else M M^-1 = I
+        assert invert([], field) == []
+        for _ in range(60):
+            m = [[field.coerce(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
+            det = field.zero
+            for perm in permutations(range(3)):
+                inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+                term = field.one if inversions % 2 == 0 else field.neg(field.one)
+                for i, j in enumerate(perm):
+                    term = field.mul(term, m[i][j])
+                det = field.add(det, term)
+            if field.is_zero(det):
+                with pytest.raises(SingularMatrixError):
+                    invert(m, field)
+                continue
+            inverse = invert(m, field)
+            for i in range(3):
+                for j in range(3):
+                    entry = field.zero
+                    for k in range(3):
+                        entry = field.add(entry, field.mul(m[i][k], inverse[k][j]))
+                    assert entry == (field.one if i == j else field.zero)
 
 
 def _random_invertible(n, rng):
