@@ -45,6 +45,29 @@ Krull dimension of F_p[x]/I_p.  The theorems they rest on:
   so for r < n the irrelevant ideal is not one, I is saturated, and
   Proj(R/I) has no embedded or lower-dimensional component.
 
+For r <= n forms the pair loop mod p knows the series it is asked to
+confirm, T = prod (1 - t^d_i) / (1 - t)^n, and is driven by it (after
+Traverso, "Hilbert functions and the Buchberger algorithm", J. Symbolic
+Comput. 22 (1996)).  Its input is homogeneous, so it takes its pairs in
+nondecreasing degree D, and the leads found so far generate a subideal L
+of LT(I_p): R/L has at least as many standard monomials in each degree as
+F_p[x]/I_p, and at least its dimension.
+
+- (a) Once L leaves at most T(D) standard monomials in degree D, the
+  remaining pairs of degree D are skipped.  When the forms are a regular
+  sequence mod p, F_p[x]/I_p has the series T, so L then agrees with
+  LT(I_p) in degree D and every skipped pair reduces to zero.
+- (b) Once R/L has dimension n - r, the loop stops: F_p[x]/I_p has at most
+  that dimension, hence exactly it by Krull's theorem.
+- (c) Once a degree D is done with more than T(D) standard monomials left,
+  the loop stops: for a regular sequence every pair of degree <= D has
+  been reduced or skipped as zero by then, so L would agree with LT(I_p)
+  in degree D, and I_p is not one.
+
+Whatever is skipped, the leads returned generate a subideal of LT(I_p),
+so a verdict read off them is proved; and for a regular sequence no pair
+that decides is skipped, so the rules change no verdict.
+
 Every Hilbert question goes through `hilbert_data`, and one function,
 `certified_hilbert_data`, decides whether the prime is asked: for r > 0
 forms over Q whose basis over Q is not cached (a cached basis answers at
@@ -361,27 +384,31 @@ def _normalize(p):
     return p.primitive() if p.ring.field == QQ else p.monic()
 
 
-def _update_pairs(pairs, lms, sugars, t, packing):
+def _update_pairs(pairs, exps, lms, sugars, t, packing):
     """Gebauer-Moeller criteria when basis element with index t arrives.
 
-    Monomials are packed.  A pair is (i, j, lcm, rank) with
-    rank = (sugar, lcm), fixed when the pair is created.
+    Monomials are packed, and `exps` holds the leading monomials unpacked.
+    A pair is (i, j, lcm, rank) with rank = (sugar, lcm), fixed when the
+    pair is created.  The new lcms that survive are those no other lcm
+    properly divides: a divisor is a smaller int, and divisibility is
+    transitive, so each distinct lcm, taken in increasing order, is tested
+    against the survivors before it only.
     """
-    guard, mask = packing.guard, packing.mask
-    lmt = lms[t]
-    lcms = [packing.lcm(lms[i], lmt) for i in range(t)]
-    survivors = [
-        i
-        for i, li in enumerate(lcms)
-        if not any(lj != li and not (li - lj) & guard for lj in lcms)
-    ]
-    seen = set()
+    guard, mask, pack = packing.guard, packing.mask, packing.pack
+    lmt, et = lms[t], exps[t]
+    lcms = [pack(map(max, e, et)) for e in exps[:t]]
+    if any(top & guard for top in lcms):
+        raise _Overflow
+    minimal = []
+    for top in sorted(set(lcms)):
+        if all((top - low) & guard for low in minimal):
+            minimal.append(top)
+    unseen = set(minimal)
     fresh = []
-    for i in survivors:
-        top = lcms[i]
-        if top in seen:
+    for i, top in enumerate(lcms):
+        if top not in unseen:
             continue
-        seen.add(top)
+        unseen.remove(top)
         if top != lms[i] + lmt:  # not coprime
             degree = top & mask
             sugar = max(
@@ -402,33 +429,146 @@ def _degree(form, mask):
     return max(lm & mask, max((e & mask for e, _ in tail), default=0))
 
 
-def _pair_loop(forms, packing, q):
+class _Target:
+    """What the pair loop knows of the leads so far, L, against a target
+    series T = numerator / (1 - t)^n: that of R/I for r forms in a regular
+    sequence, r the number of (1 - t) factors of the numerator.
+
+    `standard` maps the monomials of degree `degree` outside L, packed, to
+    their supports, and `limit` is T(degree).  A monomial m of the next
+    degree is standard iff it is not a lead and every m/x_j, x_j | m, is
+    standard, since a lead of lower degree that divides m divides some
+    m/x_j: so iff m arises from as many standard monomials, times a
+    variable, as it has variables.  They are counted from `start` on, the
+    least degree d_i + d_j of a Koszul syzygy of two of the forms: below it
+    a regular sequence has no syzygy, and the count would cost more than
+    the few pairs it could skip.
+
+    `transversals` holds, as bitmasks, sets of at most r - 1 variables
+    that meet the support of every lead, among them every minimal such set
+    (Berge's extension, one lead at a time); R/L has dimension n - r, that
+    is height r, once none is left.
+    """
+
+    def __init__(self, numerator, packing, exps, lms):
+        n = packing.order.nvars
+        self.numerator, self.nvars, self.mask = numerator, n, packing.mask
+        self.steps = [(1 << j, u) for j, u in enumerate(packing.units)]
+        self.size = n - _strip_unit_root(numerator, n)[1] - 1  # r - 1
+        self.degree, self.limit = 0, _coefficient(numerator, n, 0)
+        self.standard = {0: 0}  # 0 packs the monomial 1
+        first, second = sorted(lm & self.mask for lm in lms)[:2]
+        self.start = first + second
+        self.transversals = {0}
+        for e, lm in zip(exps, lms):
+            self.add(e, lm)
+
+    def add(self, exps, lm):
+        """A new lead, unpacked and packed.  Only one of degree `degree` is
+        among the standard monomials; the others are left out as `advance`
+        reaches their degree."""
+        self.standard.pop(lm, None)
+        support = sum(1 << k for k, e in enumerate(exps) if e)
+        family = set()
+        for S in self.transversals:
+            if S & support:
+                family.add(S)
+            elif S.bit_count() < self.size:
+                family.update(S | bit for bit, _ in self.steps if bit & support)
+        self.transversals = family
+
+    def advance(self, degree, lms):
+        """Step the standard monomials up to `degree`; False as soon as a
+        degree left behind has more than T of them.  Every monomial of
+        `degree` fits the packing, since the lcm of a pair of that degree
+        did."""
+        while self.degree < degree:
+            if len(self.standard) > self.limit:
+                return False
+            self.degree += 1
+            self.limit = _coefficient(self.numerator, self.nvars, self.degree)
+            parents, supports = {}, {}
+            for s, support in self.standard.items():
+                for bit, u in self.steps:
+                    m = s + u
+                    parents[m] = parents.get(m, 0) + 1
+                    supports[m] = support | bit
+            leads = {lm for lm in lms if lm & self.mask == self.degree}
+            self.standard = {
+                m: support
+                for m, support in supports.items()
+                if parents[m] == support.bit_count() and m not in leads
+            }
+        return True
+
+
+def _pair_loop(forms, packing, q, target=None):
     """Extend the forms of a generating set to those of a Groebner
-    generating set, in place, and return them.
+    generating set, in place; returns them and the counts (S-pairs reduced,
+    reduced to zero, skipped).
 
     Pairs pass the Gebauer-Moeller criteria and are taken least sugar
     first; each S-pair is divided by the forms so far and a nonzero
     remainder joins them as a new form.
+
+    `target`, the numerator of a Hilbert series T over (1 - t)^n, is given
+    only for homogeneous forms, whose pairs then come in nondecreasing
+    degree D (the sugar is the degree), and with T that of a regular
+    sequence of r forms generating I.  The leads so far generate a
+    subideal L of LT(I), so R/L has at least HF(R/I, D) standard monomials
+    in degree D and dimension at least that of R/I.  Three rules use T:
+
+    (a) once L leaves at most T(D) standard monomials in degree D, the
+        remaining pairs of degree D are skipped;
+    (b) once R/L has dimension n - r, the loop stops;
+    (c) once a degree D is done with more than T(D) standard monomials
+        left, the loop stops.
+
+    If the r forms are a regular sequence, R/I has the series T exactly:
+    under (a) L then agrees with LT(I) in degree D, so every skipped pair
+    reduces to zero and the forms are those of the loop without a target;
+    (c) never applies, since all pairs of degree <= D are then reduced or
+    skipped as zero.  If they are not, R/I has dimension above n - r, and
+    so has R/L, whichever pairs are skipped.  So the leads returned have
+    dimension n - r exactly when the forms are a regular sequence.
     """
     guard, mask = packing.guard, packing.mask
     forms.sort(key=lambda form: form[0])
-    lms, sugars, pairs = [], [], []
+    exps, lms, sugars, pairs = [], [], [], []
     for t, form in enumerate(forms):
+        exps.append(packing.unpack(form[0]))
         lms.append(form[0])
         sugars.append(_degree(form, mask))
-        pairs = _update_pairs(pairs, lms, sugars, t, packing)
-    while pairs:
+        pairs = _update_pairs(pairs, exps, lms, sugars, t, packing)
+    watch = target and pairs and _Target(target, packing, exps, lms)
+    reduced = zero = skipped = 0
+    while pairs and not (watch and not watch.transversals):  # (b)
         # the first pair of least rank, as a stable sort would give
         best = min(range(len(pairs)), key=lambda k: pairs[k][3])
+        degree = pairs[best][3][0]
+        if watch and degree >= watch.start:
+            if not watch.advance(degree, lms):  # (c)
+                break
+            if len(watch.standard) <= watch.limit:  # (a)
+                kept = [pair for pair in pairs if pair[3][0] != degree]
+                skipped += len(pairs) - len(kept)
+                pairs = kept
+                continue
         i, j, top, (sugar, _) = pairs.pop(best)
         remainder, _ = _divide(_s_pair(forms[i], forms[j], top, guard, q), forms, guard, q)
-        if remainder:
-            form = _form(remainder, q)
-            forms.append(form)
-            lms.append(form[0])
-            sugars.append(max(sugar, _degree(form, mask)))
-            pairs = _update_pairs(pairs, lms, sugars, len(forms) - 1, packing)
-    return forms
+        reduced += 1
+        if not remainder:
+            zero += 1
+            continue
+        form = _form(remainder, q)
+        forms.append(form)
+        exps.append(packing.unpack(form[0]))
+        lms.append(form[0])
+        sugars.append(max(sugar, _degree(form, mask)))
+        pairs = _update_pairs(pairs, exps, lms, sugars, len(forms) - 1, packing)
+        if watch:
+            watch.add(exps[-1], form[0])
+    return forms, (reduced, zero, skipped + len(pairs))
 
 
 def buchberger(generators, order=None):
@@ -447,7 +587,7 @@ def buchberger(generators, order=None):
     work = ring if order == ring.order else ring.with_order(order)
 
     def run(packing):
-        forms = _pair_loop(_forms(gens, packing, q), packing, q)
+        forms, _ = _pair_loop(_forms(gens, packing, q), packing, q)
         return _interreduce(forms, work, packing, q)
 
     return _packed(run, order, gens)
@@ -763,16 +903,26 @@ def _binomial_polynomial(shift, k):
 
 
 def _leads_mod_p(I):
-    """Exponent tuples that generate LT(I_p), p = EMPTINESS_PRIME.
+    """Exponent tuples that generate LT(I_p), p = EMPTINESS_PRIME, or a
+    part of it that decides whether I_p is a complete intersection; and the
+    pair loop's counts (S-pairs reduced, reduced to zero, skipped).
 
     I_p is generated by the primitive integer forms of I's generators read
     mod p; the Buchberger pair loop runs on them over F_p, and the leading
     monomials of the Groebner generating set it returns generate LT(I_p).
     For homogeneous I over Q, HF(R/I, D) <= HF(F_p[x]/I_p, D) for every D (see
     the module docstring), so a dimension read off these leads bounds that
-    of R/I from above.
+    of R/I from above.  For r <= n generators the loop gets the series T of
+    a regular sequence of their degrees as its target, and `_pair_loop`'s
+    rules apply: (a) skip the rest of a degree once its leads leave T(D)
+    standard monomials, (b) stop once the leads have dimension n - r, (c)
+    stop once a finished degree leaves more than T(D).  The leads returned
+    then generate a part of LT(I_p) whose dimension is n - r exactly when
+    that of LT(I_p) is, which is all `certified_hilbert_data` reads.
     """
     p = EMPTINESS_PRIME
+    n = I.ring.nvars
+    target = _regular_numerator(I.generators) if len(I.generators) <= n else None
 
     def run(packing):
         forms = []
@@ -780,9 +930,27 @@ def _leads_mod_p(I):
             terms = [(m, c % p) for m, c in [(lm, lc), *tail] if c % p]
             if terms:
                 forms.append(_form(terms, p))
-        return [packing.unpack(lm) for lm, _, _ in _pair_loop(forms, packing, p)]
+        forms, counts = _pair_loop(forms, packing, p, target)
+        return [packing.unpack(lm) for lm, _, _ in forms], counts
 
     return _packed(run, I.ring.order, I.generators)
+
+
+def _regular_numerator(generators):
+    """prod (1 - t^d_i) over the generators' degrees d_i: the numerator of
+    the Hilbert series of R/I over (1 - t)^n when they are a regular
+    sequence."""
+    numerator = [1]
+    for g in generators:
+        numerator = _poly_mul(numerator, [1] + [0] * (g.total_degree() - 1) + [-1])
+    return numerator
+
+
+def _coefficient(numerator, nvars, d):
+    """The coefficient of t^d, d >= 0, in numerator(t) / (1 - t)^nvars."""
+    if not nvars:  # R is the field: the series is the numerator itself
+        return numerator[d] if d < len(numerator) else 0
+    return sum(c * comb(d - j + nvars - 1, nvars - 1) for j, c in enumerate(numerator[: d + 1]))
 
 
 def _hilbert_from_numerator(numerator, nvars):
@@ -826,7 +994,7 @@ def certified_hilbert_data(I):
     ):
         return None
     started = time.perf_counter()
-    leads = _leads_mod_p(I)
+    leads, (reduced, zero, skipped) = _leads_mod_p(I)
     if r < n:
         test, verdict = "complete intersection", "certified"
         numerator = _hilbert_numerator(leads, n)
@@ -840,18 +1008,16 @@ def certified_hilbert_data(I):
                 missing.difference_update(support or range(n))
         certified = not missing
     logger.debug(
-        "%s mod %d: %d generators, %d variables, %s in %.1f ms",
+        "%s mod %d: %d generators, %d variables, %s in %.1f ms, "
+        "%d S-pairs reduced (%d to zero), %d skipped",
         test, EMPTINESS_PRIME, r, n, verdict if certified else "fell back to Q",
-        1000 * (time.perf_counter() - started),
+        1000 * (time.perf_counter() - started), reduced, zero, skipped,
     )
     if not certified:
         return None
     if r >= n:
         return HilbertData(-1, None, ())
-    numerator = [1]
-    for g in I.generators:
-        numerator = _poly_mul(numerator, [1] + [0] * (g.total_degree() - 1) + [-1])
-    return _hilbert_from_numerator(numerator, n)
+    return _hilbert_from_numerator(_regular_numerator(I.generators), n)
 
 
 def hilbert_data(I):
@@ -879,11 +1045,7 @@ def hilbert_function(I, d):
         raise NonHomogeneousError("hilbert_function needs a homogeneous ideal")
     if d < 0:
         return 0
-    numerator = _leading_numerator(I)
-    n = ring.nvars
-    if not n:  # R is the field: the series is the numerator itself
-        return numerator[d] if d < len(numerator) else 0
-    return sum(c * comb(d - j + n - 1, n - 1) for j, c in enumerate(numerator[: d + 1]))
+    return _coefficient(_leading_numerator(I), ring.nvars, d)
 
 
 def monomials_of_degree(nvars, d):

@@ -9,6 +9,7 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,7 +195,9 @@ def test_each_attempt_is_logged(caplog):
     assert messages[1].startswith(
         f"complete intersection mod {EMPTINESS_PRIME}: 2 generators, 3 variables, certified in "
     )
-    assert all(m.endswith(" ms") for m in messages)
+    # milliseconds, then the pair loop's counts
+    counts = r" in \d+\.\d ms, \d+ S-pairs reduced \(\d+ to zero\), \d+ skipped"
+    assert all(re.fullmatch(r".*" + counts, m) for m in messages)
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ of."""
 import json
 import logging
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +48,7 @@ SYNTHETIC_SHAPES = (
     (5, (2, 2, 2)),
 )
 SEXTIC = Path(__file__).parent / "data" / "p6-sextic.json"
+P5_QUINTIC = Path(__file__).parent / "data" / "p5-quintic.json"
 EMPTY = HilbertData(-1, None, ())
 
 
@@ -188,7 +190,9 @@ def test_each_attempt_is_logged(caplog):
     assert all(f"mod {EMPTINESS_PRIME}: 2 generators, 2 variables" in m for m in messages)
     assert "certified empty" in messages[0]
     assert "fell back to Q" in messages[1]
-    assert all(m.endswith(" ms") for m in messages)
+    # milliseconds, then the pair loop's counts
+    counts = r" in \d+\.\d ms, \d+ S-pairs reduced \(\d+ to zero\), \d+ skipped"
+    assert all(re.fullmatch(r".*" + counts, m) for m in messages)
 
 
 def test_ideals_through_the_base_point_skip_the_prime(caplog, monkeypatch):
@@ -245,15 +249,144 @@ def test_a_cached_basis_of_x_skips_the_prime(caplog):
     )
 
 
+@pytest.mark.parametrize("path, value, nvars", [(SEXTIC, "6/5", 6), (P5_QUINTIC, "5/4", 5)])
 @pytest.mark.parametrize("command", ["bound", "classify"])
-def test_p6_sextic_reaches_six_fifths(command):
-    # no result in a minute over Q; the prime proves the line scheme empty
-    report, code, _ = run([command, str(SEXTIC)])
+def test_empty_line_schemes_reach_the_bound(command, path, value, nvars, caplog):
+    # over Q the sextic's line scheme gives no result in a minute; the
+    # prime proves each line scheme empty, nvars slices in nvars directions
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
+    report, code, _ = run([command, str(path)])
     assert code == EXIT_OK
     seshadri = report["result"]["seshadri"]
-    assert seshadri["lower_bound"] == "6/5"
+    assert seshadri["lower_bound"] == value
     assert seshadri["line_scheme_dimension"] == -1
-    assert seshadri["status"] == ("EXACT" if command == "classify" else "LOWER_BOUND_ONLY")
+    if command == "classify":
+        assert (seshadri["status"], seshadri["epsilon"]) == ("EXACT", value)
+    else:
+        assert seshadri["status"] == "LOWER_BOUND_ONLY"
+    assert any(
+        m.startswith(
+            f"emptiness mod {EMPTINESS_PRIME}: {nvars} generators, {nvars} variables, "
+            "certified empty in "
+        )
+        for m in _attempts(caplog)
+    )
+
+
+def _without_target(monkeypatch):
+    """Make `_leads_mod_p` run the full pair loop, with no target series."""
+    original = groebner._pair_loop
+    monkeypatch.setattr(
+        groebner, "_pair_loop", lambda forms, packing, q, target=None: original(forms, packing, q)
+    )
+
+
+def _random_ideals():
+    """(ring, generators) of seeded random forms with r < n, r = n and
+    r > n, in 3 to 5 variables, of degrees 1 to 3."""
+    rng = random.Random(25)
+    ideals = []
+    for n in (3, 4, 5):
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(n)))
+        for r in (1, n - 1, n, n + 1):
+            for _ in range(3):
+                degrees = [rng.randint(1, 3) for _ in range(r)]
+                ideals.append((ring, [random_homogeneous(ring, d, rng) for d in degrees]))
+    return ideals
+
+
+def _non_regular_ideals():
+    """(ring, generators) that are not a regular sequence: a repeated
+    generator, g with g*h, and forms sharing the factor x1, with r < n and
+    r = n."""
+    rng = random.Random(26)
+    ideals = []
+    for n in (3, 4):
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(n)))
+        g, h, k = (random_homogeneous(ring, d, rng) for d in (2, 1, 2))
+        x1 = ring.variable(1)
+        ideals += [
+            (ring, [g, g]),
+            (ring, [g, g * h]),
+            (ring, [x1 * g, x1 * h]),
+            (ring, [x1 * g, x1 * h, k] + [random_homogeneous(ring, 2, rng) for _ in range(n - 3)]),
+        ]
+    return ideals
+
+
+def test_the_target_changes_no_verdict(monkeypatch):
+    # the verdict of the full pair loop, with no target, on the same forms
+    regular, non_regular = _random_ideals(), _non_regular_ideals()
+    verdicts = [certified_hilbert_data(Ideal(ring, gens)) for ring, gens in regular + non_regular]
+    _without_target(monkeypatch)
+    assert verdicts == [
+        certified_hilbert_data(Ideal(ring, gens)) for ring, gens in regular + non_regular
+    ]
+    assert verdicts[len(regular):] == [None] * len(non_regular)
+    # every shape of regular input is certified somewhere
+    shapes = {
+        (len(gens) > ring.nvars) - (len(gens) < ring.nvars)
+        for (ring, gens), data in zip(regular, verdicts)
+        if data is not None
+    }
+    assert shapes == {-1, 0, 1}
+
+
+def test_skipped_pairs_are_the_zero_reductions_of_their_degree(monkeypatch):
+    # a regular sequence of r = n forms: in each degree the loop with the
+    # target reduces the pairs the full loop reduces first, and the full
+    # loop's further pairs of that degree, which the target skips, all
+    # reduce to zero
+    ring = PolynomialRing(tuple(f"x{i}" for i in range(5)))
+    rng = random.Random(1)
+    I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in (1, 2, 3, 4, 5)])
+    calls = []
+    original = groebner._pair_loop
+
+    def recording(forms, packing, q, target=None):
+        calls.append((list(forms), packing, q, target))
+        return original(forms, packing, q, target)
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_pair_loop", recording)
+        assert certified_hilbert_data(I) == EMPTY
+    (forms, packing, q, target), = calls
+    assert target is not None
+
+    def reductions(target):
+        """(degree, reduced to zero) of each S-pair the loop divides, and
+        its counts."""
+        seen = []
+        s_pair, divide = groebner._s_pair, groebner._divide
+
+        def recording_s_pair(f, g, top, guard, q):
+            seen.append(top & packing.mask)
+            return s_pair(f, g, top, guard, q)
+
+        def recording_divide(pending, forms, guard, q):
+            remainder, scale = divide(pending, forms, guard, q)
+            seen[-1] = (seen[-1], not remainder)
+            return remainder, scale
+
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_s_pair", recording_s_pair)
+            m.setattr(groebner, "_divide", recording_divide)
+            _, counts = original(list(forms), packing, q, target)
+        return seen, counts
+
+    fast, (reduced, zero, skipped) = reductions(target)
+    full, full_counts = reductions(None)
+    assert (reduced, zero) == (len(fast), sum(z for _, z in fast))
+    full_zero = sum(z for _, z in full)
+    assert full_counts == (len(full), full_zero, 0)
+    assert reduced - zero == len(full) - full_zero
+    assert zero + skipped == full_zero
+    assert skipped > 0
+    for degree in {d for d, _ in full}:
+        kept = [z for d, z in fast if d == degree]
+        all_of_degree = [z for d, z in full if d == degree]
+        assert all_of_degree[: len(kept)] == kept
+        assert all(all_of_degree[len(kept):])
 
 
 class TestCurveValidate:

@@ -486,6 +486,25 @@ class TestPackedMonomials:
                 divides = all(x <= y for x, y in zip(a, b))
                 assert (not (pack(b) - pack(a)) & guard) == divides
 
+    @pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_ORDER_IDS)
+    def test_update_pairs_keeps_the_reference_pairs(self, order):
+        # the criteria on packed leads, each unpacked once, keep the pairs
+        # of the criteria on exponent tuples, in the same order; repeated
+        # leads included
+        packing = _packing(order, 4)
+        rng = random.Random(f"pairs {order!r}")
+        for _ in range(30):
+            leads = [rng.choice(SMALL_MONOMIALS) for _ in range(8)]
+            packed = [packing.pack(e) for e in leads]
+            sugars = [sum(e) + rng.randint(0, 1) for e in leads]
+            pairs, expected = [], []
+            for t in range(len(leads)):
+                pairs = groebner._update_pairs(pairs, leads, packed, sugars, t, packing)
+                expected = reference_update_pairs(expected, leads, sugars, t, order)
+                assert [(i, j, packing.unpack(top), rank[0]) for i, j, top, rank in pairs] == [
+                    (i, j, lcm, rank[0]) for i, j, lcm, rank in expected
+                ]
+
     def test_overflowing_fields_are_widened(self, monkeypatch):
         # the lex basis of x_i - x_{i+1}^2 reaches degree 2^16, far beyond
         # the fields sized from the degree 2 of the input
