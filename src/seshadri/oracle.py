@@ -6,20 +6,22 @@ space ker J(p) over F_q (plain linear algebra), one coset of the reduced
 kernel basis at a time: g(p + t*v) is expanded once per generator with t
 and the coset's free digits symbolic, and the digits are then fixed one
 at a time, a branch ending as soon as one t-coefficient becomes a nonzero
-constant; a coset too large to expand at once is split by its lowest
-digit first.  Conics come from a randomized search over tangent
+constant; a coefficient in the next digit alone limits that digit to its
+roots.  A coset too large to expand at once is split by its lowest digit
+first.  Conics come from a randomized search over tangent
 directions v = sum_j c_j*b_j: g(p + t*v + t^2*w) is expanded once per
 generator with the tangent coordinates c_j and w symbolic, and each draw
 only evaluates that expansion at its c: one packed sum of integers whose
-fields are the t-coefficients, read off already split into the
+fields, read in one pass, are the t-coefficients, split into the
 constraints linear in w and the higher ones, since each group of terms
-is classed once by its w-monomial.  Both expansions run on packed
-exponent keys.  Plane-curve multiplicities read off the lowest form after
-translating the point to the affine origin.  Everything runs on plain
-ints mod q, the linear algebra too: the Jacobian comes from the terms,
-and the tangent kernel, the solve for w and the rank tests are one
-reduced echelon form (`_echelon`, `_solve`), so `linalg` stays an
-independent reference for them.
+is classed once by its w-monomial; a higher one is read only when the
+draw tests it.  Both expansions run on packed exponent keys.  Plane-curve
+multiplicities read off the lowest form after translating the point to
+the affine origin.  Everything runs on plain ints mod q, the linear
+algebra too: the Jacobian comes from the terms, the tangent kernel and
+the solve for w are one reduced echelon form (`_echelon`, `_solve`), and
+the test that p, v, w are independent is two eliminations (`_reduce`),
+so `linalg` stays an independent reference for them.
 
 The scan is sequential, since the interpreter lock would serialise
 threads over this pure-Python work; the directions found come back in
@@ -31,6 +33,8 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+import struct
+import sys
 import time
 from dataclasses import dataclass
 from math import comb
@@ -212,27 +216,42 @@ def _expand(form, images, q, span):
     return {k: x for k, x in total.items() if x}
 
 
-def _common_zeros(polys, depth, q, base):
+def _common_zeros(polys, depth, q, base, tried):
     """The digit vectors (c_0, ..., c_(depth-1)) in F_q^depth at which
     every one of polys vanishes.
 
     A polynomial is {code: coefficient}, code = sum a_j*base^j for the
-    monomial prod c_j^a_j, and none is zero.  The digit c_0 is fixed to
-    each value in turn; a branch ends as soon as one polynomial becomes a
-    nonzero constant, and the last digit is tested on univariates.
+    monomial prod c_j^a_j, and none is zero.  Every common zero is a root
+    of each polynomial in c_0 alone, so c_0 runs over the roots of one
+    such polynomial if there is one (-y/x for x*c_0 + y, none for a
+    nonzero constant), and over F_q otherwise; at the last digit every
+    polynomial is one.  Each value of c_0 is substituted into every
+    polynomial, a branch ending as soon as one of them becomes a nonzero
+    constant; tried[0] counts the values substituted.
     """
     if not polys:
         return list(itertools.product(range(q), repeat=depth))
-    if depth == 0:  # every polynomial left is a nonzero constant
-        return []
-    if depth == 1:
-        return [
-            (a,)
-            for a in range(q)
-            if not any(sum(x * pow(a, e, q) for e, x in f.items()) % q for f in polys)
-        ]
+    values, univariate = range(q), None
+    for f in polys:
+        top = max(f)
+        if top >= base:  # f involves a later digit
+            continue
+        if top == 0:  # a nonzero constant
+            return []
+        if top == 1:
+            values = [-f.get(0, 0) * pow(f[1], -1, q) % q]
+            break
+        univariate = univariate or f
+    else:
+        if univariate:
+            values = [
+                a
+                for a in range(q)
+                if not sum(x * pow(a, e, q) for e, x in univariate.items()) % q
+            ]
+    tried[0] += len(values)
     zeros = []
-    for a in range(q):
+    for a in values:
         rest = []
         for f in polys:
             g = {}
@@ -245,19 +264,25 @@ def _common_zeros(polys, depth, q, base):
             if g:
                 rest.append(g)
         else:
-            zeros.extend((a,) + z for z in _common_zeros(rest, depth - 1, q, base))
+            zeros.extend(
+                (a,) + z for z in _common_zeros(rest, depth - 1, q, base, tried)
+            )
     return zeros
 
 
-def _line_directions(forms, point, rows, q):
+def _line_directions(forms, point, rows, q, tried=None):
     """The vectors v = r_i + sum_{j>i} c_j*r_j (c_j in F_q) with
     g(point + t*v) = 0 in F_q[t] for every form, in sorted order; one
-    `_coset_directions` per coset i.
+    `_coset_directions` per coset i.  tried[0], if given, gains the digit
+    values `_common_zeros` tried.
     """
     degree = max((sum(e for _, e in f) for form in forms for _, f in form), default=1)
+    tried = tried or [0]
     hits = []
     for i, lead in enumerate(rows):
-        hits.extend(_coset_directions(forms, point, lead, rows[i + 1 :], q, degree + 1))
+        hits.extend(
+            _coset_directions(forms, point, lead, rows[i + 1 :], q, degree + 1, tried)
+        )
     return sorted(hits)
 
 
@@ -266,7 +291,7 @@ def _line_directions(forms, point, rows, q):
 COSET_TERM_LIMIT = 1 << 16
 
 
-def _coset_directions(forms, point, lead, tail, q, span):
+def _coset_directions(forms, point, lead, tail, q, span, tried):
     """The vectors v = lead + sum_j c_j*tail_j (c_j in F_q) with
     g(point + t*v) = 0 in F_q[t] for every form; span > every degree.
 
@@ -302,6 +327,7 @@ def _coset_directions(forms, point, lead, tail, q, span):
                 tail[1:],
                 q,
                 span,
+                tried,
             )
         ]
     polys = {}
@@ -311,7 +337,7 @@ def _coset_directions(forms, point, lead, tail, q, span):
             polys.setdefault((n, k), {})[code] = x
     polys = sorted(polys.values(), key=len)
     hits = []
-    for digits in _common_zeros(polys, len(tail), q, span):
+    for digits in _common_zeros(polys, len(tail), q, span, tried):
         v = list(lead)
         for c, row in zip(digits, tail):
             if c:
@@ -386,10 +412,12 @@ def count_lines_mod_q(instance):
         raise EnumerationLimitError(
             f"{total} directions exceed the enumeration limit; lower q"
         )
-    hits = _line_directions(forms, point, basis, q)
+    tried = [0]
+    hits = _line_directions(forms, point, basis, q, tried)
     logger.debug(
-        "line scan mod %d: %d tangent directions decided, %d lines, in %.1f ms",
-        q, total, len(hits), 1000 * (time.perf_counter() - started),
+        "line scan mod %d: %d tangent directions decided, %d lines, "
+        "%d digit values tried, in %.1f ms",
+        q, total, len(hits), tried[0], 1000 * (time.perf_counter() - started),
     )
     return LineCount(count=len(hits), directions=tuple(hits))
 
@@ -420,9 +448,11 @@ def _conic_expansion(forms, point, tangent_basis, q):
     over F_q at the coordinates c, as (linear_rows, rhs, higher).  Each
     t-coefficient of each generator, a bucket, is a polynomial in w.  A
     bucket of total degree at most one in w at c is the row of a linear
-    equation linear_rows*w = rhs, unless it is zero at c; any other bucket
-    goes to higher as its nonzero terms (coefficient, w-factors), with
-    w-factors ((i, a_i), ...) as in `_form` and w^(q^j) kept.
+    equation linear_rows*w = rhs, unless it is zero at c.  higher is an
+    iterator over the other buckets, each read only when it is reached, as
+    its nonzero terms (coefficient, w-factors), with w-factors
+    ((i, a_i), ...) as in `_form` and w^(q^j) kept; a caller that stops at
+    the first bucket nonzero at its w reads no more of them.
 
     A key is k + tspan*wcode + span*ccode for t^k*w^a*c^b, with wcode =
     sum a_i*base^i and ccode = sum b_j*base^j (base > deg g bounds every
@@ -434,7 +464,10 @@ def _conic_expansion(forms, point, tangent_basis, q):
     an earlier one times its lowest variable, and sums every group at
     once: each c-monomial carries its groups' coefficients in fixed-width
     byte fields of one integer, wide enough that no field's sum carries
-    into the next.  A bucket is then read off the fields of its groups.
+    into the next.  Fields of at most 8 bytes are widened to 1, 2, 4 or 8
+    and read in one pass, a memoryview cast of the sum's bytes in native
+    order; wider ones, which primes near 2^32 and above need, are read
+    one slice at a time.  A bucket is then read off the fields of its groups.
     """
     nvars = len(point)
     degree = max((sum(e for _, e in f) for form in forms for _, f in form), default=0)
@@ -467,8 +500,13 @@ def _conic_expansion(forms, point, tangent_basis, q):
     for code in codes[1:]:
         j, step = _lowest(code, base)
         chain.append((position[code - step], j))
-    # a group's value before reduction fits in `width` bytes
+    # a group's value before reduction fits in `width` bytes; a width of at
+    # most 8 is rounded up to that of a native unsigned type, so that one
+    # cast of the packed sum reads every field
     width = ((len(codes) * (q - 1) ** 2).bit_length() + 7) // 8
+    cast = next((f for f in "BHIQ" if struct.calcsize(f) >= width), None)
+    if cast:
+        width = struct.calcsize(cast)
     members = {}
     rows = [[] for _ in codes]
     for g, ((n, k, wcode), terms) in enumerate(groups.items()):
@@ -476,12 +514,13 @@ def _conic_expansion(forms, point, tangent_basis, q):
         for code, x in terms:
             rows[position[code]].append((width * g, x))
     size = width * len(groups)
+    order = sys.byteorder
     packed = []
     for row in rows:
         data = bytearray(size)
         for at, x in row:
-            data[at : at + width] = x.to_bytes(width, "little")
-        packed.append(int.from_bytes(data, "little"))
+            data[at : at + width] = x.to_bytes(width, order)
+        packed.append(int.from_bytes(data, order))
     # per bucket: its constant group (or None), its groups linear in one
     # w_i as (i, group), its other groups, and all of them with w-factors
     buckets = []
@@ -496,18 +535,20 @@ def _conic_expansion(forms, point, tangent_basis, q):
                 rest.append(g)
         buckets.append((constant, linear, rest, bucket))
     offsets = range(0, size, width)
-    read = int.from_bytes
 
     def constraints(c):
         values = [1]
         for i, j in chain:
             values.append(values[i] * c[j] % q)
-        data = sum(map(mul, values, packed)).to_bytes(size, "little")
-        x = [read(data[at : at + width], "little") % q for at in offsets]
+        data = sum(map(mul, values, packed)).to_bytes(size, order)
+        if cast:
+            x = [f % q for f in memoryview(data).cast(cast)]
+        else:
+            x = [int.from_bytes(data[at : at + width], order) % q for at in offsets]
         linear_rows, rhs, higher = [], [], []
         for constant, linear, rest, bucket in buckets:
             if any(x[g] for g in rest):
-                higher.append([(x[g], factors) for g, factors in bucket if x[g]])
+                higher.append(bucket)
                 continue
             row = [0] * nvars
             for i, g in linear:
@@ -516,9 +557,21 @@ def _conic_expansion(forms, point, tangent_basis, q):
             if b or any(row):
                 linear_rows.append(row)
                 rhs.append(b)
-        return linear_rows, rhs, higher
+        return linear_rows, rhs, (
+            [(x[g], factors) for g, factors in bucket if x[g]] for bucket in higher
+        )
 
     return sum(map(len, groups.values())), constraints
+
+
+def _reduce(u, span, q):
+    """u*b_k - u_k*b mod q for each (b, k) of span in turn, where b_k is
+    nonzero and every b is zero at the k of the pairs before it: the
+    result is zero at every such k, and it is zero iff u lies in the span
+    of the b, one O(n) elimination per pair."""
+    for b, k in span:
+        u = [(x * b[k] - u[k] * y) % q for x, y in zip(u, b)]
+    return u
 
 
 def _lowest(code, base):
@@ -551,11 +604,14 @@ def find_conic_mod_q(instance, budget=200, seed=0):
     of g(p + t*v + t^2*w), w symbolic, off one packed sum, already split
     into the linear constraints on w (those of total degree at most one
     in w) and the higher ones.  The search solves the linear ones, fills
-    the free choices at random, and keeps a draw only if the higher
-    coefficients vanish at w and p, v, w are independent.  The solve and
-    the rank tests are one reduced echelon form on ints mod q
-    (`_echelon`); the draw's w is `_solve`'s canonical solution, so the
-    draws do not depend on how the constraints are ordered.
+    the free choices at random, and keeps a draw only if p, v, w are
+    independent and then the higher coefficients vanish at w, read up to
+    the first that does not.  The solve is a reduced echelon form on ints
+    mod q (`_solve`); the draw's w is its canonical solution, so the draws
+    do not depend on how the constraints are ordered.  Independence takes
+    two O(n) eliminations (`_reduce`): v is cleared at the first nonzero
+    coordinate of p, which leaves zero iff v is a multiple of p, and w at
+    that coordinate and at the first nonzero one of what is left of v.
     """
     started = time.perf_counter()
     q = instance.prime
@@ -578,15 +634,18 @@ def find_conic_mod_q(instance, budget=200, seed=0):
     if not tangent_basis:
         return done(ConicSearchResult(False, None, 0))
     terms, constraints = _conic_expansion(forms, point, tangent_basis, q)
-    # v is a multiple of p iff v_i*p_k = v_k*p_i for every i, k the
-    # first coordinate of p that is nonzero
+    # k is the first coordinate of p that is nonzero
     k = next(i for i, x in enumerate(point) if x % q)
     rng = random.Random(seed)
     for attempt in range(1, budget + 1):
         c = [rng.randrange(q) for _ in tangent_basis]
         v = [sum(map(mul, c, column)) % q for column in zip(*tangent_basis)]
-        if not any((x * point[k] - v[k] * y) % q for x, y in zip(v, point)):
+        span = [(point, k)]
+        u = _reduce(v, span, q)
+        m = next((i for i, x in enumerate(u) if x), None)
+        if m is None:  # v is a multiple of p
             continue
+        span.append((u, m))
         linear_rows, rhs, higher = constraints(c)
         if linear_rows:
             solved = _solve(linear_rows, rhs, q)
@@ -599,7 +658,7 @@ def find_conic_mod_q(instance, budget=200, seed=0):
         for vec in free_basis:
             a = rng.randrange(q)
             w = [(x + a * y) % q for x, y in zip(w, vec)]
-        if len(_echelon([point, v, w], q)[0]) < 3:
+        if not any(_reduce(w, span, q)):
             continue
         if not any(_value(h, w, q) for h in higher):
             witness = (tuple(point), tuple(v), tuple(w))

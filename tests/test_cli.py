@@ -55,6 +55,24 @@ class TestCommands:
             "oracle.5.line_count: 2\n"
         )
 
+    def test_oracle_wide_fields(self, capsys):
+        # past q of about 2^32 a field of the conic search's packed sum is
+        # wider than 8 bytes; the report reads 200 inconclusive draws
+        large = (4294967311, 2**61 - 1)
+        code = main(
+            ["oracle", bundled("gr24-hyperplanes"), "--primes", "%d,%d" % large, "--conics"]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "command: oracle\n" + "".join(
+            f"oracle.{q}.conic.attempts: 200\n"
+            f"oracle.{q}.conic.found: False\n"
+            f"oracle.{q}.conic.inconclusive: True\n"
+            f"oracle.{q}.conic.witness: None\n"
+            f"oracle.{q}.directions: []\n"
+            f"oracle.{q}.line_count: 0\n"
+            for q in sorted(map(str, large))
+        )
+
     def test_bound_fermat(self):
         report, code = run_report(["bound", bundled("fermat-cubic")])
         assert code == EXIT_OK

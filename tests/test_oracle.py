@@ -22,12 +22,14 @@ from seshadri.groebner import Ideal, monomials_of_degree
 from seshadri.geometry import multiplicity_at, normalize_point
 from seshadri.oracle import (
     ModularInstance,
+    _common_zeros,
     _conic_expansion,
     _echelon,
     _expand,
     _form,
     _gradient,
     _line_directions,
+    _reduce,
     _solve,
     _value,
     count_lines_mod_q,
@@ -217,6 +219,39 @@ def reference_find_conic(instance, budget=200, seed=0):
         if not any(_value(h, w, q) for h in higher):
             return True, (tuple(point), tuple(v), tuple(w)), attempt
     return False, None, budget
+
+
+def _random_digit_poly(q, depth, base, rng):
+    """A random {code: coefficient} in the digits c_0, ..., c_(depth-1),
+    code = sum a_j*base^j, of a kind `_common_zeros` treats apart."""
+    kind = rng.choice(("linear", "univariate", "rootless", "constant", "free", "any", "any"))
+    if kind == "linear":
+        terms = {1: rng.randrange(1, q), 0: rng.randrange(q)}
+    elif kind == "univariate":
+        terms = {e: rng.randrange(q) for e in range(base) if rng.random() < 0.5}
+        terms[rng.randrange(2, base)] = rng.randrange(1, q)
+    elif kind == "rootless":
+        x0, x1 = rng.randrange(1, q), rng.randrange(1, q)
+        terms = {0: x0, q - 1: (x1 - x0) % q}
+    elif kind == "constant":
+        terms = {0: rng.randrange(1, q)}
+    else:
+        low = int(kind == "free" and depth > 1)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            code = sum(rng.randrange(base) * base**j for j in range(low, depth))
+            terms[code] = rng.randrange(q)
+    return {code: x for code, x in terms.items() if x}
+
+
+def _digit_value(f, digits, q, base):
+    total = 0
+    for code, x in f.items():
+        for c in digits:
+            code, e = divmod(code, base)
+            x *= pow(c, e, q)
+        total += x
+    return total % q
 
 
 def _random_form(ring, degree, rng):
@@ -488,6 +523,21 @@ class TestCountLines:
             assert result.count == count
             assert result.directions == ((0, 1, 0, 0),) * count
 
+    @pytest.mark.parametrize(
+        "name, q, message",
+        [
+            # the coset r_0 + c*r_1 has a t-coefficient linear in c: one value
+            ("quadric-surface", 5, "6 tangent directions decided, 2 lines, 1 digit values tried"),
+            ("gr25-pluecker", 7, "19608 tangent directions decided, 456 lines, 1199 digit values tried"),
+        ],
+    )
+    def test_debug_line_counts_the_digit_values_tried(self, caplog, name, q, message):
+        instance = load_instance(bundled(name))
+        with caplog.at_level(logging.DEBUG, logger="seshadri.oracle"):
+            count_lines_mod_q(modular_instance(instance.variety(), q))
+        (line,) = (r.getMessage() for r in caplog.records)
+        assert line.startswith(f"line scan mod {q}: {message}, in ")
+
     def test_bad_reduction_in_point(self, ring4):
         X = quadric_surface(ring4, (Fraction(1, 5), 1, 1, 5))
         with pytest.raises(BadReductionError):
@@ -527,6 +577,80 @@ class TestIntegerKernels:
                     if all(reference_line_vanishes(g, point, v, q) for g in gens)
                 ]
                 assert _line_directions([_form(g) for g in gens], point, rows, q) == expected
+
+    def test_common_zeros_match_brute_force(self, rng):
+        # random systems over F_q^depth, each polynomial drawn as one of: in
+        # c_0 alone and linear, in c_0 alone of higher degree, in c_0 alone
+        # with no root (x0 + (x1 - x0)*c_0^(q-1) takes only the values x0
+        # and x1), a nonzero constant, free of c_0, or in every digit;
+        # exponents reach q + 1, past q
+        seen = {"zeros": 0, "none": 0}
+        for q in (2, 3, 5, 7, 11):
+            base = q + 2
+            for depth in range(1, 5):
+                if q**depth > 3000:
+                    continue
+                for _ in range(25):
+                    polys = [
+                        _random_digit_poly(q, depth, base, rng)
+                        for _ in range(rng.randint(1, 4))
+                    ]
+                    polys = [f for f in polys if f]
+                    zeros = _common_zeros(polys, depth, q, base, [0])
+                    expected = [
+                        z
+                        for z in itertools.product(range(q), repeat=depth)
+                        if not any(_digit_value(f, z, q, base) for f in polys)
+                    ]
+                    assert sorted(zeros) == expected
+                    assert len(set(zeros)) == len(zeros)
+                    seen["zeros" if zeros else "none"] += 1
+        assert min(seen.values()) > 50
+
+    def test_common_zeros_branch_on_roots(self):
+        # over F_7 with base 3: c_0^2 - 1 leaves c_0 = 1, 6 and c_1 free, so
+        # two values are tried, not seven; 3*c_0 + 1 and c_1 + c_0 each
+        # leave one value of their digit
+        tried = [0]
+        zeros = _common_zeros([{2: 1, 0: 6}], 2, 7, 3, tried)
+        assert (zeros, tried) == ([(a, b) for a in (1, 6) for b in range(7)], [2])
+        tried = [0]
+        zeros = _common_zeros([{3: 1, 1: 1}, {1: 3, 0: 1}], 2, 7, 3, tried)
+        assert (zeros, tried) == ([(2, 5)], [2])
+
+    def test_reduce_tests_the_span_as_rank_does(self, rng):
+        # the conic search's test: v is reduced by p at p's first nonzero
+        # coordinate k (zero iff rank[p, v] < 2), then w by p at k and by
+        # what is left of v at its first nonzero coordinate (zero iff
+        # rank[p, v, w] < 3); p's first nonzero coordinate is often not 0,
+        # v is sometimes a multiple of p and w sometimes a*p + b*v
+        seen = set()
+        for q in (2, 3, 5, 7, 13, 2**31 - 1):
+            field = PrimeField(q)
+            for _ in range(200):
+                n = rng.randint(2, 6)
+                k = rng.randrange(n)
+                p = [0] * k + [rng.randrange(1, q)]
+                p += [rng.randrange(q) for _ in range(n - k - 1)]
+                a, b = rng.randrange(q), rng.randrange(q)
+                v = [rng.randrange(q) for _ in range(n)]
+                if rng.random() < 0.2:
+                    v = [a * x % q for x in p]
+                w = [rng.randrange(q) for _ in range(n)]
+                if rng.random() < 0.4:
+                    w = [(a * x + b * y) % q for x, y in zip(p, v)]
+                span = [(p, k)]
+                u = _reduce(v, span, q)
+                independent = reference_rank([p, v], field) == 2
+                assert any(u) == independent
+                if not independent:
+                    seen.add("multiple")
+                    continue
+                span.append((u, next(i for i, x in enumerate(u) if x)))
+                outside = any(_reduce(w, span, q))
+                assert outside == (reference_rank([p, v, w], field) == 3)
+                seen.add((k > 0, outside))
+        assert seen == {"multiple", (False, False), (False, True), (True, False), (True, True)}
 
     def test_predicate_matches_restriction_to_the_line(self, rng):
         # forms of degree 1-5 on lines through p, v with no zero coordinate:
@@ -675,6 +799,8 @@ class TestIntegerKernels:
                         c = [rng.randrange(q) for _ in basis]
                         v = [sum(a * b[i] for a, b in zip(c, basis)) % q for i in range(nvars)]
                         rows, rhs, higher = constraints(c)
+                        # the higher buckets come back unread; read them all
+                        higher = list(higher)
                         pieces = [
                             piece
                             for g in gens
@@ -774,6 +900,39 @@ class TestConicExpansion:
                     result = find_conic_mod_q(inst, budget=40, seed=seed)
                     expected = reference_find_conic(inst, budget=40, seed=seed)
                     assert (result.found, result.witness, result.attempts) == expected
+
+    @pytest.mark.parametrize("q", [65537, 4294967311, 2**61 - 1])
+    def test_wide_fields(self, q, rng):
+        # a field of the packed sum holds up to (c-monomials)*(q - 1)^2, with
+        # 6 c-monomials here: 5 bytes at 65537, read as 8 by one cast; 9 and
+        # 16 bytes at the two larger primes, read one slice at a time.  The
+        # one tangent direction keeps the line scan within its limit.  The
+        # search is inconclusive either way, so the constraints are also
+        # checked against composition, along random vectors b_j
+        instance = load_instance(bundled("gr24-hyperplanes"))
+        inst = modular_instance(instance.variety(), q)
+        result = find_conic_mod_q(inst, budget=40, seed=instance.seed)
+        expected = reference_find_conic(inst, budget=40, seed=instance.seed)
+        assert (result.found, result.witness, result.attempts) == expected
+        assert count_lines_mod_q(inst).count == 0
+        point = list(inst.point)
+        basis = [[rng.randrange(q) for _ in point] for _ in range(2)]
+        _, constraints = _conic_expansion(
+            [_form(g) for g in inst.generators], point, basis, q
+        )
+        for _ in range(3):
+            c = [rng.randrange(q) for _ in basis]
+            v = [sum(a * b[i] for a, b in zip(c, basis)) % q for i in range(len(point))]
+            rows, rhs, higher = constraints(c)
+            pieces = [
+                piece
+                for g in inst.generators
+                for piece in reference_conic_buckets(g, point, v).values()
+            ]
+            linear, expected = split_constraints(pieces, len(point), q)
+            assert sorted(zip(rows, rhs)) == sorted(linear)
+            assert sorted(map(sorted, higher)) == sorted(map(sorted, expected))
+            assert linear and expected
 
     def test_one_debug_line_per_search(self, caplog):
         instance = load_instance(bundled("quadric-surface"))
