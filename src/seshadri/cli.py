@@ -201,9 +201,11 @@ class Instance:
     def ci_input(self, validate=False):
         if not self.cutting:
             raise InputError(f"{self.path}: this command needs cutting polynomials")
+        # built outside the try: its point errors carry the path already
+        ambient = self.ambient_variety()
         try:
             return CompleteIntersectionInput(
-                ambient=self.ambient_variety(),
+                ambient=ambient,
                 cutting=self.cutting,
                 ambient_homogeneous=self.ambient_homogeneous,
                 validate_smoothness=validate,
@@ -320,6 +322,8 @@ def _cmd_sharpness(args):
 
 
 def _cmd_oracle(instance, args):
+    if not args.primes:
+        raise InputError(f"{instance.path}: the list of primes is empty, so no prime was tried")
     X = instance.variety()
     results = {}
     good = 0

@@ -25,10 +25,10 @@ packed monomials, S-pairs and pair criteria included, and builds
 `Fraction`/`Polynomial` values only for the reduced basis it returns.
 
 Two questions about a homogeneous ideal I over Q are first asked at one
-fixed prime, EMPTINESS_PRIME, through one reader of the leading ideal mod
-p (`_leads_mod_p`): the Buchberger pair loop runs on the generators'
-primitive integer forms read mod p, and the leading monomials give the
-Krull dimension of F_p[x]/I_p.  The theorems they rest on:
+fixed prime, EMPTINESS_PRIME, in `certified_hilbert_data`: the Buchberger
+pair loop runs on the generators' primitive integer forms read mod p, and
+its leading monomials bound the Krull dimension of F_p[x]/I_p.  The
+theorems they rest on:
 
 - The one-sided bound.  For integer generators the rank of each degree-D
   Macaulay matrix can only drop mod p, so HF(R/I, D) <= HF(F_p[x]/I_p, D)
@@ -45,40 +45,46 @@ Krull dimension of F_p[x]/I_p.  The theorems they rest on:
   so for r < n the irrelevant ideal is not one, I is saturated, and
   Proj(R/I) has no embedded or lower-dimensional component.
 
-For r <= n forms the pair loop mod p knows the series it is asked to
-confirm, T = prod (1 - t^d_i) / (1 - t)^n, and is driven by it (after
-Traverso, "Hilbert functions and the Buchberger algorithm", J. Symbolic
-Comput. 22 (1996)).  Its input is homogeneous, so it takes its pairs in
-nondecreasing degree D, and the leads found so far generate a subideal L
-of LT(I_p): R/L has at least as many standard monomials in each degree as
-F_p[x]/I_p, and at least its dimension.
+The pair loop mod p keeps a watch on the leads found so far, which
+generate a subideal L of LT(I_p): R/L has at least as many standard
+monomials in each degree as F_p[x]/I_p, and at least its dimension.  With
+s = min(r, n), F_p[x]/I_p has dimension at least n - s for r forms, so
+one rule stops the loop for every r:
+
+- (b) Once no s - 1 variables meet the support of every lead, R/L has
+  dimension at most n - s, and so have F_p[x]/I_p and, by the bound, R/I.
+  For r < n, I then has height r by Krull's theorem: the forms are a
+  regular sequence over Q and R/I has the series above (or I = R, when a
+  form is a nonzero constant, and the series is zero).  For r >= n a pure
+  power of every variable, or a constant, is among the leads: LT(I_p),
+  hence I_p and I, is primary to the irrelevant ideal, and V(I) is empty.
+
+For r <= n forms the loop also knows the series it is asked to confirm,
+T = prod (1 - t^d_i) / (1 - t)^n, and is driven by it (after Traverso,
+"Hilbert functions and the Buchberger algorithm", J. Symbolic Comput. 22
+(1996)).  Its input is homogeneous, so it takes its pairs in
+nondecreasing degree D.
 
 - (a) Once L leaves at most T(D) standard monomials in degree D, the
   remaining pairs of degree D are skipped.  When the forms are a regular
   sequence mod p, F_p[x]/I_p has the series T, so L then agrees with
   LT(I_p) in degree D and every skipped pair reduces to zero.
-- (b) Once R/L has dimension n - r, the loop stops: F_p[x]/I_p has at most
-  that dimension, hence exactly it by Krull's theorem.
 - (c) Once a degree D is done with more than T(D) standard monomials left,
   the loop stops: for a regular sequence every pair of degree <= D has
   been reduced or skipped as zero by then, so L would agree with LT(I_p)
   in degree D, and I_p is not one.
 
-Whatever is skipped, the leads returned generate a subideal of LT(I_p),
-so a verdict read off them is proved; and for a regular sequence no pair
-that decides is skipped, so the rules change no verdict.
+Whatever is skipped, the leads generate a subideal of LT(I_p), so a stop
+by (b) is proved; and for a regular sequence no pair that decides is
+skipped, so the series rules change no verdict.
 
 Every Hilbert question goes through `hilbert_data`, and one function,
 `certified_hilbert_data`, decides whether the prime is asked: for r > 0
 forms over Q whose basis over Q is not cached (a cached basis answers at
-once).  It reads the leading ideal mod p once.  For r < n forms
-(`complete intersection` in the debug log), dimension n - r mod p proves
-them a regular sequence over Q, by the bound and Krull's theorem together,
-and their Hilbert data is the closed form above.  For r >= n forms
-(`emptiness`), a pure power of every variable among the leads, or a
-constant, makes LT(I_p) primary to the irrelevant ideal, so I is too and
-V(I) is empty; this is asked only when some generator has an x0^deg term,
-since otherwise V(I) holds [1:0:...:0].  Every other outcome, an unlucky
+once), and for r >= n only when some generator has an x0^deg term, since
+otherwise V(I) holds [1:0:...:0].  A stop by (b) gives the closed form
+above for r < n forms (`complete intersection` in the debug log) and the
+empty scheme for r >= n (`emptiness`).  Every other outcome, an unlucky
 prime included, falls back to the basis over Q, so the prime costs time
 and never an answer.
 """
@@ -91,7 +97,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, inf, lcm
 from operator import le, mul, sub
 
 from .polynomials import (
@@ -430,9 +436,14 @@ def _degree(form, mask):
 
 
 class _Target:
-    """What the pair loop knows of the leads so far, L, against a target
-    series T = numerator / (1 - t)^n: that of R/I for r forms in a regular
-    sequence, r the number of (1 - t) factors of the numerator.
+    """The watch of the module docstring on the leads so far, L, for r
+    forms in n variables: `size` is min(r, n) - 1, and `numerator`, given
+    for r <= n only, that of the series T = numerator / (1 - t)^n.
+
+    `transversals` holds, as bitmasks, sets of at most `size` variables
+    that meet the support of every lead, among them every minimal such set
+    (Berge's extension, one lead at a time); rule (b) holds once none is
+    left.
 
     `standard` maps the monomials of degree `degree` outside L, packed, to
     their supports, and `limit` is T(degree).  A monomial m of the next
@@ -442,23 +453,19 @@ class _Target:
     variable, as it has variables.  They are counted from `start` on, the
     least degree d_i + d_j of a Koszul syzygy of two of the forms: below it
     a regular sequence has no syzygy, and the count would cost more than
-    the few pairs it could skip.
-
-    `transversals` holds, as bitmasks, sets of at most r - 1 variables
-    that meet the support of every lead, among them every minimal such set
-    (Berge's extension, one lead at a time); R/L has dimension n - r, that
-    is height r, once none is left.
+    the few pairs it could skip.  Without a numerator `start` is infinite.
     """
 
-    def __init__(self, numerator, packing, exps, lms):
+    def __init__(self, size, numerator, packing, exps, lms):
         n = packing.order.nvars
-        self.numerator, self.nvars, self.mask = numerator, n, packing.mask
+        self.size, self.numerator, self.nvars, self.mask = size, numerator, n, packing.mask
         self.steps = [(1 << j, u) for j, u in enumerate(packing.units)]
-        self.size = n - _strip_unit_root(numerator, n)[1] - 1  # r - 1
-        self.degree, self.limit = 0, _coefficient(numerator, n, 0)
+        self.degree, self.start = 0, inf
+        if numerator is not None:
+            self.limit = _coefficient(numerator, n, 0)
+            # a single lead has no pair, so its start is never reached
+            self.start = sum(sorted(lm & self.mask for lm in lms)[:2])
         self.standard = {0: 0}  # 0 packs the monomial 1
-        first, second = sorted(lm & self.mask for lm in lms)[:2]
-        self.start = first + second
         self.transversals = {0}
         for e, lm in zip(exps, lms):
             self.add(e, lm)
@@ -502,35 +509,21 @@ class _Target:
         return True
 
 
-def _pair_loop(forms, packing, q, target=None):
+def _pair_loop(forms, packing, q, size=None, numerator=None):
     """Extend the forms of a generating set to those of a Groebner
-    generating set, in place; returns them and the counts (S-pairs reduced,
-    reduced to zero, skipped).
+    generating set, in place; returns them, the counts (S-pairs reduced,
+    reduced to zero, skipped) and whether rule (b) stopped the loop.
 
     Pairs pass the Gebauer-Moeller criteria and are taken least sugar
     first; each S-pair is divided by the forms so far and a nonzero
     remainder joins them as a new form.
 
-    `target`, the numerator of a Hilbert series T over (1 - t)^n, is given
-    only for homogeneous forms, whose pairs then come in nondecreasing
-    degree D (the sugar is the degree), and with T that of a regular
-    sequence of r forms generating I.  The leads so far generate a
-    subideal L of LT(I), so R/L has at least HF(R/I, D) standard monomials
-    in degree D and dimension at least that of R/I.  Three rules use T:
-
-    (a) once L leaves at most T(D) standard monomials in degree D, the
-        remaining pairs of degree D are skipped;
-    (b) once R/L has dimension n - r, the loop stops;
-    (c) once a degree D is done with more than T(D) standard monomials
-        left, the loop stops.
-
-    If the r forms are a regular sequence, R/I has the series T exactly:
-    under (a) L then agrees with LT(I) in degree D, so every skipped pair
-    reduces to zero and the forms are those of the loop without a target;
-    (c) never applies, since all pairs of degree <= D are then reduced or
-    skipped as zero.  If they are not, R/I has dimension above n - r, and
-    so has R/L, whichever pairs are skipped.  So the leads returned have
-    dimension n - r exactly when the forms are a regular sequence.
+    With `size`, min(r, n) - 1 for r homogeneous forms in n variables, the
+    loop keeps the watch of the module docstring (`_Target`) and stops by
+    rule (b).  With `numerator` too, that of the series of a regular
+    sequence of the forms' degrees, given for r <= n, it applies rules (a)
+    and (c), which need the pairs in nondecreasing degree, as homogeneous
+    forms give them (the sugar is the degree).
     """
     guard, mask = packing.guard, packing.mask
     forms.sort(key=lambda form: form[0])
@@ -540,7 +533,7 @@ def _pair_loop(forms, packing, q, target=None):
         lms.append(form[0])
         sugars.append(_degree(form, mask))
         pairs = _update_pairs(pairs, exps, lms, sugars, t, packing)
-    watch = target and pairs and _Target(target, packing, exps, lms)
+    watch = None if size is None else _Target(size, numerator, packing, exps, lms)
     reduced = zero = skipped = 0
     while pairs and not (watch and not watch.transversals):  # (b)
         # the first pair of least rank, as a stable sort would give
@@ -568,7 +561,8 @@ def _pair_loop(forms, packing, q, target=None):
         pairs = _update_pairs(pairs, exps, lms, sugars, len(forms) - 1, packing)
         if watch:
             watch.add(exps[-1], form[0])
-    return forms, (reduced, zero, skipped + len(pairs))
+    stopped = watch is not None and not watch.transversals
+    return forms, (reduced, zero, skipped + len(pairs)), stopped
 
 
 def buchberger(generators, order=None):
@@ -587,7 +581,7 @@ def buchberger(generators, order=None):
     work = ring if order == ring.order else ring.with_order(order)
 
     def run(packing):
-        forms, _ = _pair_loop(_forms(gens, packing, q), packing, q)
+        forms, _, _ = _pair_loop(_forms(gens, packing, q), packing, q)
         return _interreduce(forms, work, packing, q)
 
     return _packed(run, order, gens)
@@ -902,47 +896,14 @@ def _binomial_polynomial(shift, k):
     return tuple(c / factorial(k) for c in coeffs)
 
 
-def _leads_mod_p(I):
-    """Exponent tuples that generate LT(I_p), p = EMPTINESS_PRIME, or a
-    part of it that decides whether I_p is a complete intersection; and the
-    pair loop's counts (S-pairs reduced, reduced to zero, skipped).
-
-    I_p is generated by the primitive integer forms of I's generators read
-    mod p; the Buchberger pair loop runs on them over F_p, and the leading
-    monomials of the Groebner generating set it returns generate LT(I_p).
-    For homogeneous I over Q, HF(R/I, D) <= HF(F_p[x]/I_p, D) for every D (see
-    the module docstring), so a dimension read off these leads bounds that
-    of R/I from above.  For r <= n generators the loop gets the series T of
-    a regular sequence of their degrees as its target, and `_pair_loop`'s
-    rules apply: (a) skip the rest of a degree once its leads leave T(D)
-    standard monomials, (b) stop once the leads have dimension n - r, (c)
-    stop once a finished degree leaves more than T(D).  The leads returned
-    then generate a part of LT(I_p) whose dimension is n - r exactly when
-    that of LT(I_p) is, which is all `certified_hilbert_data` reads.
-    """
-    p = EMPTINESS_PRIME
-    n = I.ring.nvars
-    target = _regular_numerator(I.generators) if len(I.generators) <= n else None
-
-    def run(packing):
-        forms = []
-        for lm, lc, tail in _forms(I.generators, packing, 0):
-            terms = [(m, c % p) for m, c in [(lm, lc), *tail] if c % p]
-            if terms:
-                forms.append(_form(terms, p))
-        forms, counts = _pair_loop(forms, packing, p, target)
-        return [packing.unpack(lm) for lm, _, _ in forms], counts
-
-    return _packed(run, I.ring.order, I.generators)
-
-
 def _regular_numerator(generators):
     """prod (1 - t^d_i) over the generators' degrees d_i: the numerator of
     the Hilbert series of R/I over (1 - t)^n when they are a regular
-    sequence."""
+    sequence.  A constant generator, d_i = 0, makes it zero, as R/I is."""
     numerator = [1]
     for g in generators:
-        numerator = _poly_mul(numerator, [1] + [0] * (g.total_degree() - 1) + [-1])
+        d = g.total_degree()
+        numerator = _poly_mul(numerator, [1] + [0] * (d - 1) + [-1]) if d else []
     return numerator
 
 
@@ -979,10 +940,11 @@ def certified_hilbert_data(I):
     """The Hilbert data of R/I that one prime proves, else None.
 
     I is a homogeneous ideal of r forms in n variables.  The gate and the
-    two tests, dimension n - r for r < n and a pure power of every variable
-    for r >= n, are those of the module docstring; the second is cheaper
-    than a Hilbert numerator.  None means only that this prime proves
-    nothing.  Each attempt logs one debug line.
+    rule are those of the module docstring: the pair loop runs on the
+    generators' primitive integer forms read mod p, and a stop by rule (b)
+    proves the closed form for r < n and the empty scheme for r >= n.  None
+    means only that this prime proves nothing.  Each attempt logs one debug
+    line.
     """
     ring = I.ring
     n, r = ring.nvars, len(I.generators)
@@ -994,30 +956,33 @@ def certified_hilbert_data(I):
     ):
         return None
     started = time.perf_counter()
-    leads, (reduced, zero, skipped) = _leads_mod_p(I)
+    p = EMPTINESS_PRIME
+    numerator = _regular_numerator(I.generators) if r <= n else None
+
+    def run(packing):
+        # a primitive form has a coefficient prime to p
+        forms = [
+            _form([(m, c % p) for m, c in [(lm, lc), *tail] if c % p], p)
+            for lm, lc, tail in _forms(I.generators, packing, 0)
+        ]
+        return _pair_loop(forms, packing, p, min(r, n) - 1, numerator)[1:]
+
+    (reduced, zero, skipped), certified = _packed(run, ring.order, I.generators)
     if r < n:
         test, verdict = "complete intersection", "certified"
-        numerator = _hilbert_numerator(leads, n)
-        certified = bool(numerator) and _strip_unit_root(numerator, n)[1] == n - r
     else:
         test, verdict = "emptiness", "certified empty"
-        missing = set(range(n))
-        for m in leads:
-            support = [j for j, e in enumerate(m) if e]
-            if len(support) <= 1:
-                missing.difference_update(support or range(n))
-        certified = not missing
     logger.debug(
         "%s mod %d: %d generators, %d variables, %s in %.1f ms, "
         "%d S-pairs reduced (%d to zero), %d skipped",
-        test, EMPTINESS_PRIME, r, n, verdict if certified else "fell back to Q",
+        test, p, r, n, verdict if certified else "fell back to Q",
         1000 * (time.perf_counter() - started), reduced, zero, skipped,
     )
     if not certified:
         return None
     if r >= n:
         return HilbertData(-1, None, ())
-    return _hilbert_from_numerator(_regular_numerator(I.generators), n)
+    return _hilbert_from_numerator(numerator, n)
 
 
 def hilbert_data(I):

@@ -314,6 +314,34 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["classify", "curve", "bound", "fano", "dp", "oracle"])
+    def test_point_error_names_the_file_once(self, tmp_path, command):
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps({
+            "variables": ["x0", "x1", "x2"],
+            "ambient": [],
+            "cutting": [{"expression": "x0*x2 - x1^2", "degree": 2}],
+            "point": ["0", "0", "0"],
+        }))
+        report, code = run_report([command, str(bad)])
+        assert code == EXIT_INPUT
+        assert report["error"] == {
+            "kind": "input", "message": f"{bad}: the zero vector is not a projective point"
+        }
+
+    def test_oracle_without_primes_tries_none(self, tmp_path, monkeypatch):
+        raw = json.loads(Path(bundled("quadric-surface")).read_text())
+        path = tmp_path / "no-primes.json"
+        path.write_text(json.dumps({**raw, "primes": []}))
+        monkeypatch.setattr(cli, "count_lines_mod_q", None)  # never reached
+        report, code = run_report(["oracle", str(path), "--conics"])
+        assert code == EXIT_INPUT
+        assert report["error"] == {
+            "kind": "input",
+            "message": f"{path}: the list of primes is empty, so no prime was tried",
+        }
+        assert report["flags"]["primes"] == []
+
     def test_hypothesis_failure(self, tmp_path, capsys):
         # two cubics in P^4: degree sum exceeds the ambient line-scheme bound
         bad = tmp_path / "hypothesis.json"

@@ -153,21 +153,19 @@ def test_lucky_prime_proves_emptiness():
     assert hilbert_data(Ideal(ring, gens)) == EMPTY
 
 
-def test_certificate_needs_q_and_no_cached_basis(monkeypatch):
-    asked = []
+def test_certificate_needs_q_and_no_cached_basis(caplog):
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
 
-    def recording(I):
-        asked.append(len(I.generators))
-        return original(I)
+    def asked():
+        """The generator count of each attempt logged so far."""
+        return [int(re.search(r"(\d+) generators", m).group(1)) for m in _attempts(caplog)]
 
-    original = groebner._leads_mod_p
-    monkeypatch.setattr(groebner, "_leads_mod_p", recording)
     ring = PolynomialRing(("x0", "x1", "x2"))
     # r < n forms are asked too: these two are a complete intersection,
     # the quadric is one, and the prime proves both
     assert hilbert_data(Ideal(ring, [ring.parse("x1"), ring.parse("x2^2")])).dimension == 0
     assert hilbert_data(Ideal(ring, [ring.parse("x0*x1 - x2^2")])).dimension == 1
-    assert asked == [2, 1]
+    assert asked() == [2, 1]
     # a cached basis over Q, or a field other than Q, leaves the prime out
     full = Ideal(ring, [ring.variable(i) for i in range(3)])
     full.groebner_basis()
@@ -175,9 +173,44 @@ def test_certificate_needs_q_and_no_cached_basis(monkeypatch):
     field = PolynomialRing(("x0", "x1"), PrimeField(7))
     assert hilbert_data(Ideal(field, [field.parse("x0"), field.parse("x1")])) == EMPTY
     assert hilbert_data(Ideal(field, [field.parse("x0*x1")])).dimension == 0
-    assert asked == [2, 1]
+    assert asked() == [2, 1]
     assert hilbert_data(Ideal(ring, [ring.variable(i) for i in range(3)])) == EMPTY
-    assert asked == [2, 1, 3]
+    assert asked() == [2, 1, 3]
+
+
+def test_a_constant_generator_is_empty_for_every_r():
+    # a nonzero constant makes I the unit ideal, for r < n, r = n and
+    # r > n: the prime may prove it empty or fall back, never more
+    for n in (1, 2, 3):
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(n)))
+        for r in sorted({1, n - 1, n, n + 1} - {0}):
+            for constant in (ring.one(), ring.one().scale(Fraction(-2, 3))):
+                gens = [constant] + [ring.parse(f"x{k % n}^{k + 1}") for k in range(r - 1)]
+                assert hilbert_data(Ideal(ring, gens)) == EMPTY, gens
+                assert certified_hilbert_data(Ideal(ring, gens)) in (None, EMPTY), gens
+
+
+def test_a_single_lead_is_watched(caplog):
+    # one form has no pair: rule (b) reads its lead alone, and one nonzero
+    # form always has height 1
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
+    for n, form, data in [
+        (1, "x0^3", EMPTY),
+        (2, "x0^2 - 5*x0*x1", HilbertData(0, 2, (Fraction(2),))),
+        (3, "x0*x1 - x2^2", HilbertData(1, 2, (Fraction(1), Fraction(2)))),
+    ]:
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(n)))
+        I = Ideal(ring, [ring.parse(form)])
+        assert certified_hilbert_data(I) == data
+        slow = Ideal(ring, I.generators)
+        slow.groebner_basis()
+        assert hilbert_data(slow) == data
+    assert [m.split(" in ")[0] for m in _attempts(caplog)] == [
+        f"emptiness mod {EMPTINESS_PRIME}: 1 generators, 1 variables, certified empty",
+        f"complete intersection mod {EMPTINESS_PRIME}: 1 generators, 2 variables, certified",
+        f"complete intersection mod {EMPTINESS_PRIME}: 1 generators, 3 variables, certified",
+    ]
+    assert all(m.endswith(" 0 S-pairs reduced (0 to zero), 0 skipped") for m in _attempts(caplog))
 
 
 def test_each_attempt_is_logged(caplog):
@@ -273,12 +306,35 @@ def test_empty_line_schemes_reach_the_bound(command, path, value, nvars, caplog)
     )
 
 
-def _without_target(monkeypatch):
-    """Make `_leads_mod_p` run the full pair loop, with no target series."""
-    original = groebner._pair_loop
-    monkeypatch.setattr(
-        groebner, "_pair_loop", lambda forms, packing, q, target=None: original(forms, packing, q)
+def test_more_forms_than_variables_stop_at_the_pure_powers(caplog):
+    # the twisted cubic's line scheme, 5 forms in 3 variables: their leads
+    # already hold a pure power of every variable, so rule (b) stops the
+    # loop before its first pair
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
+    report, code, _ = run(["fano", bundled("twisted-cubic")])
+    assert code == EXIT_OK
+    assert report["result"]["line_scheme"]["dimension"] == -1
+    (attempt,) = _attempts(caplog)
+    assert attempt.startswith(
+        f"emptiness mod {EMPTINESS_PRIME}: 5 generators, 3 variables, certified empty in "
     )
+    assert ", 0 S-pairs reduced (0 to zero), " in attempt
+
+
+def _full_loop_reading(monkeypatch):
+    """Make `certified_hilbert_data` read the leads of the full pair loop
+    mod p, with no watch, by their Hilbert numerator: certified when
+    Proj of R/LT(I_p) has dimension n - 1 - min(r, n)."""
+    original = groebner._pair_loop
+
+    def full(forms, packing, q, size=None, numerator=None):
+        forms, counts, _ = original(forms, packing, q)
+        n = packing.order.nvars
+        leads = [packing.unpack(lm) for lm, _, _ in forms]
+        data = groebner._hilbert_from_numerator(groebner._hilbert_numerator(leads, n), n)
+        return forms, counts, data.dimension == n - 1 - (size + 1)
+
+    monkeypatch.setattr(groebner, "_pair_loop", full)
 
 
 def _random_ideals():
@@ -315,10 +371,11 @@ def _non_regular_ideals():
 
 
 def test_the_target_changes_no_verdict(monkeypatch):
-    # the verdict of the full pair loop, with no target, on the same forms
+    # the verdict of the full pair loop mod p, with no watch, on the same
+    # forms, read off a Hilbert numerator of its leads
     regular, non_regular = _random_ideals(), _non_regular_ideals()
     verdicts = [certified_hilbert_data(Ideal(ring, gens)) for ring, gens in regular + non_regular]
-    _without_target(monkeypatch)
+    _full_loop_reading(monkeypatch)
     assert verdicts == [
         certified_hilbert_data(Ideal(ring, gens)) for ring, gens in regular + non_regular
     ]
@@ -343,19 +400,19 @@ def test_skipped_pairs_are_the_zero_reductions_of_their_degree(monkeypatch):
     calls = []
     original = groebner._pair_loop
 
-    def recording(forms, packing, q, target=None):
-        calls.append((list(forms), packing, q, target))
-        return original(forms, packing, q, target)
+    def recording(forms, packing, q, size=None, numerator=None):
+        calls.append((list(forms), packing, q, size, numerator))
+        return original(forms, packing, q, size, numerator)
 
     with monkeypatch.context() as m:
         m.setattr(groebner, "_pair_loop", recording)
         assert certified_hilbert_data(I) == EMPTY
-    (forms, packing, q, target), = calls
-    assert target is not None
+    (forms, packing, q, size, numerator), = calls
+    assert (size, numerator) == (4, groebner._regular_numerator(I.generators))
 
-    def reductions(target):
-        """(degree, reduced to zero) of each S-pair the loop divides, and
-        its counts."""
+    def reductions(*watch):
+        """(degree, reduced to zero) of each S-pair the loop divides, its
+        counts and whether rule (b) stopped it."""
         seen = []
         s_pair, divide = groebner._s_pair, groebner._divide
 
@@ -371,11 +428,12 @@ def test_skipped_pairs_are_the_zero_reductions_of_their_degree(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(groebner, "_s_pair", recording_s_pair)
             m.setattr(groebner, "_divide", recording_divide)
-            _, counts = original(list(forms), packing, q, target)
-        return seen, counts
+            _, counts, stopped = original(list(forms), packing, q, *watch)
+        return seen, counts, stopped
 
-    fast, (reduced, zero, skipped) = reductions(target)
-    full, full_counts = reductions(None)
+    fast, (reduced, zero, skipped), stopped = reductions(size, numerator)
+    full, full_counts, full_stopped = reductions()
+    assert (stopped, full_stopped) == (True, False)
     assert (reduced, zero) == (len(fast), sum(z for _, z in fast))
     full_zero = sum(z for _, z in full)
     assert full_counts == (len(full), full_zero, 0)
