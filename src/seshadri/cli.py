@@ -291,7 +291,11 @@ def _cmd_classify(instance, args):
                 inst = modular_instance(ci.variety(), q)
             except BadReductionError:
                 continue
-            conic = find_conic_mod_q(inst, seed=args.seed)
+            try:
+                conic = find_conic_mod_q(inst, seed=args.seed)
+            except EnumerationLimitError as exc:
+                annotations[str(q)] = {"error": str(exc)}
+                continue
             annotations[str(q)] = {
                 "conic_found": conic.found,
                 "inconclusive": conic.inconclusive,
@@ -346,10 +350,14 @@ def _cmd_oracle(instance, args):
             "directions": _render_value(lines.directions),
         }
         if args.conics:
-            conic = find_conic_mod_q(inst, budget=args.budget, seed=args.seed)
-            entry["conic"] = _render_value(
-                {**asdict(conic), "inconclusive": conic.inconclusive}
-            )
+            try:
+                conic = find_conic_mod_q(inst, budget=args.budget, seed=args.seed)
+            except EnumerationLimitError as exc:
+                entry["conic"] = {"error": str(exc)}
+            else:
+                entry["conic"] = _render_value(
+                    {**asdict(conic), "inconclusive": conic.inconclusive}
+                )
         results[str(q)] = entry
     if not good:
         raise InputError(str(refused) if refused else "all primes had bad reduction")

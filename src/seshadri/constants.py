@@ -14,17 +14,20 @@ ratio) are verified after the fact; failed draws retry up to a budget.
 
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groebner import Ideal, graded_piece, monomials_of_degree
+from .groebner import Ideal, graded_piece, monomials_of_degree, regular_sequence_data
 from .geometry import (
     PointedVariety,
+    _tangent_cone_multiplicity,
     base_point,
     cone_ideal,
     lift_slices,
     line_scheme,
+    lowest_forms_multiplicity,
     multiplicity_at,
     normalize_point,
     ord_at,
@@ -34,6 +37,8 @@ from .geometry import (
     singular_locus_is_empty,
 )
 from .polynomials import PolynomialRing
+
+logger = logging.getLogger(__name__)
 
 LINE_FOUND = "LINE_FOUND"
 EXACT = "EXACT"
@@ -338,18 +343,52 @@ def _cone_cut(cuts, ring, gens):
     return gens + [tail] if tail else gens
 
 
+def _cone_cut_shape(curve):
+    """Whether the normalized generators of `curve` are those of its ideal
+    (the point is [1:0:...:0] already), and all of them but at most one
+    are free of x0, that one of x0-degree 1: x0*h + k, h and k free of x0."""
+    if curve.normalized_ideal is not curve.ideal:
+        return False
+    x0 = [max(m[0] for m, _ in g.terms) for g in curve.ideal.generators]
+    return max(x0, default=0) <= 1 and sum(x0) <= 1
+
+
 def _curve_certificate(curve_ideal, trace):
     """(dimension, certificate) of an ideal through [1:0:...:0]: the degree
     and multiplicity are recomputed from the ideal itself, and the
-    certificate is None unless the scheme is a curve.  The cone cuts make
-    the ideal a complete intersection as a rule, which `curve.hilbert` and
-    `multiplicity_at` try to prove at one prime before they ask over Q.
+    certificate is None unless the scheme is a curve.
+
+    The cone cuts have generators F in S = Q[x1..xN] and at most one
+    g = x0*h + k with h, k in S (`_cone_cut_shape`), so the lowest forms at
+    the point are F and h.  When one prime proves them a regular sequence
+    in S (`lowest_forms_multiplicity`, which gives mult_p by Valabrega and
+    Valla), F is one and h is a nonzerodivisor on S/F.  Every associated
+    prime of (S/F)[x0] is P[x0] with P associated to S/F, and g in P[x0]
+    would put its coefficient h in P, so g is a nonzerodivisor too: the
+    ideal is a complete intersection in Q[x0..xN], and its Hilbert data is
+    the closed form of its generator degrees
+    (`groebner.regular_sequence_data`), with no pair loop on it.
+    Otherwise `curve.hilbert` decides, and then the multiplicity comes
+    from the tangent cone where the lowest forms were asked already and
+    from `multiplicity_at` where not, so the prime is asked about them at
+    most once.
     """
     curve = normalize_point(curve_ideal, base_point(curve_ideal.ring))
-    hilbert = curve.hilbert
+    shaped = _cone_cut_shape(curve)
+    mult = lowest_forms_multiplicity(curve) if shaped else None
+    if mult is not None:
+        hilbert = regular_sequence_data(curve.ideal)
+        logger.debug(
+            "cone-cut curve: lowest forms regular, Hilbert data of a complete "
+            "intersection of degrees (%s)",
+            ", ".join(str(g.total_degree()) for g in curve.ideal.generators),
+        )
+    else:
+        hilbert = curve.hilbert
     if hilbert.dimension != 1:
         return hilbert.dimension, None
-    mult = multiplicity_at(curve)
+    if mult is None:
+        mult = _tangent_cone_multiplicity(curve) if shaped else multiplicity_at(curve)
     ratio = Fraction(hilbert.degree, mult)
     return 1, CurveCertificate(curve_ideal, hilbert.degree, mult, ratio, trace)
 
@@ -365,6 +404,12 @@ def seshadri_curve(ci, component=None, seed=0, retries=4):
     equal dim F_p(Y) + 1.  A degenerate random draw retries with fresh
     randomness; a dimension-1 result whose ratio misses the classified
     value is reported as a counterexample candidate, never accepted.
+
+    The curve's degree and multiplicity are recomputed by
+    `_curve_certificate`.  Its generators are the cone over Z and the cut
+    slices, all free of x0, and one x0*f_r^(d-1) + f_r^d, so when one prime
+    proves their lowest forms a regular sequence the curve is a complete
+    intersection (the cone-cut lemma there) and no pair loop runs on it.
     """
     Y = ci.ambient
     degrees = ci.degrees

@@ -936,6 +936,13 @@ def _hilbert_from_numerator(numerator, nvars):
     return HilbertData(D - 1, degree, tuple(coeffs))
 
 
+def regular_sequence_data(I):
+    """The Hilbert data of R/I when the generators of I are a regular
+    sequence: the closed form prod (1 - t^d_i) / (1 - t)^n of their
+    degrees.  The caller vouches for regularity."""
+    return _hilbert_from_numerator(_regular_numerator(I.generators), I.ring.nvars)
+
+
 def certified_hilbert_data(I):
     """The Hilbert data of R/I that one prime proves, else None.
 
@@ -982,7 +989,7 @@ def certified_hilbert_data(I):
         return None
     if r >= n:
         return HilbertData(-1, None, ())
-    return _hilbert_from_numerator(numerator, n)
+    return regular_sequence_data(I)
 
 
 def hilbert_data(I):

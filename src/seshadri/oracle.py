@@ -15,9 +15,11 @@ only evaluates that expansion at its c: one packed sum of integers whose
 fields, read in one pass, are the t-coefficients, split into the
 constraints linear in w and the higher ones, since each group of terms
 is classed once by its w-monomial; a higher one is read only when the
-draw tests it.  Both expansions run on packed exponent keys.  Plane-curve
-multiplicities read off the lowest form after translating the point to
-the affine origin.  Everything runs on plain ints mod q, the linear
+draw tests it.  A bound read off the base-q digits of the exponents
+(`_conic_bound`) refuses, before anything is expanded, a prime whose
+expansion might exceed CONIC_TERM_LIMIT terms.  Both expansions run on
+packed exponent keys.  Plane-curve multiplicities read off the lowest
+form after translating the point to the affine origin.  Everything runs on plain ints mod q, the linear
 algebra too: the Jacobian comes from the terms, the tangent kernel and
 the solve for w are one reduced echelon form (`_echelon`, `_solve`), and
 the test that p, v, w are independent is two eliminations (`_reduce`),
@@ -346,26 +348,31 @@ def _coset_directions(forms, point, lead, tail, q, span, tried):
     return hits
 
 
+def _term_bound(factors, images, q):
+    """An upper bound on the terms `_expand` forms for one term
+    prod x_i^e_i at `images`: by Lucas, f^e is the product of f^(e_j) over
+    the base-q digits e_j of e, and f^(e_j) has at most C(e_j + s - 1, e_j)
+    terms for s terms of f."""
+    size = 1
+    for i, e in factors:
+        s = max(len(images[i]), 1)
+        while e:
+            e, d = divmod(e, q)
+            size *= comb(d + s - 1, d)
+    return size
+
+
 def _expansion_bound(forms, images, q, digits):
     """An upper bound on the terms of every product `_expand` forms for
-    g(images), with images p + t*(linear form in `digits` digits).
-
-    By Lucas, f^e is the product of f^(e_j) over the base-q digits e_j of
-    e, and f^(e_j) has at most C(e_j + s - 1, e_j) terms for s terms of f.
-    A product of degree d holds only t^k*c^a with |a| <= k <= d, at most
-    C(d + digits + 1, digits + 1) monomials.
+    g(images), with images p + t*(linear form in `digits` digits): each
+    term's `_term_bound`, where a product of degree d holds only t^k*c^a
+    with |a| <= k <= d, at most C(d + digits + 1, digits + 1) monomials.
     """
     total = 0
     for form in forms:
         for _, factors in form:
-            size = 1
-            for i, e in factors:
-                s = max(len(images[i]), 1)
-                while e:
-                    e, d = divmod(e, q)
-                    size *= comb(d + s - 1, d)
             degree = sum(e for _, e in factors)
-            total += min(size, comb(degree + digits + 1, digits + 1))
+            total += min(_term_bound(factors, images, q), comb(degree + digits + 1, digits + 1))
     return total
 
 
@@ -379,9 +386,15 @@ class LineCount:
 # and may list every one of them; beyond this many the caller must lower q
 ENUMERATION_LIMIT = 2_000_000
 
+# the conic search holds its whole expansion at once; a prime whose
+# expansion may exceed this many terms (`_conic_bound`) is refused
+CONIC_TERM_LIMIT = 1 << 16
+
 
 class EnumerationLimitError(ValueError):
-    """The tangent directions at one prime exceed ENUMERATION_LIMIT."""
+    """A search at one prime exceeds its capacity: the line scan's tangent
+    directions ENUMERATION_LIMIT, or the conic expansion's terms
+    CONIC_TERM_LIMIT."""
 
 
 def count_lines_mod_q(instance):
@@ -439,9 +452,36 @@ class ConicSearchResult:
         return not self.found
 
 
+def _conic_bound(forms, images, q, symbols):
+    """An upper bound on the terms of `_conic_expansion`, read off the
+    generators and the images before anything is expanded.
+
+    Each term is bounded digit by digit (`_term_bound`).  Where none of
+    its exponents reaches q, `_power` scales no key, so a term of degree d
+    yields only t^(|b| + 2|a|)*c^b*w^a with |a| + |b| <= d, in `symbols`
+    c_j and w_i; such terms of a generator of degree d together hold at
+    most C(d + symbols, symbols) monomials.  The terms with an exponent
+    past q, whose keys `_power` scales, count one by one.
+    """
+    total = 0
+    for form in forms:
+        plain = carried = degree = 0
+        for _, factors in form:
+            size = _term_bound(factors, images, q)
+            if all(e < q for _, e in factors):
+                plain += size
+            else:
+                carried += size
+            degree = max(degree, sum(e for _, e in factors))
+        total += min(plain, comb(degree + symbols, symbols)) + carried
+    return total
+
+
 def _conic_expansion(forms, point, tangent_basis, q):
     """Every generator along p + t*v + t^2*w, v = sum_j c_j*b_j, expanded
-    once with the tangent coordinates c_j and w symbolic.
+    once with the tangent coordinates c_j and w symbolic; raises
+    EnumerationLimitError first when `_conic_bound` exceeds
+    CONIC_TERM_LIMIT.
 
     Returns (terms, constraints): the number of terms of the expansion,
     and constraints(c), the conditions on w for g(p + t*v + t^2*w) = 0
@@ -480,6 +520,12 @@ def _conic_expansion(forms, point, tangent_basis, q):
             if b[i]:
                 image[1 + span * base**j] = b[i]
         images.append({k: x for k, x in image.items() if x})
+    bound = _conic_bound(forms, images, q, nvars + len(tangent_basis))
+    if bound > CONIC_TERM_LIMIT:
+        raise EnumerationLimitError(
+            f"the conic expansion may hold {bound} terms, more than the limit "
+            f"{CONIC_TERM_LIMIT}"
+        )
     groups = {}
     for n, form in enumerate(forms):
         for key, x in _expand(form, images, q, span).items():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from seshadri import cli
+from seshadri import cli, oracle
 from seshadri.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INPUT,
@@ -189,6 +189,20 @@ class TestCommands:
         entry = report["result"]["oracle"]["11"]
         assert entry["conic"]["found"] is True
 
+    def test_refused_conic_expansion_is_an_error_entry(self, monkeypatch):
+        # past the conic term limit the prime's conic search is refused
+        # before its expansion is built; its line count stays
+        monkeypatch.setattr(oracle, "CONIC_TERM_LIMIT", 0)
+        report, code = run_report(
+            ["oracle", bundled("gr24-hyperplanes"), "--conics", "--primes", "11"]
+        )
+        assert code == EXIT_OK
+        entry = report["result"]["oracle"]["11"]
+        assert entry["line_count"] >= 0
+        assert entry["conic"] == {
+            "error": "the conic expansion may hold 34 terms, more than the limit 0"
+        }
+
     def test_validate_flag(self):
         report, code = run_report(["dp", bundled("quadric-surface"), "--validate"])
         assert code == EXIT_OK
@@ -232,6 +246,20 @@ class TestCommands:
         assert report["result"]["seshadri"]["status"] == "LOWER_BOUND_ONLY"
         search = report["result"]["oracle"]["search"]
         assert any(entry["conic_found"] for entry in search.values())
+
+    def test_downgraded_classify_records_a_refused_conic_search(self, tmp_path, monkeypatch):
+        raw = json.loads(Path(bundled("gr24-hyperplanes")).read_text())
+        raw["ambient_homogeneous"] = False
+        unflagged = tmp_path / "unflagged.json"
+        unflagged.write_text(json.dumps(raw))
+        monkeypatch.setattr(oracle, "CONIC_TERM_LIMIT", 0)
+        report, code = run_report(["classify", str(unflagged)])
+        assert code == EXIT_OK
+        assert report["result"]["seshadri"]["status"] == "LOWER_BOUND_ONLY"
+        search = report["result"]["oracle"]["search"]
+        assert list(search) == ["7", "11", "13"]
+        assert all(entry == {"error": "the conic expansion may hold 34 terms, more than "
+                             "the limit 0"} for entry in search.values())
 
 
 class TestDeterminism:

@@ -1,7 +1,8 @@
 """The complete-intersection and lowest-form certificates mod one prime,
 which `PointedVariety.hilbert` and `multiplicity_at` try ahead of the route
-over Q, against that route; and `curve`, which certifies what `classify`
-decides."""
+over Q, against that route; the cone-cut lemma, by which
+`_curve_certificate` reads a curve's Hilbert data off its regular lowest
+forms; and `curve`, which certifies what `classify` decides."""
 
 import importlib.util
 import json
@@ -40,6 +41,8 @@ SHARPNESS = (
     (3, 4), (3, 5), (3, 6), (3, 7),
     (4, 5), (4, 6), (4, 7), (4, 8),
 )
+# the sharpness members of the benchmark's bundled workload
+BENCH_SHARPNESS = ((2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6))
 BUNDLED = (
     "quadric-surface",
     "quadric-threefold",
@@ -50,9 +53,12 @@ BUNDLED = (
     "gr24-hyperplanes",
     "gr25-pluecker",
 )
+# the bundled instances on which `curve` certifies
+BUNDLED_CURVES = ["fermat-cubic", "quartic-threefold", "two-quadrics-p4"]
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+LEMMA = "cone-cut curve: lowest forms regular"
 
 
 @pytest.fixture
@@ -231,13 +237,140 @@ def test_proportional_cuts_fail_condition_i():
         )
 
 
-def test_curve_on_the_p6_sextic_reaches_six_fifths():
-    # no result in a minute over Q; one prime certifies the curve
+def test_curve_on_the_p6_sextic_reaches_six_fifths(caplog):
+    # no result in a minute over Q; one prime certifies the curve's lowest
+    # forms, and the cone-cut lemma gives its degree with no loop on C
+    caplog.set_level(logging.DEBUG, logger="seshadri")
     report, code, _ = run(["curve", str(DATA / "p6-sextic.json")])
     assert code == EXIT_OK
     certificate = report["result"]["certificate"]
     assert (certificate["degree"], certificate["multiplicity"]) == (144, 120)
     assert certificate["ratio"] == "6/5"
+    _assert_no_loop_on_c(caplog, "(1, 2, 3, 4, 6)")
+
+
+def _assert_no_loop_on_c(caplog, degrees):
+    """The lowest forms of a curve of 5 generators in P^6 were certified,
+    the lemma logged C's degrees, and no pair loop ran on C itself."""
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(
+        m.startswith(f"complete intersection mod {EMPTINESS_PRIME}: 5 generators, "
+                     "6 variables, certified in ")
+        for m in messages
+    )
+    assert f"{LEMMA}, Hilbert data of a complete intersection of degrees {degrees}" in messages
+    assert not any("5 generators, 7 variables" in m for m in messages)
+
+
+@pytest.mark.parametrize("n, d, pinned, degrees", [
+    (5, 6, (144, 120), "(1, 2, 3, 4, 6)"),
+    (5, 7, (168, 144), "(1, 2, 3, 4, 7)"),
+])
+def test_sharpness_reach_certificates(n, d, pinned, degrees, caplog):
+    # over Q neither certificate curve gives a result in a minute; the
+    # lemma runs no pair loop on either
+    caplog.set_level(logging.DEBUG, logger="seshadri")
+    report, code, _ = run(["sharpness", str(n), str(d)])
+    assert code == EXIT_OK
+    certificate = report["result"]["certificate"]
+    assert (certificate["degree"], certificate["multiplicity"]) == pinned
+    assert certificate["ratio"] == f"{d}/{d - 1}"
+    _assert_no_loop_on_c(caplog, degrees)
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Each ideal `_curve_certificate` is asked about, with its answer."""
+    seen = []
+    original = constants._curve_certificate
+
+    def recording(curve_ideal, trace):
+        seen.append((curve_ideal, original(curve_ideal, trace)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(constants, "_curve_certificate", recording)
+    return seen
+
+
+def _lemma_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "seshadri.constants" and r.getMessage().startswith(LEMMA)]
+
+
+def _general_route(I):
+    """(dimension, degree, multiplicity) of a fresh copy of I read without
+    the lemma, as of any variety: `curve.hilbert`, then `multiplicity_at`."""
+    curve = normalize_point(Ideal(I.ring, I.generators), base_point(I.ring))
+    if curve.hilbert.dimension != 1:
+        return curve.hilbert.dimension, None, None
+    return 1, curve.hilbert.degree, multiplicity_at(curve)
+
+
+def test_lemma_route_equals_the_general_route(certificates, caplog):
+    # every bundled curve op and the benchmark's sharpness members
+    caplog.set_level(logging.DEBUG, logger="seshadri.constants")
+    codes = [run(["curve", bundled(name)])[1] for name in BUNDLED]
+    assert [name for name, code in zip(BUNDLED, codes) if code == EXIT_OK] == BUNDLED_CURVES
+    for n, d in BENCH_SHARPNESS:
+        constants.sharpness_example(n, d, seed=0)
+    assert len(certificates) >= len(BUNDLED_CURVES) + len(BENCH_SHARPNESS)
+    assert len(_lemma_lines(caplog)) == len(certificates)
+    for I, (dimension, certificate) in certificates:
+        data, mult = _over_q(I)
+        assert dimension == data.dimension == 1, I
+        assert (1, certificate.degree, certificate.multiplicity) == _general_route(I), I
+        assert (certificate.degree, certificate.multiplicity) == (data.degree, mult), I
+
+
+@pytest.mark.parametrize("nvars, degrees", [
+    (4, (2,)), (4, (3,)), (5, (2, 3)), (5, (1, 4)), (6, (2, 2, 3)),
+])
+def test_cone_cut_has_the_lemma_shape(nvars, degrees):
+    # every generator but the last is free of x0, and the last is
+    # x0*f^(d-1) + f^(d): a change to `_cone_cut` that breaks this would
+    # bring the loop on C back unnoticed
+    ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)))
+    rng = random.Random(nvars * 10 + len(degrees))
+    cuts = [random_homogeneous(ring, d, rng, through_origin=True) for d in degrees]
+    # forms free of x0, as the cone over a line-scheme component gives
+    cone = [
+        ring.from_terms((m, c) for m, c in random_homogeneous(ring, 2, rng).terms if not m[0])
+        for _ in range(nvars - 2 - len(degrees))
+    ]
+    gens = constants._cone_cut(cuts, ring, cone)
+    x0 = [max(m[0] for m, _ in g.terms) for g in gens]
+    assert x0 == [0] * (len(gens) - 1) + [1]
+    assert constants._cone_cut_shape(normalize_point(Ideal(ring, gens), base_point(ring)))
+
+
+@pytest.mark.parametrize("gens, lowest_regular", [
+    # h in F: the lowest form x1*x2 of the last generator lies in (x1)
+    (["x1", "x0*x1*x2 + x2^3"], False),
+    # h a zero divisor on S/F: x1*x2 and x1*x3 share x1
+    (["x1*x2", "x0*x1*x3 + x2^3"], False),
+    # k holds x0: x0^2*x3 gives the generator x0-degree 2
+    (["x1", "x0^2*x3 + x0*x2^2 + x3^3"], True),
+    # two generators hold x0; their lowest forms x1, x2 are regular, yet
+    # both vanish on the plane x0 + x3 = 0, so C is no curve
+    (["x0*x1 + x1*x3", "x0*x2 + x2*x3"], True),
+])
+def test_lemma_keeps_off_its_hypotheses(gens, lowest_regular, caplog):
+    ring = PolynomialRing(("x0", "x1", "x2", "x3"))
+    I = Ideal(ring, [ring.parse(g) for g in gens])
+    curve = normalize_point(Ideal(ring, I.generators), base_point(ring))
+    assert (lowest_forms_multiplicity(curve) is not None) == lowest_regular
+    caplog.set_level(logging.DEBUG, logger="seshadri")
+    dimension, certificate = constants._curve_certificate(I, {})
+    assert _lemma_lines(caplog) == []
+    # the lowest forms, 2 generators in 3 variables, are asked at most once
+    asked = [r for r in caplog.records if "2 generators, 3 variables" in r.getMessage()]
+    assert len(asked) <= 1
+    data, mult = _over_q(I)
+    assert dimension == data.dimension
+    if dimension == 1:
+        assert (certificate.degree, certificate.multiplicity) == (data.degree, mult)
+    else:
+        assert certificate is None
 
 
 def _synthetic_instances(seed):

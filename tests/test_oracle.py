@@ -4,6 +4,7 @@ import json
 import logging
 import random
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from seshadri.polynomials import (
 from seshadri.groebner import Ideal, monomials_of_degree
 from seshadri.geometry import multiplicity_at, normalize_point
 from seshadri.oracle import (
+    EnumerationLimitError,
     ModularInstance,
     _common_zeros,
     _conic_expansion,
@@ -943,6 +945,96 @@ class TestConicExpansion:
         lines, conics = (r.getMessage() for r in caplog.records)
         assert lines.startswith("line scan mod 5: 6 tangent directions decided, 2 lines")
         assert conics.startswith("conic search mod 5: 3 tangent coordinates, 7 terms, 5 draws, found in ")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _bound_and_terms(inst, monkeypatch):
+    """(`_conic_bound`, terms of the built expansion) of one instance."""
+    seen = []
+    bound = oracle._conic_bound
+
+    def recording(*args):
+        seen.append(bound(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "_conic_bound", recording)
+    q, point = inst.prime, list(inst.point)
+    forms = [_form(g) for g in inst.generators]
+    gradient = _gradient(forms, point, q) or [[0] * len(point)]
+    _, basis = _solve(gradient, [0] * len(gradient), q)
+    terms, _ = _conic_expansion(forms, point, basis, q)
+    return seen.pop(), terms
+
+
+def _many_digit_instance(e):
+    """x5^e - x0^e + x1 + ... + x5 over F_5 at (1, ..., 1)."""
+    ring = PolynomialRing(tuple(f"x{i}" for i in range(6)), PrimeField(5))
+    g = ring.parse(f"x5^{e} - x0^{e} + x1 + x2 + x3 + x4 + x5")
+    return ModularInstance(prime=5, ring=ring, generators=(g,), point=(1,) * 6)
+
+
+class TestConicBound:
+    """The conic expansion is bounded, digit by digit, before it is built."""
+
+    def test_many_digit_exponent_is_refused_unbuilt(self, monkeypatch):
+        # 3120 = 44440 in base 5: the expansion would hold 101253 terms and
+        # the search peak at about 90 MB; the bound reads 101268 off the
+        # digits, and the prime is refused before any product is formed
+        def never(*args):
+            raise AssertionError("the expansion was built")
+
+        monkeypatch.setattr(oracle, "_expand", never)
+        with pytest.raises(EnumerationLimitError, match="may hold 101268 terms"):
+            find_conic_mod_q(_many_digit_instance(3120))
+
+    def test_bound_holds_the_expansion_at_one_digit(self, monkeypatch):
+        # 620 = 4440 in base 5, with the image of x5 carrying one digit
+        bound, terms = _bound_and_terms(_many_digit_instance(620), monkeypatch)
+        assert terms <= bound <= oracle.CONIC_TERM_LIMIT
+
+    def test_no_bundled_or_data_instance_is_refused(self, monkeypatch):
+        # the P^6 sextic has about 25k terms at every prime; the cap on
+        # terms with no exponent past q keeps its bound at 27132
+        paths = [bundled(name) for name in sorted({name for name, _ in BUNDLED})]
+        paths += sorted(str(p) for p in DATA.glob("*.json"))
+        for path in paths:
+            instance = load_instance(path)
+            for q in sorted({*instance.primes, 7, 13}):
+                try:
+                    inst = modular_instance(instance.variety(), q)
+                except BadReductionError:
+                    continue
+                bound, terms = _bound_and_terms(inst, monkeypatch)
+                assert terms <= bound <= oracle.CONIC_TERM_LIMIT, (path, q)
+
+    def test_random_instances_with_exponents_past_q(self, rng, monkeypatch):
+        # terms with an exponent past q are bounded one by one, the others
+        # also together by the monomials they can reach; the limit is lifted
+        # so that every expansion is built and counted
+        monkeypatch.setattr(oracle, "CONIC_TERM_LIMIT", inf)
+        for q in (2, 3, 5):
+            field = PrimeField(q)
+            for nvars in (3, 4):
+                ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)), field)
+                for _ in range(4):
+                    point = (1,) + tuple(rng.randrange(q) for _ in range(nvars - 1))
+                    gens = []
+                    for degree in (rng.randint(1, 3), rng.randint(2, q + 4)):
+                        g = ring.from_terms(
+                            (exps, rng.randrange(q))
+                            for exps in monomials_of_degree(nvars, degree)
+                            if rng.random() < 0.5
+                        )
+                        # g - g(p)*x0^d vanishes at p
+                        top = ring.from_terms([((degree,) + (0,) * (nvars - 1), 1)])
+                        gens.append(g - top.scale(g.evaluate(point)))
+                    inst = ModularInstance(
+                        prime=q, ring=ring, generators=tuple(gens), point=point
+                    )
+                    bound, terms = _bound_and_terms(inst, monkeypatch)
+                    assert terms <= bound
 
 
 class TestFindConic:
