@@ -225,6 +225,7 @@ class Instance:
 
 
 def load_instance(path):
+    started = time.monotonic()
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -232,7 +233,14 @@ def load_instance(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return Instance(raw, path)
+    instance = Instance(raw, path)
+    ambient, cutting = instance.ambient_generators, instance.cutting
+    logger.debug(
+        "parsed %s: %d ambient and %d cutting forms, %d terms, in %.1f ms",
+        path, len(ambient), len(cutting), sum(len(f.terms) for f in ambient + cutting),
+        (time.monotonic() - started) * 1e3,
+    )
+    return instance
 
 
 def _report_from_certificate(cert):

@@ -349,16 +349,25 @@ class Polynomial:
         return self.ring.field.zero
 
     def total_degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        """Total degree; -1 for the zero polynomial.  Under grevlex the
+        order key starts with the total degree, so the leading term has it."""
+        terms = self.terms
+        if not terms:
             return -1
-        return max(sum(m) for m, _ in self.terms)
+        if self.ring.order.kind == "grevlex":
+            return sum(terms[0][0])
+        return max(sum(m) for m, _ in terms)
 
     def is_homogeneous(self):
-        if not self.terms:
+        """Whether every term has one total degree; under grevlex the first
+        and the last term have the largest and the smallest."""
+        terms = self.terms
+        if not terms:
             return True
-        d = sum(self.terms[0][0])
-        return all(sum(m) == d for m, _ in self.terms)
+        d = sum(terms[0][0])
+        if self.ring.order.kind == "grevlex":
+            return sum(terms[-1][0]) == d
+        return all(sum(m) == d for m, _ in terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -569,28 +578,23 @@ def _collect(ring, pairs):
 # -- parsing ------------------------------------------------------------------
 
 
-# an integer, a word, an operator or any other character, after whitespace
-_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*^()/])|(\S))")
+# an integer, a word, an operator or any other character; whitespace separates
+_TOKEN = re.compile(r"\d+|\w+|[-+*^()/]|\S")
 
 
-def _tokenize(text):
-    """The tokens of the whole text, as (kind, text, position) triples ending
-    with ("end", "", len(text)).  Integers are runs of decimal digits; a
-    word is a variable name only when it starts with a letter or "_"."""
-    tokens = []
+def _token_positions(text):
+    """The start of every token of the whole text, then len(text) for its
+    end.  Integers are runs of decimal digits; a word is a variable name
+    only when it starts with a letter or "_", and any other token raises
+    ParseError at its start."""
+    positions = []
     for match in _TOKEN.finditer(text):
-        group = match.lastindex
-        value, start = match[group], match.start(group)
-        if group == 3:  # operators, the most frequent tokens
-            tokens.append((value, value, start))
-        elif group == 1:
-            tokens.append(("int", value, start))
-        elif group == 2 and (value[0].isalpha() or value[0] == "_"):
-            tokens.append(("ident", value, start))
-        else:
-            raise ParseError(f"unexpected character {value[0]!r}", start)
-    tokens.append(("end", "", len(text)))
-    return tokens
+        first, start = match[0][0], match.start()
+        if not (first.isalpha() or first.isdecimal() or first in "_-+*^()/"):
+            raise ParseError(f"unexpected character {first!r}", start)
+        positions.append(start)
+    positions.append(len(text))
+    return positions
 
 
 class _Parser:
@@ -599,108 +603,129 @@ class _Parser:
 
     Rational literals are allowed as int "/" nat in coefficient position; a
     leading sign on the first term is accepted.  No other division exists.
+
+    The whole text is tokenized up front into strings, ending with "" at
+    the end of the text; token positions are found only for an error, and
+    a character that makes no token is reported before any error of the
+    grammar.  A term keeps its variables in one exponent list and its
+    literals in one int (a Fraction once a rational literal enters over Q;
+    mod q over GF(q)); only parenthesised factors are multiplied as
+    polynomials.  The terms of a sum add up in one dict, coerced into the
+    field once per distinct monomial.
     """
 
     def __init__(self, text, ring):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")
+        self.index = 0
         self.ring = ring
-        self.var_index = {name: i for i, name in enumerate(ring.names)}
+        # a token that starts with a letter or "_" is a word; no other token
+        # names a variable
+        self.var_index = {
+            name: i for i, name in enumerate(ring.names) if name[:1].isalpha() or name[:1] == "_"
+        }
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind):
-        token = self.advance()
-        if token[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {token[1]!r}", token[2])
-        return token
+    def error(self, message, index):
+        """The ParseError of the token at `index`."""
+        return ParseError(message, _token_positions(self.text)[index])
 
     def parse(self):
-        poly = self.expr()
-        token = self.peek()
-        if token[0] != "end":
-            raise ParseError(f"unexpected {token[1]!r}", token[2])
-        return poly
+        acc = self.expr()
+        token = self.tokens[self.index]
+        if token:
+            raise self.error(f"unexpected {token!r}", self.index)
+        return self.polynomial(acc)
+
+    def polynomial(self, acc):
+        """The polynomial of a sum that `expr` gathered."""
+        coerce = self.ring.field.coerce
+        return _collect(self.ring, ((m, coerce(c)) for m, c in acc.items()))
 
     def expr(self):
-        """Gather the terms of every summand, then sum them all at once."""
-        neg = self.ring.field.neg
-        pairs = []
-        op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
-        while True:
-            terms = self.term().terms
-            pairs.extend(terms if op == "+" else ((m, neg(c)) for m, c in terms))
-            if self.peek()[0] not in ("+", "-"):
-                return _collect(self.ring, pairs)
-            op = self.advance()[0]
-
-    def term(self):
-        """A product of factors.  Variables, their powers and numeric
-        literals go onto one exponent vector and one coefficient; only
-        parenthesised factors are multiplied as polynomials."""
-        ring = self.ring
+        """The terms of a sum as {exponent tuple: coefficient}, the coefficient
+        an int or a Fraction not yet coerced into the field."""
+        tokens, var_index, ring = self.tokens, self.var_index, self.ring
         field = ring.field
-        q = field.characteristic
-        exps = [0] * ring.nvars
-        coeff = field.one
-        factors = []
+        nvars, q = ring.nvars, field.characteristic
+        acc = {}
+        i = self.index
+        sign = 1
+        if tokens[i] == "+" or tokens[i] == "-":
+            sign = -1 if tokens[i] == "-" else 1
+            i += 1
         while True:
-            kind, value, power = self.factor()
-            if kind == "var":
-                exps[value] += power
-            elif kind == "const":
-                coeff = field.mul(coeff, pow(value, power, q) if q else value**power)
+            exps = [0] * nvars
+            coeff = 1
+            factors = []
+            while True:
+                token = tokens[i]
+                var = var_index.get(token)
+                poly = None
+                if var is None:
+                    if token.isdecimal():
+                        value = int(token)
+                        if tokens[i + 1] == "/":
+                            i += 2
+                            den = tokens[i]
+                            if not den.isdecimal():
+                                raise self.error(f"expected 'int', found {den!r}", i)
+                            if int(den) == 0:
+                                raise self.error("zero denominator", i)
+                            value = Fraction(value, int(den))
+                            if q:  # 1/q raises BadReductionError here, not in the product
+                                value = field.coerce(value)
+                    elif token == "(":
+                        self.index = i + 1
+                        poly = self.polynomial(self.expr())
+                        i = self.index
+                        if tokens[i] != ")":
+                            raise self.error(f"expected ')', found {tokens[i]!r}", i)
+                    elif token == "/":
+                        raise self.error("division is only allowed in rational literals", i)
+                    elif token[:1].isalpha() or token[:1] == "_":
+                        raise self.error(f"unknown variable {token!r}", i)
+                    else:
+                        raise self.error(f"unexpected {token!r}", i)
+                i += 1
+                power = 1
+                if tokens[i] == "^":
+                    i += 1
+                    if not tokens[i].isdecimal():
+                        raise self.error(f"expected 'int', found {tokens[i]!r}", i)
+                    power = int(tokens[i])
+                    i += 1
+                if var is not None:
+                    exps[var] += power
+                elif poly is not None:
+                    factors.append(poly**power)
+                elif q:
+                    coeff = coeff * pow(value, power, q) % q
+                else:
+                    coeff *= value**power
+                if tokens[i] != "*":
+                    break
+                i += 1
+            if coeff:
+                if sign < 0:
+                    coeff = -coeff
+                if factors:
+                    term = Polynomial(ring, ((tuple(exps), field.coerce(coeff)),))
+                    for factor in factors:
+                        term = term * factor
+                    pairs = term.terms
+                else:
+                    pairs = ((tuple(exps), coeff),)
+                for mono, c in pairs:
+                    acc[mono] = acc.get(mono, 0) + c
+            if tokens[i] == "+":
+                sign = 1
+            elif tokens[i] == "-":
+                sign = -1
             else:
-                factors.append(value**power)
-            if self.peek()[0] != "*":
-                break
-            self.advance()
-        if field.is_zero(coeff):
-            return ring.zero()
-        poly = Polynomial(ring, ((tuple(exps), coeff),))
-        for factor in factors:
-            poly = poly * factor
-        return poly
-
-    def factor(self):
-        """(kind, value, power) of a base and its optional exponent."""
-        kind, value = self.base()
-        power = 1
-        if self.peek()[0] == "^":
-            self.advance()
-            power = int(self.expect("int")[1])
-        return kind, value, power
-
-    def base(self):
-        """("var", index), ("const", field element) or ("poly", polynomial)."""
-        token = self.advance()
-        kind, value, pos = token
-        if kind == "ident":
-            if value not in self.var_index:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            return "var", self.var_index[value]
-        if kind == "int":
-            numerator = int(value)
-            if self.peek()[0] == "/":
-                self.advance()
-                den = self.expect("int")
-                if int(den[1]) == 0:
-                    raise ParseError("zero denominator", den[2])
-                return "const", self.ring.field.coerce(Fraction(numerator, int(den[1])))
-            return "const", self.ring.field.coerce(numerator)
-        if kind == "(":
-            poly = self.expr()
-            self.expect(")")
-            return "poly", poly
-        if kind == "/":
-            raise ParseError("division is only allowed in rational literals", pos)
-        raise ParseError(f"unexpected {value!r}", pos)
+                self.index = i
+                return acc
+            i += 1
 
 
 def parse_polynomial(text, ring):

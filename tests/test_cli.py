@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -573,6 +575,20 @@ def test_load_instance_echo():
     assert instance.primes == (5, 11, 17)
     assert instance.point == (3, 4, 5, -6)
     assert len(instance.cutting) == 1
+
+
+def test_load_instance_logs_one_parse_line(caplog):
+    caplog.set_level(logging.DEBUG, logger="seshadri")
+    path = bundled("gr25-pluecker")
+    report, code, _ = run(["fano", path])
+    assert code == EXIT_OK
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("parsed ")]
+    assert len(lines) == 1
+    assert re.fullmatch(
+        re.escape(f"parsed {path}: 5 ambient and 0 cutting forms, 15 terms, in ") + r"[0-9.]+ ms",
+        lines[0],
+    )
+    assert "parsed" not in json.dumps(report)
 
 
 def test_pluecker_relations_vanish_on_decomposable_vectors():

@@ -86,6 +86,42 @@ class TestParser:
         for text, expected in cases.items():
             assert ring.parse(text) == expected, text
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    def test_random_forms_parse_to_their_terms(self, field, rng):
+        # dense forms, each term a product written in a random style:
+        # signs, rational literals, parenthesised and repeated factors
+        ring = PolynomialRing(("x0", "x1", "x2", "x3"), field)
+        over_q = ring.with_field(QQ)
+        for trial in range(30):
+            degree = rng.randint(1, 4)
+            if trial % 2:
+                f = random_homogeneous(over_q, degree, rng)
+            else:
+                f = random_poly(over_q, degree, rng) + over_q.constant(rng.randint(-3, 3))
+            # denominators below 7 stay invertible in GF(7)
+            terms = [(m, c / rng.randint(1, 6)) for m, c in f.terms]
+            chunks = [_render_term(ring.names, m, c, rng) for m, c in terms]
+            rng.shuffle(chunks)
+            text = " ".join(chunks).lstrip("+ ")
+            expected = ring.from_terms(terms)
+            assert ring.parse(text) == expected, text
+            assert ring.parse(str(expected)) == expected
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    def test_cancelling_terms_parse_to_zero(self, field):
+        ring = PolynomialRing(("x0", "x1"), field)
+        assert ring.parse("x0 - x0").is_zero()
+        assert ring.parse("-x0*x1 + 1/2*x1*x0 + (x0)*1/2*x1") == ring.zero()
+        assert ring.parse("(x0 - x0)^2*x1 + 0*(x0 + x1)").is_zero()
+
+    def test_rational_literals_reduce_where_they_appear(self):
+        # 1/7 has no value in GF(7), though the term's coefficient is 1
+        ring = PolynomialRing(("x0", "x1"), PrimeField(7))
+        for text in ("1/7*7*x0", "x1 + 7*(1/7*x0)", "x1 + 0*1/14"):
+            with pytest.raises(BadReductionError):
+                ring.parse(text)
+        assert ring.parse("7/7*x0 + 14/7*x1") == ring.parse("x0 + 2*x1")
+
     @pytest.mark.parametrize(
         "text, message, position",
         [
@@ -110,6 +146,34 @@ class TestParser:
             ring3.parse(text)
         assert err.value.position == position
         assert str(err.value) == f"{message} (at position {position})"
+
+
+def _render_term(names, mono, coeff, rng):
+    """coeff * x^mono as "+ ..." or "- ...": the factors are the coefficient
+    (an int or a rational literal, possibly unreduced or in parentheses,
+    mostly left out when it is 1) and each variable as x^e, (x)^e or e
+    copies of x, in a random order; a minus is sometimes a factor (-1)."""
+    sign, coeff = ("-", -coeff) if coeff < 0 else ("+", coeff)
+    factors = []
+    k = rng.randint(1, 3)
+    literal = f"{coeff.numerator * k}/{coeff.denominator * k}"
+    if coeff.denominator == 1 and rng.random() < 0.5:
+        literal = str(coeff.numerator)
+    if coeff != 1 or rng.random() < 0.3:
+        factors.append(f"({literal})" if rng.random() < 0.3 else literal)
+    for name, e in zip(names, mono):
+        if e:
+            style = rng.randrange(3)
+            if style == 0:
+                factors.append(f"{name}^{e}")
+            elif style == 1:
+                factors.append(f"({name})^{e}")
+            else:
+                factors.extend([name] * e)
+    rng.shuffle(factors)
+    if sign == "-" and rng.random() < 0.3:
+        sign, factors = "+", ["(-1)"] + factors
+    return f"{sign} {'*'.join(factors) or '1'}"
 
 
 def _per_term_value(f, point, q):
@@ -369,6 +433,29 @@ class TestMonomialOrders:
             if ka > kb:
                 c = _random_monomial(4, rng)
                 assert order.key(_product(a, c)) > order.key(_product(b, c))
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            MonomialOrder.grevlex(4),
+            MonomialOrder.grevlex(4, permutation=(2, 0, 3, 1)),
+            MonomialOrder.lex(4),
+            MonomialOrder.elimination(4, 2),
+        ],
+    )
+    def test_degree_and_homogeneity_match_the_definition(self, order, rng):
+        ring = PolynomialRing(("x0", "x1", "x2", "x3"), order=order)
+        polys = [ring.zero(), ring.one()]
+        for _ in range(40):
+            degree = rng.randint(1, 4)
+            polys.append(random_homogeneous(ring, degree, rng))
+            polys.append(random_poly(ring, degree, rng))
+            polys.append(random_homogeneous(ring, degree, rng) + ring.variable(rng.randrange(4)))
+        assert any(not f.is_homogeneous() for f in polys)
+        for f in polys:
+            degrees = {sum(m) for m, _ in f.terms}
+            assert f.total_degree() == max(degrees, default=-1)
+            assert f.is_homogeneous() == (len(degrees) <= 1)
 
     def test_grevlex_ties_break_on_last_variable(self):
         order = MonomialOrder.grevlex(3)
