@@ -1,12 +1,13 @@
 """Buchberger engine and derived ideal-theoretic queries.
 
-The engine uses the normal-pair (Gebauer-Moeller) criteria with sugar
-selection; inputs are desk scale, so no signature-based machinery.  On top
-of reduced Groebner bases sit normal forms and one elimination of a tag
-variable, which gives intersections, ideal quotients and saturations
-(I : f^infinity by Rabinowitsch's 1 - t*f).  The leading ideal of the
-reduced basis gives the rest: Hilbert series data of homogeneous ideals,
-and graded pieces as monomials minus their normal forms.
+The engine uses the Gebauer-Moeller criteria, pairs taken least lcm degree
+first from one sorted queue; inputs are desk scale, so no signature-based
+machinery.  On top of reduced Groebner bases sit normal forms and one
+elimination of a tag variable, which gives intersections, ideal quotients
+and saturations (I : f^infinity by Rabinowitsch's 1 - t*f).  The leading
+ideal of the reduced basis gives the rest: Hilbert series data of
+homogeneous ideals, and graded pieces as monomials minus their normal
+forms.
 
 Division runs on packed monomials rather than `Polynomial` values, after
 Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -97,6 +98,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import comb, factorial, gcd, inf, lcm
 from operator import le, mul, sub
 
@@ -390,15 +392,16 @@ def _normalize(p):
     return p.primitive() if p.ring.field == QQ else p.monic()
 
 
-def _update_pairs(pairs, exps, lms, sugars, t, packing):
+def _update_pairs(pairs, exps, lms, t, packing):
     """Gebauer-Moeller criteria when basis element with index t arrives.
 
     Monomials are packed, and `exps` holds the leading monomials unpacked.
-    A pair is (i, j, lcm, rank) with rank = (sugar, lcm), fixed when the
-    pair is created.  The new lcms that survive are those no other lcm
-    properly divides: a divisor is a smaller int, and divisibility is
-    transitive, so each distinct lcm, taken in increasing order, is tested
-    against the survivors before it only.
+    A pair of forms i < j is (degree, lcm, j, i), degree that of the lcm,
+    and `pairs` is the queue, kept sorted last to first: the next pair,
+    least lcm degree first, is `pairs[-1]`.  The new lcms that survive are
+    those no other lcm properly divides: a divisor is a smaller int, and
+    divisibility is transitive, so each distinct lcm, taken in increasing
+    order, is tested against the survivors before it only.
     """
     guard, mask, pack = packing.guard, packing.mask, packing.pack
     lmt, et = lms[t], exps[t]
@@ -410,29 +413,18 @@ def _update_pairs(pairs, exps, lms, sugars, t, packing):
         if all((top - low) & guard for low in minimal):
             minimal.append(top)
     unseen = set(minimal)
-    fresh = []
-    for i, top in enumerate(lcms):
-        if top not in unseen:
-            continue
-        unseen.remove(top)
-        if top != lms[i] + lmt:  # not coprime
-            degree = top & mask
-            sugar = max(
-                sugars[i] + degree - (lms[i] & mask), sugars[t] + degree - (lmt & mask)
-            )
-            fresh.append((i, t, top, (sugar, top)))
     kept = [
         pair
         for pair in pairs
-        if (pair[2] - lmt) & guard or lcms[pair[0]] == pair[2] or lcms[pair[1]] == pair[2]
+        if (pair[1] - lmt) & guard or lcms[pair[3]] == pair[1] or lcms[pair[2]] == pair[1]
     ]
-    kept.extend(fresh)
+    for i, top in enumerate(lcms):
+        if top in unseen:
+            unseen.remove(top)
+            if top != lms[i] + lmt:  # not coprime
+                kept.append((top & mask, top, t, i))
+    kept.sort(reverse=True)
     return kept
-
-
-def _degree(form, mask):
-    lm, _, tail = form
-    return max(lm & mask, max((e & mask for e, _ in tail), default=0))
 
 
 class _Target:
@@ -514,40 +506,38 @@ def _pair_loop(forms, packing, q, size=None, numerator=None):
     generating set, in place; returns them, the counts (S-pairs reduced,
     reduced to zero, skipped) and whether rule (b) stopped the loop.
 
-    Pairs pass the Gebauer-Moeller criteria and are taken least sugar
-    first; each S-pair is divided by the forms so far and a nonzero
-    remainder joins them as a new form.
+    Pairs pass the Gebauer-Moeller criteria and are taken least lcm degree
+    first from one sorted queue (`_update_pairs`), ties by lcm and then in
+    the order they were made; each S-pair is divided by the forms so far
+    and a nonzero remainder joins them as a new form.
 
     With `size`, min(r, n) - 1 for r homogeneous forms in n variables, the
     loop keeps the watch of the module docstring (`_Target`) and stops by
     rule (b).  With `numerator` too, that of the series of a regular
     sequence of the forms' degrees, given for r <= n, it applies rules (a)
-    and (c), which need the pairs in nondecreasing degree, as homogeneous
-    forms give them (the sugar is the degree).
+    and (c), which need the pairs in nondecreasing degree, as the queue
+    gives them.
     """
-    guard, mask = packing.guard, packing.mask
+    guard = packing.guard
     forms.sort(key=lambda form: form[0])
-    exps, lms, sugars, pairs = [], [], [], []
+    exps, lms, pairs = [], [], []
     for t, form in enumerate(forms):
         exps.append(packing.unpack(form[0]))
         lms.append(form[0])
-        sugars.append(_degree(form, mask))
-        pairs = _update_pairs(pairs, exps, lms, sugars, t, packing)
+        pairs = _update_pairs(pairs, exps, lms, t, packing)
     watch = None if size is None else _Target(size, numerator, packing, exps, lms)
     reduced = zero = skipped = 0
     while pairs and not (watch and not watch.transversals):  # (b)
-        # the first pair of least rank, as a stable sort would give
-        best = min(range(len(pairs)), key=lambda k: pairs[k][3])
-        degree = pairs[best][3][0]
+        degree, top, j, i = pairs[-1]
         if watch and degree >= watch.start:
             if not watch.advance(degree, lms):  # (c)
                 break
-            if len(watch.standard) <= watch.limit:  # (a)
-                kept = [pair for pair in pairs if pair[3][0] != degree]
-                skipped += len(pairs) - len(kept)
-                pairs = kept
+            if len(watch.standard) <= watch.limit:  # (a): drop the run of degree D
+                while pairs and pairs[-1][0] == degree:
+                    pairs.pop()
+                    skipped += 1
                 continue
-        i, j, top, (sugar, _) = pairs.pop(best)
+        pairs.pop()
         remainder, _ = _divide(_s_pair(forms[i], forms[j], top, guard, q), forms, guard, q)
         reduced += 1
         if not remainder:
@@ -557,8 +547,7 @@ def _pair_loop(forms, packing, q, size=None, numerator=None):
         forms.append(form)
         exps.append(packing.unpack(form[0]))
         lms.append(form[0])
-        sugars.append(max(sugar, _degree(form, mask)))
-        pairs = _update_pairs(pairs, exps, lms, sugars, len(forms) - 1, packing)
+        pairs = _update_pairs(pairs, exps, lms, len(forms) - 1, packing)
         if watch:
             watch.add(exps[-1], form[0])
     stopped = watch is not None and not watch.transversals
@@ -924,16 +913,22 @@ def _hilbert_from_numerator(numerator, nvars):
         raise RuntimeError("Hilbert series reduced below constant rank")
     if D == 0:
         return HilbertData(-1, None, ())
-    degree = sum(quotient)
+    # quotient(t) = sum a_k (1 - t)^k: a_0 = quotient(1), and dividing
+    # quotient - a_0 by 1 - t leaves minus the tail sums of its
+    # coefficients.  The terms k >= D add a polynomial in t to the series,
+    # and each k < D adds a_k binom(m + e, e), e = D - 1 - k, to the
+    # Hilbert polynomial: one cached binomial per dimension
+    a = []
+    for _ in range(D):
+        a.append(sum(quotient))
+        quotient = list(accumulate(-c for c in reversed(quotient[1:])))[::-1]
     coeffs = [Fraction(0)] * D
-    for j, q in enumerate(quotient):
-        if q:
-            part = _binomial_polynomial(D - 1 - j, D - 1)
-            for k, c in enumerate(part):
-                coeffs[k] += q * c
+    for k, a_k in enumerate(a):
+        for i, c in enumerate(_binomial_polynomial(D - 1 - k, D - 1 - k)):
+            coeffs[i] += a_k * c
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return HilbertData(D - 1, degree, tuple(coeffs))
+    return HilbertData(D - 1, a[0], tuple(coeffs))
 
 
 def regular_sequence_data(I):

@@ -22,6 +22,7 @@ threads; every operation is a pure function.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -630,6 +631,18 @@ class _Parser:
         """The ParseError of the token at `index`."""
         return ParseError(message, _token_positions(self.text)[index])
 
+    def integer(self, index):
+        """The int of the decimal token at `index`; a literal longer than the
+        interpreter converts (`sys.get_int_max_str_digits`) is a ParseError
+        at its token."""
+        token = self.tokens[index]
+        try:
+            return int(token)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            message = f"integer literal of {len(token)} digits exceeds the limit of {limit} digits"
+            raise self.error(message, index) from None
+
     def parse(self):
         acc = self.expr()
         token = self.tokens[self.index]
@@ -664,15 +677,15 @@ class _Parser:
                 poly = None
                 if var is None:
                     if token.isdecimal():
-                        value = int(token)
+                        value = self.integer(i)
                         if tokens[i + 1] == "/":
                             i += 2
-                            den = tokens[i]
-                            if not den.isdecimal():
-                                raise self.error(f"expected 'int', found {den!r}", i)
-                            if int(den) == 0:
+                            if not tokens[i].isdecimal():
+                                raise self.error(f"expected 'int', found {tokens[i]!r}", i)
+                            den = self.integer(i)
+                            if den == 0:
                                 raise self.error("zero denominator", i)
-                            value = Fraction(value, int(den))
+                            value = Fraction(value, den)
                             if q:  # 1/q raises BadReductionError here, not in the product
                                 value = field.coerce(value)
                     elif token == "(":
@@ -693,7 +706,7 @@ class _Parser:
                     i += 1
                     if not tokens[i].isdecimal():
                         raise self.error(f"expected 'int', found {tokens[i]!r}", i)
-                    power = int(tokens[i])
+                    power = self.integer(i)
                     i += 1
                 if var is not None:
                     exps[var] += power

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -357,6 +358,28 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert report["error"] == {
             "kind": "input", "message": f"{bad}: the zero vector is not a projective point"
+        }
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before 3.10.7"
+    )
+    def test_overlong_integer_literal_names_the_file(self, tmp_path):
+        # a literal beyond the interpreter's digit limit is a parse error at
+        # its token, not the interpreter's own message
+        digits = sys.get_int_max_str_digits() + 700
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps({
+            "variables": ["x0", "x1", "x2"],
+            "ambient": [],
+            "cutting": [{"expression": "x1*" + "7" * digits, "degree": 1}],
+            "point": ["1", "0", "0"],
+        }))
+        report, code = run_report(["bound", str(bad)])
+        assert code == EXIT_INPUT
+        assert report["error"] == {
+            "kind": "input",
+            "message": f"{bad}: integer literal of {digits} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits (at position 3)",
         }
 
     def test_oracle_without_primes_tries_none(self, tmp_path, monkeypatch):

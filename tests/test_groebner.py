@@ -304,8 +304,10 @@ def _reference_normalize(p):
 def reference_buchberger(generators, order=None):
     """Buchberger on `Polynomial` values: S-pairs by `mul_term`/`sub_scaled`,
     remainders by the reference division, each made primitive (or monic) as
-    a whole polynomial, and a `Fraction` interreduction.  The pair criteria,
-    the selection order and the sugar are those of `buchberger`."""
+    a whole polynomial, and a `Fraction` interreduction.  The pair criteria
+    are those of `buchberger`; the pairs are taken least sugar first, which
+    on homogeneous input is the order of `buchberger`'s queue, and elsewhere
+    reaches the same reduced basis by another route."""
     gens = [g for g in generators if g]
     if not gens:
         return ()
@@ -345,6 +347,55 @@ def reference_buchberger(generators, order=None):
     ]
     reduced.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
     return tuple(reduced)
+
+
+def reference_pair_loop(forms, packing, q, size=None, numerator=None):
+    """The pair loop with sugar ranks, as `_pair_loop` ran before its queue:
+    pairs from `reference_update_pairs`, the first of least (sugar, lcm)
+    taken by a scan, a form's sugar the greatest degree of its terms and a
+    remainder's the greater of its pair's and its own.  Returns the forms,
+    each reduced S-pair as (form, form, packed lcm) in order, and the
+    number of pairs skipped."""
+    guard, mask, order = packing.guard, packing.mask, packing.order
+    forms.sort(key=lambda form: form[0])
+    exps, lms, sugars, pairs = [], [], [], []
+
+    def add(form, sugar):
+        exps.append(packing.unpack(form[0]))
+        lms.append(form[0])
+        sugars.append(sugar)
+        return reference_update_pairs(pairs, exps, sugars, len(exps) - 1, order)
+
+    def degree(form):
+        return max(e & mask for e in (form[0], *(e for e, _ in form[2])))
+
+    for form in forms:
+        pairs = add(form, degree(form))
+    watch = None if size is None else groebner._Target(size, numerator, packing, exps, lms)
+    taken, skipped = [], 0
+    while pairs and not (watch and not watch.transversals):
+        best = min(range(len(pairs)), key=lambda k: pairs[k][3])
+        sugar = pairs[best][3][0]
+        if watch and sugar >= watch.start:
+            if not watch.advance(sugar, lms):
+                break
+            if len(watch.standard) <= watch.limit:
+                kept = [pair for pair in pairs if pair[3][0] != sugar]
+                skipped += len(pairs) - len(kept)
+                pairs = kept
+                continue
+        i, j, lcm, _ = pairs.pop(best)
+        top = packing.pack(lcm)
+        taken.append((forms[i], forms[j], top))
+        pending = groebner._s_pair(forms[i], forms[j], top, guard, q)
+        remainder, _ = groebner._divide(pending, forms, guard, q)
+        if remainder:
+            form = _form(remainder, q)
+            forms.append(form)
+            pairs = add(form, max(sugar, degree(form)))
+            if watch:
+                watch.add(exps[-1], form[0])
+    return forms, taken, skipped + len(pairs)
 
 
 def _random_generators(ring, rng, homogeneous):
@@ -392,6 +443,42 @@ class TestIntegerBuchbergerLoop:
                 assert_identical_bases(buchberger(gens, order), reference_buchberger(gens, order))
                 if ring.order == order:
                     assert_identical_bases(buchberger(gens), reference_buchberger(gens))
+
+    @pytest.mark.parametrize("target", [False, True], ids=["plain", "target"])
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+    def test_queue_takes_the_pairs_of_the_sugar_ranks(self, field, target, monkeypatch):
+        # on homogeneous forms the sorted queue reduces the same S-pairs in
+        # the same order as the sugar-ranked loop, and skips as many
+        rng = random.Random(f"queue {field!r} {target}")
+        q = field.characteristic
+        taken = []
+        s_pair = groebner._s_pair
+
+        def recording(f, g, top, guard, q):
+            taken.append((f, g, top))
+            return s_pair(f, g, top, guard, q)
+
+        monkeypatch.setattr(groebner, "_s_pair", recording)
+        for n in (3, 4, 5):
+            ring = PolynomialRing(tuple(f"x{i}" for i in range(n)), field)
+            packing = _packing(ring.order, 16)
+            for r in (2, n - 1, n, n + 1):
+                for _ in range(3):
+                    gens = [random_homogeneous(ring, rng.randint(1, 3), rng) for _ in range(r)]
+                    watch = ()
+                    if target:
+                        numerator = groebner._regular_numerator(gens) if r <= n else None
+                        watch = (min(r, n) - 1, numerator)
+                    forms = groebner._forms(gens, packing, q)
+                    taken.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(groebner, "_s_pair", s_pair)
+                        expected = reference_pair_loop(list(forms), packing, q, *watch)
+                    result, (reduced, _, skipped), _ = groebner._pair_loop(
+                        list(forms), packing, q, *watch
+                    )
+                    assert (result, taken, skipped) == expected
+                    assert reduced == len(taken)
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
@@ -489,21 +576,24 @@ class TestPackedMonomials:
     @pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_ORDER_IDS)
     def test_update_pairs_keeps_the_reference_pairs(self, order):
         # the criteria on packed leads, each unpacked once, keep the pairs
-        # of the criteria on exponent tuples, in the same order; repeated
-        # leads included
+        # of the criteria on exponent tuples, with their lcm degrees; the
+        # queue, read from its end, is the order in which the sugar ranks
+        # of homogeneous forms (a form's sugar its degree) take them, the
+        # first of least rank first; repeated leads included
         packing = _packing(order, 4)
         rng = random.Random(f"pairs {order!r}")
         for _ in range(30):
             leads = [rng.choice(SMALL_MONOMIALS) for _ in range(8)]
             packed = [packing.pack(e) for e in leads]
-            sugars = [sum(e) + rng.randint(0, 1) for e in leads]
+            sugars = [sum(e) for e in leads]
             pairs, expected = [], []
             for t in range(len(leads)):
-                pairs = groebner._update_pairs(pairs, leads, packed, sugars, t, packing)
+                pairs = groebner._update_pairs(pairs, leads, packed, t, packing)
                 expected = reference_update_pairs(expected, leads, sugars, t, order)
-                assert [(i, j, packing.unpack(top), rank[0]) for i, j, top, rank in pairs] == [
-                    (i, j, lcm, rank[0]) for i, j, lcm, rank in expected
-                ]
+                taken = sorted(expected, key=lambda pair: pair[3])
+                assert [
+                    (i, j, packing.unpack(top), degree) for degree, top, j, i in reversed(pairs)
+                ] == [(i, j, lcm, rank[0]) for i, j, lcm, rank in taken]
 
     def test_overflowing_fields_are_widened(self, monkeypatch):
         # the lex basis of x_i - x_{i+1}^2 reaches degree 2^16, far beyond
@@ -711,6 +801,21 @@ class TestHilbertData:
     def test_rejects_inhomogeneous(self, ring2):
         with pytest.raises(NonHomogeneousError):
             hilbert_data(Ideal(ring2, [ring2.parse("x0 + 1")]))
+
+    def test_sparse_plane_curve_asks_one_binomial_per_dimension(self, ring3):
+        # x0^(d-1)*x1 - x2^d: d stripped numerator coefficients, but the
+        # Hilbert polynomial d*m - d(d-3)/2 of a plane curve of degree d
+        # needs one binomial per dimension, by the prime and by the basis
+        d = 20000
+        ideal = Ideal(ring3, [ring3.parse(f"x0^{d - 1}*x1 - x2^{d}")])
+        before = groebner._binomial_polynomial.cache_info().currsize
+        expected = (1, d, (-d * (d - 3) // 2, d))
+        for data in (
+            hilbert_data(ideal),
+            groebner._hilbert_from_numerator(groebner._leading_numerator(ideal), 3),
+        ):
+            assert (data.dimension, data.degree, data.hilbert_polynomial) == expected
+        assert groebner._binomial_polynomial.cache_info().currsize - before <= ring3.nvars
 
     def test_order_independence(self, rng):
         # dimension and degree agree between grevlex and lex on random ideals

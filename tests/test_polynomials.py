@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -146,6 +147,28 @@ class TestParser:
             ring3.parse(text)
         assert err.value.position == position
         assert str(err.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before 3.10.7"
+)
+@pytest.mark.parametrize(
+    "template, position",
+    [("{}*x0", 0), ("x0 + 1/{}", 7), ("x0*x1^{}", 6)],
+    ids=["coefficient", "denominator", "exponent"],
+)
+def test_overlong_integer_literal_is_a_parse_error(ring3, template, position):
+    # a literal longer than int("...") converts is refused at its token,
+    # whatever its place; one at the limit parses
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as err:
+        ring3.parse(template.format("7" * (limit + 1)))
+    assert err.value.position == position
+    assert str(err.value) == (
+        f"integer literal of {limit + 1} digits exceeds the limit of {limit} digits "
+        f"(at position {position})"
+    )
+    assert ring3.parse(template.format("1" + "0" * (limit - 1)))
 
 
 def _render_term(names, mono, coeff, rng):
