@@ -91,14 +91,20 @@ def slice_decomposition(f):
     ring = f.ring
     d = f.total_degree()
     target = slice_ring(ring)
-    buckets = [[] for _ in range(d + 1)]
+    # keyed by slice degree: the cost goes with the terms, and every empty
+    # degree shares one zero
+    buckets = {}
     for mono, coeff in f.terms:
         rest = mono[1:]
         rest_degree = sum(rest)
         if rest_degree == 0:
             raise ValueError("polynomial does not vanish at the base point")
-        buckets[rest_degree].append((rest, coeff))
-    return tuple(target.from_terms(buckets[i]) for i in range(1, d + 1))
+        buckets.setdefault(rest_degree, []).append((rest, coeff))
+    zero = target.zero()
+    slices = [zero] * d
+    for i, terms in buckets.items():
+        slices[i - 1] = target.from_terms(terms)
+    return tuple(slices)
 
 
 @dataclass(frozen=True)
@@ -324,7 +330,9 @@ def singular_locus_is_empty(X):
     """Jacobian criterion: no point of X drops the expected Jacobian rank.
 
     Optional validation helper; the singular locus is cut out by the ideal
-    together with the codimension-sized minors of the Jacobian matrix.
+    together with the codimension-sized minors of the Jacobian matrix.  A
+    hypersurface whose degree the characteristic does not divide is cut out
+    by its partials alone.
     """
     from itertools import combinations
 
@@ -336,6 +344,11 @@ def singular_locus_is_empty(X):
     if codim <= 0:
         return True
     jacobian = [[g.derivative(i) for i in range(ring.nvars)] for g in gens]
+    if len(gens) == 1 and not ring.field.is_zero(ring.field.coerce(gens[0].total_degree())):
+        # Euler: deg(f) * f = sum of x_i * df/dx_i puts f in the ideal of
+        # its partials, which are then N + 1 forms in N + 1 variables, the
+        # shape whose emptiness certificate mod p knows its Hilbert series
+        return hilbert_data(Ideal(ring, [d for d in jacobian[0] if d])).is_empty
     minors = []
     for rows in combinations(range(len(gens)), min(codim, len(gens))):
         for cols in combinations(range(ring.nvars), min(codim, len(gens))):

@@ -237,47 +237,6 @@ def test_proportional_cuts_fail_condition_i():
         )
 
 
-def test_curve_on_the_p6_sextic_reaches_six_fifths(caplog):
-    # no result in a minute over Q; one prime certifies the curve's lowest
-    # forms, and the cone-cut lemma gives its degree with no loop on C
-    caplog.set_level(logging.DEBUG, logger="seshadri")
-    report, code, _ = run(["curve", str(DATA / "p6-sextic.json")])
-    assert code == EXIT_OK
-    certificate = report["result"]["certificate"]
-    assert (certificate["degree"], certificate["multiplicity"]) == (144, 120)
-    assert certificate["ratio"] == "6/5"
-    _assert_no_loop_on_c(caplog, "(1, 2, 3, 4, 6)")
-
-
-def _assert_no_loop_on_c(caplog, degrees):
-    """The lowest forms of a curve of 5 generators in P^6 were certified,
-    the lemma logged C's degrees, and no pair loop ran on C itself."""
-    messages = [r.getMessage() for r in caplog.records]
-    assert any(
-        m.startswith(f"complete intersection mod {EMPTINESS_PRIME}: 5 generators, "
-                     "6 variables, certified in ")
-        for m in messages
-    )
-    assert f"{LEMMA}, Hilbert data of a complete intersection of degrees {degrees}" in messages
-    assert not any("5 generators, 7 variables" in m for m in messages)
-
-
-@pytest.mark.parametrize("n, d, pinned, degrees", [
-    (5, 6, (144, 120), "(1, 2, 3, 4, 6)"),
-    (5, 7, (168, 144), "(1, 2, 3, 4, 7)"),
-])
-def test_sharpness_reach_certificates(n, d, pinned, degrees, caplog):
-    # over Q neither certificate curve gives a result in a minute; the
-    # lemma runs no pair loop on either
-    caplog.set_level(logging.DEBUG, logger="seshadri")
-    report, code, _ = run(["sharpness", str(n), str(d)])
-    assert code == EXIT_OK
-    certificate = report["result"]["certificate"]
-    assert (certificate["degree"], certificate["multiplicity"]) == pinned
-    assert certificate["ratio"] == f"{d}/{d - 1}"
-    _assert_no_loop_on_c(caplog, degrees)
-
-
 @pytest.fixture
 def certificates(monkeypatch):
     """Each ideal `_curve_certificate` is asked about, with its answer."""

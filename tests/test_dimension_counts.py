@@ -209,25 +209,12 @@ class TestCutOutDegree:
 
 
 class TestReach:
-    def test_fano_on_the_quintic(self):
-        report, code, _ = run(["fano", str(QUINTIC)])
-        assert code == EXIT_OK
-        scheme = report["result"]["line_scheme"]
-        assert (scheme["dimension"], scheme["degree"]) == (0, 120)
-
     def test_bound_on_the_quintic(self):
         report, code, _ = run(["bound", str(QUINTIC)])
         assert code == EXIT_OK
         seshadri = report["result"]["seshadri"]
         assert seshadri["status"] == "LINE_FOUND"
         assert seshadri["epsilon"] == "1"
-
-    def test_dp_on_a_cubic_and_a_quartic(self):
-        report, code, _ = run(["dp", str(CUBIC_QUARTIC)])
-        assert code == EXIT_OK
-        result = report["result"]
-        assert result["cut_out_degree"] == 4
-        assert (result["variety"]["dimension"], result["variety"]["degree"]) == (4, 12)
 
     def test_bound_on_a_cubic_and_a_quartic(self):
         report, code, _ = run(["bound", str(CUBIC_QUARTIC)])

@@ -8,7 +8,6 @@ import logging
 import random
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -47,8 +46,6 @@ SYNTHETIC_SHAPES = (
     (5, (3, 3)),
     (5, (2, 2, 2)),
 )
-SEXTIC = Path(__file__).parent / "data" / "p6-sextic.json"
-P5_QUINTIC = Path(__file__).parent / "data" / "p5-quintic.json"
 EMPTY = HilbertData(-1, None, ())
 
 
@@ -279,30 +276,6 @@ def test_a_cached_basis_of_x_skips_the_prime(caplog):
     assert len(attempts) == 1
     assert attempts[0].startswith(
         f"complete intersection mod {EMPTINESS_PRIME}: 2 generators, 5 variables, certified in "
-    )
-
-
-@pytest.mark.parametrize("path, value, nvars", [(SEXTIC, "6/5", 6), (P5_QUINTIC, "5/4", 5)])
-@pytest.mark.parametrize("command", ["bound", "classify"])
-def test_empty_line_schemes_reach_the_bound(command, path, value, nvars, caplog):
-    # over Q the sextic's line scheme gives no result in a minute; the
-    # prime proves each line scheme empty, nvars slices in nvars directions
-    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
-    report, code, _ = run([command, str(path)])
-    assert code == EXIT_OK
-    seshadri = report["result"]["seshadri"]
-    assert seshadri["lower_bound"] == value
-    assert seshadri["line_scheme_dimension"] == -1
-    if command == "classify":
-        assert (seshadri["status"], seshadri["epsilon"]) == ("EXACT", value)
-    else:
-        assert seshadri["status"] == "LOWER_BOUND_ONLY"
-    assert any(
-        m.startswith(
-            f"emptiness mod {EMPTINESS_PRIME}: {nvars} generators, {nvars} variables, "
-            "certified empty in "
-        )
-        for m in _attempts(caplog)
     )
 
 

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -11,7 +12,10 @@ from seshadri.polynomials import (
     substitute_linear,
 )
 from seshadri.groebner import (
+    EMPTINESS_PRIME,
     Ideal,
+    _hilbert_from_numerator,
+    _leading_numerator,
     graded_piece,
     hilbert_data,
     hilbert_function,
@@ -580,3 +584,45 @@ def test_singular_locus_helper(ring3, ring4):
     assert singular_locus_is_empty(smooth)
     cusp = normalize_point(Ideal(ring3, [ring3.parse("x2*x1^2 - x0^3")]), (0, 0, 1))
     assert not singular_locus_is_empty(cusp)
+
+
+def _singular_locus_over_q_is_empty(f):
+    """Emptiness of V(f, df/dx_0, ..., df/dx_N), read off a basis over Q
+    with no prime asked."""
+    ring = f.ring
+    partials = [f.derivative(i) for i in range(ring.nvars)]
+    K = Ideal(ring, [f] + [d for d in partials if d])
+    return _hilbert_from_numerator(_leading_numerator(K), ring.nvars).is_empty
+
+
+@pytest.mark.parametrize("nvars, degree", [(4, 3), (4, 4), (5, 3)])
+def test_a_hypersurface_is_smooth_iff_its_partials_have_no_common_zero(nvars, degree, caplog):
+    # Euler's relation puts f in the ideal of its partials: dropping f
+    # changes the route, to N + 1 forms in N + 1 variables, not the verdict
+    rng = random.Random(nvars * 10 + degree)
+    ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)))
+    smooth = random_homogeneous(ring, degree, rng, through_origin=True)
+    # a cone with vertex [0:...:0:1], and a double point there
+    cone = random_homogeneous(PolynomialRing(ring.names[:-1]), degree, rng, through_origin=True)
+    cone = ring.from_terms((m + (0,), c) for m, c in cone.terms)
+    double = random_homogeneous(ring, degree, rng, through_origin=True)
+    double = ring.from_terms((m, c) for m, c in double.terms if m[-1] < degree - 1)
+    caplog.set_level(logging.DEBUG, logger="seshadri.groebner")
+    for f, expected in ((smooth, True), (cone, False), (double, False)):
+        X = normalize_point(Ideal(ring, [f]), base_point(ring))
+        assert singular_locus_is_empty(X) == _singular_locus_over_q_is_empty(f) == expected
+    assert any(
+        m.startswith(f"emptiness mod {EMPTINESS_PRIME}: {nvars} generators, {nvars} variables, "
+                     "certified empty in ")
+        for m in caplog.messages
+    )
+
+
+def test_a_cubic_in_characteristic_3_keeps_itself_in_its_singular_locus():
+    # 3 divides the degree, so Euler's relation says nothing: the partials
+    # alone meet, at [0:1:0], but f does not vanish there
+    ring = PolynomialRing(("x0", "x1", "x2"), PrimeField(3))
+    f = ring.parse("x0^2*x1 + x0*x2^2 + x1^3")
+    partials = Ideal(ring, [f.derivative(i) for i in range(3)])
+    assert not hilbert_data(partials).is_empty
+    assert singular_locus_is_empty(normalize_point(Ideal(ring, [f]), base_point(ring)))
