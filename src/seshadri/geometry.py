@@ -44,8 +44,7 @@ from . import linalg
 from .groebner import (
     HilbertData,
     Ideal,
-    _leading_numerator,
-    _strip_unit_root,
+    _leading_multiplicity,
     certified_hilbert_data,
     hilbert_data,
 )
@@ -407,9 +406,7 @@ def _tangent_cone_multiplicity(X):
     sec. 9.3).  For D = 0 the point is isolated, and Q(1) = sum_d H(TC, d)
     is the length of O_p.
     """
-    cone = _tangent_cone(X)
-    numerator, _ = _strip_unit_root(_leading_numerator(cone), cone.ring.nvars)
-    return sum(numerator)
+    return _leading_multiplicity(_tangent_cone(X))
 
 
 def lowest_forms_multiplicity(X):

@@ -20,10 +20,11 @@ and a run whose monomials outgrow it is repeated with wider fields.  One
 fraction-free kernel serves both fields.  Over Q it divides by the
 primitive integer forms of the divisors and keeps the accumulated scale, so
 that each remainder coefficient is the exact rational; over F_q the forms
-are monic and every coefficient is reduced mod q, so each step is the field
-step and the scale stays 1.  `buchberger` runs entirely on these forms and
-packed monomials, S-pairs and pair criteria included, and builds
-`Fraction`/`Polynomial` values only for the reduced basis it returns.
+are monic, so each step is the field step and the scale stays 1, and a
+coefficient is reduced mod q when its term is popped.  `buchberger` runs
+entirely on these forms and packed monomials, S-pairs and pair criteria
+included, and builds `Fraction`/`Polynomial` values only for the reduced
+basis it returns.
 
 Two questions about a homogeneous ideal I over Q are first asked at one
 fixed prime, EMPTINESS_PRIME, in `certified_hilbert_data`: the Buchberger
@@ -98,7 +99,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 from math import comb, factorial, gcd, inf, lcm
 from operator import le, mul, sub
 
@@ -245,8 +245,10 @@ def _divide(pending, forms, guard, q):
     division of `pending`.  Each step is P <- a*P - b*x^u*g with
     a = lc / gcd(lc, c), b = c / gcd(lc, c), the field step
     p - (c/lc)*x^u*g scaled by a.  Over F_q (q > 0) the forms are monic, so
-    a = 1 and b = c: the step is the field step, each updated coefficient
-    is reduced mod q and the scale stays 1.  `pending` is consumed.
+    a = 1 and b = c: the step is the field step and the scale stays 1.
+    Pending coefficients are then integers congruent to the field elements,
+    reduced mod q only when their term is popped; a multiple of q there is
+    a cancelled term.  `pending` is consumed.
     """
     scale = 1
     heap = [-m for m in pending]
@@ -254,8 +256,10 @@ def _divide(pending, forms, guard, q):
     remainder = []  # (monomial, coefficient, scale when it left)
     while heap:
         m = -heappop(heap)
-        c = pending.pop(m, None)
-        if c is None:  # cancelled after it was pushed
+        c = pending.pop(m, 0)
+        if q:
+            c %= q
+        if not c:  # cancelled after it was pushed, or 0 mod q
             continue
         for lm, lc, tail in forms:
             if not (m - lm) & guard:
@@ -275,12 +279,10 @@ def _divide(pending, forms, guard, q):
             if v is None:
                 if e & guard:
                     raise _Overflow
-                pending[e] = -b * gc % q if q else -b * gc
+                pending[e] = -b * gc
                 heappush(heap, -e)
             else:
                 v -= b * gc
-                if q:
-                    v %= q
                 if v:
                     pending[e] = v
                 else:
@@ -430,7 +432,8 @@ def _update_pairs(pairs, exps, lms, t, packing):
 class _Target:
     """The watch of the module docstring on the leads so far, L, for r
     forms in n variables: `size` is min(r, n) - 1, and `numerator`, given
-    for r <= n only, that of the series T = numerator / (1 - t)^n.
+    for r <= n only, that of the series T = numerator / (1 - t)^n, as a
+    dict {exponent of t: coefficient} (`_regular_numerator`).
 
     `transversals` holds, as bitmasks, sets of at most `size` variables
     that meet the support of every lead, among them every minimal such set
@@ -774,32 +777,14 @@ class HilbertData:
         return self.dimension == -1
 
 
-def _poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_shift(a, k):
-    return [0] * k + a if a else []
+def _times(a, b, plus=None):
+    """plus + a*b for polynomials in t held sparse, as dicts {exponent of t:
+    coefficient} without zero coefficients; plus defaults to zero."""
+    out = dict(plus or {})
+    for i, c in a.items():
+        for j, d in b.items():
+            out[i + j] = out.get(i + j, 0) + c * d
+    return {e: c for e, c in out.items() if c}
 
 
 def _minimalize(gens):
@@ -812,19 +797,19 @@ def _minimalize(gens):
 
 
 def _hilbert_numerator(gens, nvars):
-    """Numerator of the Hilbert series of R/M over (1-t)^nvars for monomial M."""
+    """Numerator of the Hilbert series of R/M over (1-t)^nvars for monomial M,
+    as a dict {exponent of t: coefficient}."""
     gens = _minimalize(gens)
     if not gens:
-        return [1]
+        return {0: 1}
     if any(sum(g) == 0 for g in gens):
-        return []
+        return {}
     mixed = [g for g in gens if sum(1 for e in g if e) > 1]
     if not mixed:
-        poly = [1]
+        numerator = {0: 1}
         for g in gens:
-            factor = [1] + [0] * (sum(g) - 1) + [-1]
-            poly = _poly_mul(poly, factor)
-        return poly
+            numerator = _times(numerator, {sum(g): -1}, numerator)
+        return numerator
     counts = [0] * nvars
     for g in mixed:
         for i, e in enumerate(g):
@@ -839,35 +824,14 @@ def _hilbert_numerator(gens, nvars):
     quotient = [
         tuple(max(e - k, 0) if i == pivot else e for i, e in enumerate(g)) for g in gens
     ]
-    return _poly_add(
-        _hilbert_numerator(plus, nvars),
-        _poly_shift(_hilbert_numerator(quotient, nvars), k),
-    )
+    return _times({k: 1}, _hilbert_numerator(quotient, nvars), _hilbert_numerator(plus, nvars))
 
 
 def _leading_numerator(I):
     """Hilbert-series numerator of R/I, read off the basis leading terms."""
     if I.is_zero():
-        return [1]
+        return {0: 1}
     return _hilbert_numerator([g.leading_monomial() for g in I.groebner_basis()], I.ring.nvars)
-
-
-def _strip_unit_root(numerator, nvars):
-    """Divide out (1-t) factors; returns (quotient, D) with quotient(1) != 0."""
-    divisions = 0
-    poly = list(numerator)
-    while poly and sum(poly) == 0:
-        # synthetic division by (1 - t):  poly = (1 - t) * q
-        q = [0] * (len(poly) - 1)
-        carry = 0
-        for i in range(len(poly) - 1):
-            carry = poly[i] + carry
-            q[i] = carry
-        poly = q
-        while poly and poly[-1] == 0:
-            poly.pop()
-        divisions += 1
-    return poly, nvars - divisions
 
 
 @lru_cache(maxsize=None)
@@ -889,46 +853,67 @@ def _regular_numerator(generators):
     """prod (1 - t^d_i) over the generators' degrees d_i: the numerator of
     the Hilbert series of R/I over (1 - t)^n when they are a regular
     sequence.  A constant generator, d_i = 0, makes it zero, as R/I is."""
-    numerator = [1]
+    numerator = {0: 1}
     for g in generators:
-        d = g.total_degree()
-        numerator = _poly_mul(numerator, [1] + [0] * (d - 1) + [-1]) if d else []
+        numerator = _times(numerator, {g.total_degree(): -1}, numerator)
     return numerator
 
 
 def _coefficient(numerator, nvars, d):
-    """The coefficient of t^d, d >= 0, in numerator(t) / (1 - t)^nvars."""
+    """The coefficient of t^d, d >= 0, in numerator(t) / (1 - t)^nvars, the
+    numerator a dict {exponent of t: coefficient}."""
     if not nvars:  # R is the field: the series is the numerator itself
-        return numerator[d] if d < len(numerator) else 0
-    return sum(c * comb(d - j + nvars - 1, nvars - 1) for j, c in enumerate(numerator[: d + 1]))
+        return numerator.get(d, 0)
+    return sum(c * comb(d - j + nvars - 1, nvars - 1) for j, c in numerator.items() if j <= d)
+
+
+def _at_one(numerator, nvars):
+    """The coefficients b_m of numerator(1 - s) = sum_m b_m s^m, from the
+    first nonzero one up to m = nvars: b_m = (-1)^m sum_j c_j binom(j, m)
+    for numerator(t) = sum_j c_j t^j, a nonzero dict {j: c_j}.
+
+    With b_m the first nonzero one, numerator / (1 - t)^nvars is
+    Q(t) / (1 - t)^D with D = nvars - m and Q(t) = sum_k b_(m+k) (1 - t)^k,
+    so the list returned has D + 1 entries and begins with Q(1) != 0.
+    Raises RuntimeError when b_0, ..., b_nvars all vanish.
+    """
+    b = [(-1) ** m * sum(c * comb(j, m) for j, c in numerator.items()) for m in range(nvars + 1)]
+    for m, b_m in enumerate(b):
+        if b_m:
+            return b[m:]
+    raise RuntimeError("Hilbert series reduced below constant rank")
 
 
 def _hilbert_from_numerator(numerator, nvars):
     """Hilbert data of R/M from the numerator of its Hilbert series over
-    (1 - t)^nvars."""
+    (1 - t)^nvars, a dict {exponent of t: coefficient}.
+
+    The series is Q(t) / (1 - t)^D with Q(t) = sum_k a_k (1 - t)^k, the
+    a_k read off at t = 1 in one pass (`_at_one`): the terms k >= D add a
+    polynomial in t to the series, and each k < D adds a_k binom(m + e, e),
+    e = D - 1 - k, to the Hilbert polynomial, one cached binomial per
+    dimension.  D = 0 and the zero numerator give the empty scheme.
+    """
     if not numerator:
         return HilbertData(-1, None, ())
-    quotient, D = _strip_unit_root(numerator, nvars)
-    if D < 0:
-        raise RuntimeError("Hilbert series reduced below constant rank")
+    a = _at_one(numerator, nvars)
+    D = len(a) - 1
     if D == 0:
         return HilbertData(-1, None, ())
-    # quotient(t) = sum a_k (1 - t)^k: a_0 = quotient(1), and dividing
-    # quotient - a_0 by 1 - t leaves minus the tail sums of its
-    # coefficients.  The terms k >= D add a polynomial in t to the series,
-    # and each k < D adds a_k binom(m + e, e), e = D - 1 - k, to the
-    # Hilbert polynomial: one cached binomial per dimension
-    a = []
-    for _ in range(D):
-        a.append(sum(quotient))
-        quotient = list(accumulate(-c for c in reversed(quotient[1:])))[::-1]
     coeffs = [Fraction(0)] * D
-    for k, a_k in enumerate(a):
+    for k, a_k in enumerate(a[:D]):
         for i, c in enumerate(_binomial_polynomial(D - 1 - k, D - 1 - k)):
             coeffs[i] += a_k * c
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return HilbertData(D - 1, a[0], tuple(coeffs))
+
+
+def _leading_multiplicity(I):
+    """Q(1) for the Hilbert series Q(t) / (1 - t)^D of R/LT(I), Q(1) != 0,
+    read off the basis leading terms: the degree of Proj(R/I) for D > 0
+    homogeneous I, and the length of R/I for D = 0."""
+    return _at_one(_leading_numerator(I), I.ring.nvars)[0]
 
 
 def regular_sequence_data(I):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb, prod
 
 import pytest
 
@@ -13,6 +14,7 @@ from seshadri.polynomials import (
 )
 from seshadri import groebner, linalg
 from seshadri.groebner import (
+    HilbertData,
     Ideal,
     NonHomogeneousError,
     _form,
@@ -803,7 +805,7 @@ class TestHilbertData:
             hilbert_data(Ideal(ring2, [ring2.parse("x0 + 1")]))
 
     def test_sparse_plane_curve_asks_one_binomial_per_dimension(self, ring3):
-        # x0^(d-1)*x1 - x2^d: d stripped numerator coefficients, but the
+        # x0^(d-1)*x1 - x2^d: the numerator 1 - t^d has two terms, and the
         # Hilbert polynomial d*m - d(d-3)/2 of a plane curve of degree d
         # needs one binomial per dimension, by the prime and by the basis
         d = 20000
@@ -830,6 +832,127 @@ class TestHilbertData:
             a = hilbert_data(Ideal(grevlex_ring, gens))
             b = hilbert_data(Ideal(lex_ring, [lex_ring.from_terms(g.terms) for g in gens]))
             assert (a.dimension, a.degree) == (b.dimension, b.degree)
+
+
+EMPTY = HilbertData(-1, None, ())
+
+
+def reference_hilbert_from_numerator(numerator, nvars):
+    """Hilbert data from a dense numerator, the list of the coefficients of
+    t^0, t^1, ..., as `_hilbert_from_numerator` read it before it expanded
+    the numerator at t = 1: synthetic division by 1 - t while the
+    coefficients sum to zero, then a_k of quotient(t) = sum a_k (1 - t)^k as
+    the sum of the coefficients, the rest divided by 1 - t as minus the tail
+    sums."""
+    quotient = list(numerator)
+    while quotient and not quotient[-1]:
+        quotient.pop()
+    if not quotient:
+        return EMPTY
+    D = nvars
+    while sum(quotient) == 0:
+        quotient = list(accumulate(quotient[:-1]))
+        while quotient and not quotient[-1]:
+            quotient.pop()
+        D -= 1
+    if D < 0:
+        raise RuntimeError("Hilbert series reduced below constant rank")
+    if D == 0:
+        return EMPTY
+    a = []
+    for _ in range(D):
+        a.append(sum(quotient))
+        quotient = list(accumulate(-c for c in reversed(quotient[1:])))[::-1]
+    coeffs = [Fraction(0)] * D
+    for k, a_k in enumerate(a):
+        for i, c in enumerate(groebner._binomial_polynomial(D - 1 - k, D - 1 - k)):
+            coeffs[i] += a_k * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return HilbertData(D - 1, a[0], tuple(coeffs))
+
+
+def _dense(numerator):
+    """The list of coefficients of a sparse numerator {exponent: coefficient}."""
+    return [numerator.get(j, 0) for j in range(max(numerator, default=-1) + 1)]
+
+
+def _dense_product(degrees):
+    """prod (1 - t^d) over the degrees, as a list, by multiplying lists."""
+    product = [1]
+    for d in degrees:
+        product = [
+            (product[j] if j < len(product) else 0) - (product[j - d] if j >= d else 0)
+            for j in range(len(product) + d)
+        ]
+    return product
+
+
+class TestSeriesReader:
+    """`_hilbert_from_numerator` reads a sparse numerator at t = 1 in one
+    expansion; the dense route it replaced is the reference."""
+
+    def test_random_monomial_ideals(self):
+        rng = random.Random(32)
+        for nvars in range(2, 7):
+            for _ in range(12):
+                gens = [
+                    tuple(rng.randint(0, 3) if rng.random() < 0.6 else 0 for _ in range(nvars))
+                    for _ in range(rng.randint(1, 6))
+                ]
+                gens = [g for g in gens if any(g)]
+                numerator = groebner._hilbert_numerator(gens, nvars)
+                assert all(numerator.values())
+                expected = reference_hilbert_from_numerator(_dense(numerator), nvars)
+                assert groebner._hilbert_from_numerator(numerator, nvars) == expected
+                # the numerator itself, against standard monomials counted
+                for d in range(6):
+                    standard = sum(
+                        not any(_divides(g, m) for g in gens)
+                        for m in monomials_of_degree(nvars, d)
+                    )
+                    assert groebner._coefficient(numerator, nvars, d) == standard
+
+    def test_products_of_unit_root_factors(self):
+        # prod (1 - t^d_i), r <= n: Proj has dimension n - r - 1 and degree
+        # prod d_i, and the data is empty for r = n
+        rng = random.Random(33)
+        for nvars in range(1, 6):
+            ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)))
+            for r in range(nvars + 1):
+                degrees = [rng.randint(1, 7) for _ in range(r)]
+                gens = [ring.parse(f"x{i}^{d}") for i, d in enumerate(degrees)]
+                numerator = groebner._regular_numerator(gens)
+                assert _dense(numerator) == _dense_product(degrees)
+                data = groebner._hilbert_from_numerator(numerator, nvars)
+                assert data == reference_hilbert_from_numerator(_dense_product(degrees), nvars)
+                if r == nvars:
+                    assert data == EMPTY
+                else:
+                    assert (data.dimension, data.degree) == (nvars - r - 1, prod(degrees))
+
+    def test_the_zero_numerator_is_the_empty_scheme(self):
+        for nvars in range(5):
+            assert groebner._hilbert_from_numerator({}, nvars) == EMPTY
+            assert reference_hilbert_from_numerator([], nvars) == EMPTY
+
+    def test_a_root_of_order_past_nvars_raises(self):
+        # (1 - t)^(n + 1): every b_0 ... b_n vanishes
+        for nvars in range(4):
+            numerator = {j: (-1) ** j * comb(nvars + 1, j) for j in range(nvars + 2)}
+            for read, argument in (
+                (groebner._hilbert_from_numerator, numerator),
+                (reference_hilbert_from_numerator, _dense(numerator)),
+            ):
+                with pytest.raises(RuntimeError):
+                    read(argument, nvars)
+
+    def test_a_plane_curve_of_degree_a_million(self, ring3):
+        d = 10**6
+        I = Ideal(ring3, [ring3.parse(f"x0^{d - 1}*x1 - x2^{d}")])
+        data = groebner.regular_sequence_data(I)
+        assert (data.dimension, data.degree) == (1, d)
+        assert data.hilbert_polynomial == (-d * (d - 3) // 2, d)
 
 
 def reference_graded_piece(I, d):
