@@ -137,7 +137,7 @@ class CompleteIntersectionInput:
                 raise ValueError("cutting polynomial from a different ring")
             if f.is_zero() or not f.is_homogeneous():
                 raise ValueError("cutting polynomials must be nonzero homogeneous")
-            if not self.ambient.ring.field.is_zero(f.evaluate(self.ambient.point)):
+            if f.evaluate(self.ambient.point):
                 raise ValueError("cutting polynomial does not vanish at the point")
         cuts.sort(key=lambda f: f.total_degree())
         self.cutting = tuple(cuts)

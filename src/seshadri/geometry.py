@@ -178,7 +178,7 @@ class PointedVariety:
         """f in the coordinates that move the point to [1:0:...:0]; f itself
         when the point is there already, as `normalize_point` leaves the
         ideal then."""
-        if _is_base_point(self.point, self.ring.field):
+        if _is_base_point(self.point):
             return f
         return substitute_linear(f, self.basis_matrix)
 
@@ -186,9 +186,9 @@ class PointedVariety:
         return f"PointedVariety(point={self.point}, ideal={self.ideal})"
 
 
-def _is_base_point(point, field):
+def _is_base_point(point):
     """Whether a nonzero point is [1:0:...:0] up to scaling."""
-    return not field.is_zero(point[0]) and all(field.is_zero(x) for x in point[1:])
+    return bool(point[0]) and not any(point[1:])
 
 
 def normalize_point(ideal, point):
@@ -202,15 +202,15 @@ def normalize_point(ideal, point):
     point = tuple(field.coerce(x) for x in point)
     if len(point) != ring.nvars:
         raise PointError("point length does not match the ambient dimension")
-    if all(field.is_zero(x) for x in point):
+    if not any(point):
         raise PointError("the zero vector is not a projective point")
     for g in ideal.generators:
-        if not field.is_zero(g.evaluate(point)):
+        if g.evaluate(point):
             raise PointError("point does not lie on the variety")
     n = ring.nvars
-    if _is_base_point(point, field):
+    if _is_base_point(point):
         return PointedVariety(ring, ideal, point, linalg.identity(n, field), ideal)
-    pivot = next(i for i in range(n) if not field.is_zero(point[i]))
+    pivot = next(i for i in range(n) if point[i])
     basis = [[field.zero] * n for _ in range(n)]
     for i in range(n):
         basis[i][0] = point[i]
@@ -343,7 +343,7 @@ def singular_locus_is_empty(X):
     if codim <= 0:
         return True
     jacobian = [[g.derivative(i) for i in range(ring.nvars)] for g in gens]
-    if len(gens) == 1 and not ring.field.is_zero(ring.field.coerce(gens[0].total_degree())):
+    if len(gens) == 1 and ring.field.coerce(gens[0].total_degree()):
         # Euler: deg(f) * f = sum of x_i * df/dx_i puts f in the ideal of
         # its partials, which are then N + 1 forms in N + 1 variables, the
         # shape whose emptiness certificate mod p knows its Hilbert series
@@ -463,7 +463,7 @@ def ord_at(f, X, normalized=False):
     ring = X.ring
     field = ring.field
     e0 = X.normalized_point()
-    if not field.is_zero(f.evaluate(e0)):
+    if f.evaluate(e0):
         return 0
     I = X.normalized_ideal
     if _agree_at_point(I, Ideal(ring, I.generators + (f,))):

@@ -131,24 +131,23 @@ class _Overflow(Exception):
 class _Packing:
     """Monomials of `order` packed into one int each: 2n + 1 fields of `bits`
     value bits under a guard bit, high to low the order key as non-negative
-    partial sums (grevlex S_n ... S_1 of the permuted exponents, lex the
-    permuted exponents, elimination each block's sums), the n exponents and
-    the degree.  Packing is linear, so a product is a sum and ints compare
-    as their monomials; m | m' iff (m' - m) & guard == 0, because a field of
-    m' below that of m borrows into its guard bit.  A new monomial with a
-    guard bit set has outgrown the fields and raises `_Overflow`."""
+    partial sums (grevlex S_n ... S_1 of the exponents, lex the exponents,
+    elimination each block's sums), the n exponents and the degree.  Packing
+    is linear, so a product is a sum and ints compare as their monomials;
+    m | m' iff (m' - m) & guard == 0, because a field of m' below that of m
+    borrows into its guard bit.  A new monomial with a guard bit set has
+    outgrown the fields and raises `_Overflow`."""
 
     __slots__ = ("order", "units", "guard", "mask", "shifts")
 
     def __init__(self, order, bits):
         self.order = order
         n, width = order.nvars, bits + 1
-        perm = order.permutation or tuple(range(n))
         if order.kind == "lex":
-            fields = [perm[k : k + 1] for k in range(n)]
+            fields = [(j,) for j in range(n)]
         else:
             split = order.split if order.kind == "elimination" else n
-            blocks = (perm[:split], perm[split:])
+            blocks = (range(split), range(split, n))
             fields = [block[:k] for block in blocks for k in range(len(block), 0, -1)]
         fields += [(j,) for j in range(n)] + [range(n)]
         top = len(fields) - 1
@@ -324,7 +323,7 @@ def divide_exact(f, g):
         mono, coeff = p.terms[0]
         if not all(map(le, lm, mono)):
             raise ValueError("division is not exact")
-        c = field.mul(coeff, field.invert(lc))
+        c = field.coerce(coeff * field.invert(lc))
         q = tuple(map(sub, mono, lm))
         quotient_terms.append((q, c))
         p = p.sub_scaled(c, q, g)

@@ -2,6 +2,9 @@
 
 Matrices are lists of lists of field scalars.  Everything here is dense
 Gaussian elimination; the problem sizes are tiny (coordinate changes).
+Entries are combined with Python's operators and tested for zero by
+truthiness; each updated entry is put back into the field with
+`field.coerce` (a no-op on Fractions over Q, mod q over F_q).
 `invert` reads the inverse off `rref([M | I])`.  `solve_affine` has no
 caller in the package: the oracle eliminates on plain ints mod q, and the
 tests check its `_echelon` and `_solve` against `rref` and `solve_affine`.
@@ -39,21 +42,22 @@ def rref(matrix, field):
 
     Zero rows are dropped, pivots are monic and cleared above and below.
     """
+    coerce = field.coerce
     rows = [list(r) for r in matrix]
     ncols = len(rows[0]) if rows else 0
     pivots = []
     rank = 0
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if not field.is_zero(rows[r][col])), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = field.invert(rows[rank][col])
-        rows[rank] = [field.mul(inv, a) for a in rows[rank]]
+        rows[rank] = [coerce(inv * a) for a in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and not field.is_zero(rows[r][col]):
+            if r != rank and rows[r][col]:
                 factor = rows[r][col]
-                rows[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(rows[r], rows[rank])]
+                rows[r] = [coerce(a - factor * b) for a, b in zip(rows[r], rows[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -79,6 +83,6 @@ def solve_affine(matrix, rhs, field):
         vec = [field.zero] * ncols
         vec[f] = field.one
         for row, col in zip(rows, pivots):
-            vec[col] = field.neg(row[f])
+            vec[col] = field.coerce(-row[f])
         basis.append(vec)
     return particular, basis

@@ -66,10 +66,10 @@ class ModularInstance:
         field = self.ring.field
         if not isinstance(field, PrimeField) or field.q != self.prime:
             raise ValueError("ring field must be the prime field of the instance")
-        if all(field.is_zero(x) for x in self.point):
+        if not any(self.point):
             raise BadReductionError("base point reduces to zero")
         for g in self.generators:
-            if not field.is_zero(g.evaluate(self.point)):
+            if g.evaluate(self.point):
                 raise BadReductionError("a generator misses the reduced point")
 
 
@@ -724,9 +724,9 @@ def lowest_form_mult(plane_curve, point):
         raise ValueError("plane curves live in three homogeneous variables")
     field = ring.field
     point = [field.coerce(x) for x in point]
-    if not field.is_zero(plane_curve.evaluate(point)):
+    if plane_curve.evaluate(point):
         raise ValueError("point does not lie on the curve")
-    pivot = next(i for i, x in enumerate(point) if not field.is_zero(x))
+    pivot = next(i for i, x in enumerate(point) if x)
     basis = [[field.zero] * 3 for _ in range(3)]
     for i in range(3):
         basis[i][pivot] = point[i]

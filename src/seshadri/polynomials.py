@@ -3,17 +3,22 @@
 A term is a pair (exponent tuple, coefficient): the tuple is the monomial,
 with one non-negative int per variable, so a product of monomials adds
 tuples slot by slot and a total degree is their sum.  Coefficients are
-`fractions.Fraction` (always in lowest terms with positive denominator) or
-integers in ``[0, q)`` for a prime field.  Variables are indexed; display
-names are metadata only, so coordinate changes permute indices rather than
-names.  Term lists are kept sorted, strictly decreasing in the ring's
-active monomial order; changing the order is explicit via
-``PolynomialRing.with_order`` and never happens implicitly.  An exponent
-vector a caller passes in (``PolynomialRing.from_terms``, ``mul_term``,
-``sub_scaled``) is checked for its length and signs.  Every new term list
-goes through `_collect`, which sums like monomials in a dict and sorts
-once; maps that keep the term order (`scale`, negation, `mul_term`) skip
-it.
+Python numbers: `fractions.Fraction` over Q (always in lowest terms with
+positive denominator) or ints in ``[0, q)`` over a prime field.  Their
+arithmetic is Python's own operators and a zero test is truthiness; a
+field is what a result is put back into, by its one `coerce`, which over
+Q returns the Fraction unchanged and over F_q reduces mod q.  A field
+otherwise knows only `invert`, `zero`, `one` and its `characteristic`.
+Variables are indexed; display names are metadata only, so coordinate
+changes permute indices rather than names.  Term lists are kept sorted,
+strictly decreasing in the ring's active monomial order; changing the
+order is explicit via ``PolynomialRing.with_order`` and never happens
+implicitly.  An exponent vector a caller passes in
+(``PolynomialRing.from_terms``, ``mul_term``, ``sub_scaled``) is checked
+for its length and signs.  Every new term list goes through `_collect`,
+which sums like monomials in a dict, coerces each sum and sorts once;
+maps that keep the term order (`scale`, negation, `mul_term`) skip it and
+coerce each term themselves.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function.
@@ -59,30 +64,10 @@ class RationalField:
     one = Fraction(1)
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def invert(a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
 
     def __repr__(self):
         return "QQ"
@@ -151,26 +136,10 @@ class PrimeField:
             return value.numerator * pow(value.denominator, -1, self.q) % self.q
         raise TypeError(f"cannot coerce {value!r} into GF({self.q})")
 
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
     def invert(self, a):
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.q)
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -187,43 +156,34 @@ class MonomialOrder:
 
     ``key`` maps an exponent tuple to a flat tuple of integers that sorts
     ascending with the order, so "larger" monomials have larger keys.  The
-    key is additive, key(m * x^u) = key(m) + key(x^u) slot by slot.  The
-    optional permutation maps key slots to variable indices, letting any
-    variable play the role of the grevlex-smallest one.
+    key is additive, key(m * x^u) = key(m) + key(x^u) slot by slot.
     """
 
-    __slots__ = ("kind", "nvars", "split", "permutation")
+    __slots__ = ("kind", "nvars", "split")
 
-    def __init__(self, kind, nvars, split=0, permutation=None):
+    def __init__(self, kind, nvars, split=0):
         if kind not in ("grevlex", "lex", "elimination"):
             raise ValueError(f"unknown order kind {kind!r}")
-        if permutation is not None:
-            permutation = tuple(permutation)
-            if sorted(permutation) != list(range(nvars)):
-                raise ValueError("permutation must be a permutation of the variables")
         self.kind = kind
         self.nvars = nvars
         self.split = split
-        self.permutation = permutation
 
     @classmethod
-    def grevlex(cls, nvars, permutation=None):
-        return cls("grevlex", nvars, permutation=permutation)
+    def grevlex(cls, nvars):
+        return cls("grevlex", nvars)
 
     @classmethod
-    def lex(cls, nvars, permutation=None):
-        return cls("lex", nvars, permutation=permutation)
+    def lex(cls, nvars):
+        return cls("lex", nvars)
 
     @classmethod
-    def elimination(cls, nvars, split, permutation=None):
+    def elimination(cls, nvars, split):
         """Block order: grevlex on the first `split` variables dominates."""
         if not 0 < split < nvars:
             raise ValueError("split must cut the variables into two nonempty blocks")
-        return cls("elimination", nvars, split=split, permutation=permutation)
+        return cls("elimination", nvars, split=split)
 
     def key(self, exps):
-        if self.permutation is not None:
-            exps = tuple(exps[i] for i in self.permutation)
         if self.kind == "grevlex":
             return (sum(exps), *map(neg, reversed(exps)))
         if self.kind == "lex":
@@ -234,17 +194,15 @@ class MonomialOrder:
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
-            and (self.kind, self.nvars, self.split, self.permutation)
-            == (other.kind, other.nvars, other.split, other.permutation)
+            and (self.kind, self.nvars, self.split) == (other.kind, other.nvars, other.split)
         )
 
     def __hash__(self):
-        return hash((self.kind, self.nvars, self.split, self.permutation))
+        return hash((self.kind, self.nvars, self.split))
 
     def __repr__(self):
         extra = f", split={self.split}" if self.kind == "elimination" else ""
-        perm = f", permutation={self.permutation}" if self.permutation else ""
-        return f"MonomialOrder({self.kind!r}, {self.nvars}{extra}{perm})"
+        return f"MonomialOrder({self.kind!r}, {self.nvars}{extra})"
 
 
 class PolynomialRing:
@@ -270,7 +228,7 @@ class PolynomialRing:
 
     def constant(self, value):
         value = self.field.coerce(value)
-        if self.field.is_zero(value):
+        if not value:
             return self.zero()
         return Polynomial(self, (((0,) * self.nvars, value),))
 
@@ -386,22 +344,20 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check_ring(other)
-        neg = self.ring.field.neg
-        return _collect(self.ring, chain(self.terms, ((m, neg(c)) for m, c in other.terms)))
+        return _collect(self.ring, chain(self.terms, ((m, -c) for m, c in other.terms)))
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, tuple((m, neg(c)) for m, c in self.terms))
+        coerce = self.ring.field.coerce
+        return Polynomial(self.ring, tuple((m, coerce(-c)) for m, c in self.terms))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        mul = self.ring.field.mul
         return _collect(
             self.ring,
             (
-                (tuple(map(add, m1, m2)), mul(c1, c2))
+                (tuple(map(add, m1, m2)), c1 * c2)
                 for m1, c1 in self.terms
                 for m2, c2 in other.terms
             ),
@@ -410,11 +366,11 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        field = self.ring.field
-        scalar = field.coerce(scalar)
-        if field.is_zero(scalar):
+        coerce = self.ring.field.coerce
+        scalar = coerce(scalar)
+        if not scalar:
             return self.ring.zero()
-        return Polynomial(self.ring, tuple((m, field.mul(c, scalar)) for m, c in self.terms))
+        return Polynomial(self.ring, tuple((m, coerce(c * scalar)) for m, c in self.terms))
 
     def __pow__(self, n):
         if n < 0:
@@ -429,35 +385,33 @@ class Polynomial:
         return result
 
     def mul_term(self, coeff, mono):
-        field = self.ring.field
-        coeff = field.coerce(coeff)
+        coerce = self.ring.field.coerce
+        coeff = coerce(coeff)
         mono = _exponents(mono, self.ring.nvars)
-        if field.is_zero(coeff):
+        if not coeff:
             return self.ring.zero()
         return Polynomial(
-            self.ring, tuple((tuple(map(add, m, mono)), field.mul(c, coeff)) for m, c in self.terms)
+            self.ring, tuple((tuple(map(add, m, mono)), coerce(c * coeff)) for m, c in self.terms)
         )
 
     def derivative(self, index):
         """Formal partial derivative with respect to variable `index`."""
-        field = self.ring.field
         terms = []
         for m, c in self.terms:
             e = m[index]
             if e:
                 exps = tuple(v - 1 if k == index else v for k, v in enumerate(m))
-                terms.append((exps, field.mul(c, field.coerce(e))))
+                terms.append((exps, c * e))
         return self.ring.from_terms(terms)
 
     def sub_scaled(self, coeff, mono, other):
         """Return self - coeff * x^mono * other."""
         self._check_ring(other)
-        field = self.ring.field
-        coeff, mul = field.neg(field.coerce(coeff)), field.mul
+        coeff = -self.ring.field.coerce(coeff)
         mono = _exponents(mono, self.ring.nvars)
         return _collect(
             self.ring,
-            chain(self.terms, ((tuple(map(add, m, mono)), mul(c, coeff)) for m, c in other.terms)),
+            chain(self.terms, ((tuple(map(add, m, mono)), c * coeff) for m, c in other.terms)),
         )
 
     def monic(self):
@@ -484,13 +438,14 @@ class Polynomial:
 
     def evaluate(self, point):
         """Exact value at a point (sequence of field scalars); each power x_i^e
-        is computed once, and a term with a zero factor is skipped."""
+        is computed once, a term with a zero factor is skipped, and the sum
+        is put back into the field once."""
         field = self.ring.field
         point = [field.coerce(x) for x in point]
         if len(point) != self.ring.nvars:
             raise ValueError("point length does not match variable count")
         q = field.characteristic
-        powers = [None if field.is_zero(x) else {} for x in point]  # None: x_i = 0
+        powers = [{} if x else None for x in point]  # None: x_i = 0
         total = field.zero
         for mono, coeff in self.terms:
             value = coeff
@@ -503,10 +458,10 @@ class Polynomial:
                 power = cache.get(e)
                 if power is None:
                     power = cache[e] = pow(point[i], e, q) if q else point[i] ** e
-                value = field.mul(value, power)
+                value *= power
             else:
-                total = field.add(total, value)
-        return total
+                total += value
+        return field.coerce(total)
 
     # -- comparison / display ------------------------------------------------
 
@@ -563,15 +518,14 @@ def _exponents(mono, nvars):
 
 def _collect(ring, pairs):
     """The polynomial of `ring` summing (exponent tuple, coefficient) pairs: like
-    monomials add in a dict, zero sums drop, and one sort by the order key
-    makes the terms strictly decreasing."""
-    add, is_zero = ring.field.add, ring.field.is_zero
+    monomials add in a dict, each sum is coerced into the field, zero sums
+    drop, and one sort by the order key makes the terms strictly decreasing."""
     acc = {}
     for mono, coeff in pairs:
         prev = acc.get(mono)
-        acc[mono] = coeff if prev is None else add(prev, coeff)
-    key = ring.order.key
-    terms = [(m, c) for m, c in acc.items() if not is_zero(c)]
+        acc[mono] = coeff if prev is None else prev + coeff
+    coerce, key = ring.field.coerce, ring.order.key
+    terms = [(m, c) for m, c in zip(acc, map(coerce, acc.values())) if c]
     terms.sort(key=lambda tc: key(tc[0]), reverse=True)
     return Polynomial(ring, terms)
 
@@ -652,8 +606,7 @@ class _Parser:
 
     def polynomial(self, acc):
         """The polynomial of a sum that `expr` gathered."""
-        coerce = self.ring.field.coerce
-        return _collect(self.ring, ((m, coerce(c)) for m, c in acc.items()))
+        return _collect(self.ring, acc.items())
 
     def expr(self):
         """The terms of a sum as {exponent tuple: coefficient}, the coefficient

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from seshadri import cli, oracle
+from seshadri import cli, constants, oracle
 from seshadri.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INPUT,
@@ -17,6 +17,7 @@ from seshadri.cli import (
     main,
     run,
 )
+from seshadri.constants import CurveCertificate
 
 from conftest import bundled
 
@@ -591,6 +592,88 @@ class TestExitCodes:
         code = main(["classify", bundled("twisted-cubic")])
         capsys.readouterr()
         assert code == EXIT_INPUT
+
+    def test_file_that_is_not_json(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        report, code = run_report(["dp", str(bad)])
+        assert code == EXIT_INPUT
+        assert report["error"]["message"].startswith(f"{bad}: invalid JSON: ")
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"point": ["1", "0"]}, "point length does not match variable count"),
+            (
+                {"cutting": [{"expression": "x0*x2 - x1^2", "degree": 2},
+                             {"expression": "x1", "degree": 1}]},
+                "cutting degrees must be ascending",
+            ),
+        ],
+        ids=["short-point", "descending-degrees"],
+    )
+    def test_instance_shape_errors_name_the_file(self, tmp_path, changes, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "variables": ["x0", "x1", "x2"],
+            "ambient": [],
+            "cutting": [{"expression": "x1", "degree": 1}],
+            "point": ["1", "0", "0"],
+            **changes,
+        }))
+        report, code = run_report(["dp", str(bad)])
+        assert code == EXIT_INPUT
+        assert report["error"] == {"kind": "input", "message": f"{bad}: {message}"}
+
+    def test_component_that_does_not_parse(self, tmp_path):
+        raw = json.loads(Path(bundled("two-quadrics-p4")).read_text())
+        raw["component"] = ["x1 +"]
+        bad = tmp_path / "component.json"
+        bad.write_text(json.dumps(raw))
+        report, code = run_report(["curve", str(bad)])
+        assert code == EXIT_INPUT
+        assert report["error"]["message"].startswith(f"{bad}: component: ")
+
+    def test_bad_reduction_skips_the_prime(self, tmp_path):
+        # the same projective point with every coordinate divided by 7: its
+        # reduction mod 7 is undefined, mod 11 it is the bundled point's
+        raw = json.loads(Path(bundled("gr24-hyperplanes")).read_text())
+        raw["point"] = [str(Fraction(x) / 7) for x in raw["point"]]
+        raw["ambient_homogeneous"] = False
+        raw["primes"] = [7, 11]
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(raw))
+        report, code = run_report(["oracle", str(scaled)])
+        assert code == EXIT_OK
+        results = report["result"]["oracle"]
+        assert results["7"] == {"error": "bad reduction: denominator 7 divisible by 7"}
+        assert isinstance(results["11"]["line_count"], int)
+        report, code = run_report(["classify", str(scaled)])
+        assert code == EXIT_OK
+        assert report["result"]["seshadri"]["status"] == "LOWER_BOUND_ONLY"
+        assert list(report["result"]["oracle"]["search"]) == ["11"]
+
+    def test_inconsistency_carries_the_certificate(self, monkeypatch, capsys):
+        # a curve whose ratio 5/2 misses the classified value 2 is a
+        # counterexample candidate: exit 4 with the certificate, and main
+        # prints the whole report to stderr
+        def wrong(curve_ideal, trace):
+            return 1, CurveCertificate(curve_ideal, 5, 2, Fraction(5, 2), trace)
+
+        monkeypatch.setattr(constants, "_curve_certificate", wrong)
+        argv = ["curve", bundled("two-quadrics-p4")]
+        report, code = run_report(argv)
+        assert code == EXIT_INTERNAL
+        error = report["error"]
+        assert error["kind"] == "inconsistency"
+        assert error["message"] == "certificate ratio 5/2 differs from the classified value 2"
+        assert error["certificate"]["ratio"] == "5/2"
+        assert (error["certificate"]["degree"], error["certificate"]["multiplicity"]) == (5, 2)
+        assert main(argv) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        first, payload = err.split("\n", 1)
+        assert first == f"error (inconsistency): {error['message']}"
+        assert json.loads(payload) == json.loads(json.dumps(report))
 
 
 def test_load_instance_echo():

@@ -128,8 +128,6 @@ def reference_key(order, exps):
     def grevlex(exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
-    if order.permutation is not None:
-        exps = tuple(exps[i] for i in order.permutation)
     if order.kind == "grevlex":
         return grevlex(exps)
     if order.kind == "lex":
@@ -154,7 +152,7 @@ def reference_normal_form(f, basis, order=None):
         mono, coeff = p.terms[0]
         for lm, lc, g in reducers:
             if _divides(lm, mono):
-                p = p.sub_scaled(field.mul(coeff, field.invert(lc)), _quotient(mono, lm), g)
+                p = p.sub_scaled(field.coerce(coeff * field.invert(lc)), _quotient(mono, lm), g)
                 break
         else:
             remainder.append((mono, coeff))
@@ -173,9 +171,8 @@ KERNEL_ORDERS = [
     MonomialOrder.grevlex(4),
     MonomialOrder.lex(4),
     MonomialOrder.elimination(4, 1),
-    MonomialOrder.grevlex(4, permutation=(2, 0, 3, 1)),
 ]
-ORDER_IDS = ["grevlex", "lex", "elimination", "permuted-grevlex"]
+ORDER_IDS = ["grevlex", "lex", "elimination"]
 
 
 def _random_fraction(field, rng):
@@ -426,9 +423,8 @@ LOOP_ORDERS = [
     MonomialOrder.grevlex(3),
     MonomialOrder.lex(3),
     MonomialOrder.elimination(3, 1),
-    MonomialOrder.grevlex(3, permutation=(2, 0, 1)),
 ]
-LOOP_ORDER_IDS = ["grevlex", "lex", "elimination", "permuted-grevlex"]
+LOOP_ORDER_IDS = ["grevlex", "lex", "elimination"]
 
 
 class TestIntegerBuchbergerLoop:
@@ -539,9 +535,8 @@ PACKING_ORDERS = [
     MonomialOrder.lex(4),
     MonomialOrder.elimination(4, 1),
     MonomialOrder.elimination(4, 2),
-    MonomialOrder.grevlex(4, permutation=(2, 0, 3, 1)),
 ]
-PACKING_ORDER_IDS = ["grevlex", "lex", "elimination-1", "elimination-2", "permuted-grevlex"]
+PACKING_ORDER_IDS = ["grevlex", "lex", "elimination-1", "elimination-2"]
 SMALL_MONOMIALS = [e for d in range(5) for e in monomials_of_degree(4, d)]
 
 

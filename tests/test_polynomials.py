@@ -285,11 +285,11 @@ class TestSubstituteLinear:
             det = field.zero
             for perm in permutations(range(3)):
                 inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
-                term = field.one if inversions % 2 == 0 else field.neg(field.one)
+                term = field.one if inversions % 2 == 0 else -field.one
                 for i, j in enumerate(perm):
-                    term = field.mul(term, m[i][j])
-                det = field.add(det, term)
-            if field.is_zero(det):
+                    term *= m[i][j]
+                det += term
+            if not field.coerce(det):
                 with pytest.raises(SingularMatrixError):
                     invert(m, field)
                 continue
@@ -298,8 +298,8 @@ class TestSubstituteLinear:
                 for j in range(3):
                     entry = field.zero
                     for k in range(3):
-                        entry = field.add(entry, field.mul(m[i][k], inverse[k][j]))
-                    assert entry == (field.one if i == j else field.zero)
+                        entry += m[i][k] * inverse[k][j]
+                    assert field.coerce(entry) == (field.one if i == j else field.zero)
 
 
 def _random_invertible(n, rng):
@@ -310,6 +310,22 @@ def _random_invertible(n, rng):
         except SingularMatrixError:
             continue
         return matrix, inverse
+
+
+# a prime above 2^32, so that unreduced products and sums outgrow a machine word
+FIELDS = [QQ, PrimeField(7), PrimeField(4294967311)]
+FIELD_IDS = ["QQ", "GF7", "GF4294967311"]
+
+
+def _reference_value(f, point):
+    """f at a point as a per-term sum of products, reduced mod q at the end."""
+    total = 0
+    for mono, c in f.terms:
+        for x, e in zip(point, mono):
+            c *= x**e
+        total += c
+    q = f.ring.field.characteristic
+    return total % q if q else total
 
 
 class TestAlgebraProperties:
@@ -326,12 +342,16 @@ class TestAlgebraProperties:
             matrix, inverse = _random_invertible(3, rng)
             assert substitute_linear(substitute_linear(f, matrix), inverse) == f
 
-    def test_evaluation_is_multiplicative(self, ring3, rng):
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_evaluation_is_multiplicative(self, field, rng):
+        ring = PolynomialRing(("x0", "x1", "x2"), field)
         for _ in range(20):
-            f = random_poly(ring3, 2, rng)
-            g = random_poly(ring3, 2, rng)
-            pt = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
-            assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+            f = random_poly(ring, 2, rng)
+            g = random_poly(ring, 2, rng)
+            pt = [field.coerce(rng.randint(-4, 4)) for _ in range(3)]
+            assert (f * g).evaluate(pt) == field.coerce(f.evaluate(pt) * g.evaluate(pt))
+            for h in (f, g, f * g):
+                assert h.evaluate(pt) == _reference_value(h, pt)
 
     def test_substitution_preserves_homogeneity(self, ring4, rng):
         for _ in range(10):
@@ -346,7 +366,6 @@ SUM_ORDERS = [
     MonomialOrder.grevlex(3),
     MonomialOrder.lex(3),
     MonomialOrder.elimination(3, 1),
-    MonomialOrder.grevlex(3, permutation=(2, 0, 1)),
 ]
 
 
@@ -366,15 +385,15 @@ def _reference_sum(field, pairs):
     """Exponents -> coefficient of a sum of (exponents, coefficient) pairs."""
     out = {}
     for exps, c in pairs:
-        out[exps] = field.add(out.get(exps, field.zero), c)
-    return {e: c for e, c in out.items() if not field.is_zero(c)}
+        out[exps] = field.coerce(out.get(exps, field.zero) + c)
+    return {e: c for e, c in out.items() if c}
 
 
 def _reference_product(field, a, b):
     return _reference_sum(
         field,
         (
-            (tuple(x + y for x, y in zip(ea, eb)), field.mul(ca, cb))
+            (tuple(x + y for x, y in zip(ea, eb)), field.coerce(ca * cb))
             for ea, ca in a.items()
             for eb, cb in b.items()
         ),
@@ -386,36 +405,42 @@ class TestSummation:
 
     @staticmethod
     def check(result, expected):
+        field = result.ring.field
         keys = [result.ring.order.key(m) for m, _ in result.terms]
         assert all(a > b for a, b in zip(keys, keys[1:]))
-        assert not any(result.ring.field.is_zero(c) for _, c in result.terms)
+        # nonzero field elements: Fractions over Q, ints in [0, q) over GF(q)
+        for _, c in result.terms:
+            assert c and type(c) is type(field.one) and field.coerce(c) == c
         assert _as_dict(result) == expected
 
-    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
-    @pytest.mark.parametrize(
-        "order", SUM_ORDERS, ids=["grevlex", "lex", "elimination", "permuted-grevlex"]
-    )
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("order", SUM_ORDERS, ids=["grevlex", "lex", "elimination"])
     def test_operations_match_reference_dicts(self, field, order):
         ring = PolynomialRing(("x0", "x1", "x2"), field, order)
         rng = random.Random(4)
-        neg, mul = field.neg, field.mul
         for _ in range(20):
             f, g = _random_sparse(ring, rng), _random_sparse(ring, rng)
             F, G = _as_dict(f), _as_dict(g)
             self.check(f + g, _reference_sum(field, [*F.items(), *G.items()]))
-            negated = ((e, neg(c)) for e, c in G.items())
+            negated = [(e, -c) for e, c in G.items()]
+            self.check(-g, _reference_sum(field, negated))
             self.check(f - g, _reference_sum(field, [*F.items(), *negated]))
             self.check(f * g, _reference_product(field, F, G))
             coeff = field.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
             shift = tuple(rng.randint(0, 2) for _ in range(3))
-            scaled = (
-                (tuple(x + y for x, y in zip(e, shift)), neg(mul(coeff, c)))
-                for e, c in G.items()
-            )
+            scaled = [(e, coeff * c) for e, c in G.items()]
+            self.check(g.scale(coeff), _reference_sum(field, scaled))
+            shifted = [(tuple(x + y for x, y in zip(e, shift)), coeff * c) for e, c in G.items()]
+            self.check(g.mul_term(coeff, shift), _reference_sum(field, shifted))
             self.check(
                 f.sub_scaled(coeff, shift, g),
-                _reference_sum(field, [*F.items(), *scaled]),
+                _reference_sum(field, [*F.items(), *((e, -c) for e, c in shifted)]),
             )
+            for i in range(3):
+                lowered = [
+                    (e[:i] + (e[i] - 1,) + e[i + 1 :], e[i] * c) for e, c in F.items() if e[i]
+                ]
+                self.check(f.derivative(i), _reference_sum(field, lowered))
             images = [_random_sparse(ring, rng, max_degree=1) for _ in range(3)]
             expected = {}
             for exps, c in F.items():
@@ -444,7 +469,6 @@ class TestMonomialOrders:
             MonomialOrder.grevlex(4),
             MonomialOrder.lex(4),
             MonomialOrder.elimination(4, 2),
-            MonomialOrder.grevlex(4, permutation=(2, 0, 3, 1)),
         ],
     )
     def test_total_and_multiplicative(self, order, rng):
@@ -461,7 +485,6 @@ class TestMonomialOrders:
         "order",
         [
             MonomialOrder.grevlex(4),
-            MonomialOrder.grevlex(4, permutation=(2, 0, 3, 1)),
             MonomialOrder.lex(4),
             MonomialOrder.elimination(4, 2),
         ],
@@ -542,7 +565,7 @@ class TestPrimeField:
     def test_inverse(self):
         field = PrimeField(13)
         for a in range(1, 13):
-            assert field.mul(a, field.invert(a)) == 1
+            assert field.coerce(a * field.invert(a)) == 1
 
     def test_fraction_reduction(self):
         field = PrimeField(7)
