@@ -171,8 +171,10 @@ KERNEL_ORDERS = [
     MonomialOrder.grevlex(4),
     MonomialOrder.lex(4),
     MonomialOrder.elimination(4, 1),
+    # split at the last variable: the second block is a single variable
+    MonomialOrder.elimination(4, 3),
 ]
-ORDER_IDS = ["grevlex", "lex", "elimination"]
+ORDER_IDS = ["grevlex", "lex", "elimination", "elimination-3"]
 
 
 def _random_fraction(field, rng):
@@ -423,8 +425,9 @@ LOOP_ORDERS = [
     MonomialOrder.grevlex(3),
     MonomialOrder.lex(3),
     MonomialOrder.elimination(3, 1),
+    MonomialOrder.elimination(3, 2),
 ]
-LOOP_ORDER_IDS = ["grevlex", "lex", "elimination"]
+LOOP_ORDER_IDS = ["grevlex", "lex", "elimination", "elimination-2"]
 
 
 class TestIntegerBuchbergerLoop:
@@ -535,8 +538,9 @@ PACKING_ORDERS = [
     MonomialOrder.lex(4),
     MonomialOrder.elimination(4, 1),
     MonomialOrder.elimination(4, 2),
+    MonomialOrder.elimination(4, 3),
 ]
-PACKING_ORDER_IDS = ["grevlex", "lex", "elimination-1", "elimination-2"]
+PACKING_ORDER_IDS = ["grevlex", "lex", "elimination-1", "elimination-2", "elimination-3"]
 SMALL_MONOMIALS = [e for d in range(5) for e in monomials_of_degree(4, d)]
 
 

@@ -366,6 +366,8 @@ SUM_ORDERS = [
     MonomialOrder.grevlex(3),
     MonomialOrder.lex(3),
     MonomialOrder.elimination(3, 1),
+    # split at the last variable: the second block is a single variable
+    MonomialOrder.elimination(3, 2),
 ]
 
 
@@ -414,7 +416,7 @@ class TestSummation:
         assert _as_dict(result) == expected
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-    @pytest.mark.parametrize("order", SUM_ORDERS, ids=["grevlex", "lex", "elimination"])
+    @pytest.mark.parametrize("order", SUM_ORDERS, ids=["grevlex", "lex", "elimination", "elimination-2"])
     def test_operations_match_reference_dicts(self, field, order):
         ring = PolynomialRing(("x0", "x1", "x2"), field, order)
         rng = random.Random(4)
@@ -469,6 +471,7 @@ class TestMonomialOrders:
             MonomialOrder.grevlex(4),
             MonomialOrder.lex(4),
             MonomialOrder.elimination(4, 2),
+            MonomialOrder.elimination(4, 3),
         ],
     )
     def test_total_and_multiplicative(self, order, rng):
@@ -487,6 +490,7 @@ class TestMonomialOrders:
             MonomialOrder.grevlex(4),
             MonomialOrder.lex(4),
             MonomialOrder.elimination(4, 2),
+            MonomialOrder.elimination(4, 3),
         ],
     )
     def test_degree_and_homogeneity_match_the_definition(self, order, rng):
