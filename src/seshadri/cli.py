@@ -146,11 +146,11 @@ class Instance:
         try:
             names = list(raw["variables"])
             point = [_coordinate(x) for x in raw["point"]]
+            self.ring = PolynomialRing(tuple(names))
         except (KeyError, ValueError) as exc:
             raise InputError(f"{path}: {exc}") from exc
         if len(point) != len(names):
             raise InputError(f"{path}: point length does not match variable count")
-        self.ring = PolynomialRing(tuple(names))
         self.point = tuple(point)
         try:
             self.ambient_generators = tuple(
@@ -160,6 +160,8 @@ class Instance:
             for entry in raw.get("cutting", []):
                 poly = self._parse(entry["expression"])
                 declared = entry["degree"]
+                if not poly:
+                    raise InputError(f"{path}: cutting expression {entry['expression']!r} is zero")
                 if poly.total_degree() != declared:
                     raise InputError(
                         f"{path}: declared degree {declared} does not match "

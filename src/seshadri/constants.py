@@ -22,7 +22,7 @@ from fractions import Fraction
 from .groebner import Ideal, graded_piece, monomials_of_degree, regular_sequence_data
 from .geometry import (
     PointedVariety,
-    _tangent_cone_multiplicity,
+    _local_multiplicity,
     base_point,
     cone_ideal,
     lift_slices,
@@ -369,9 +369,9 @@ def _curve_certificate(curve_ideal, trace):
     the closed form of its generator degrees
     (`groebner.regular_sequence_data`), with no pair loop on it.
     Otherwise `curve.hilbert` decides, and then the multiplicity comes
-    from the tangent cone where the lowest forms were asked already and
-    from `multiplicity_at` where not, so the prime is asked about them at
-    most once.
+    from the local leading ideal where the lowest forms were asked already
+    and from `multiplicity_at` where not, so the prime is asked about them
+    at most once.
     """
     curve = normalize_point(curve_ideal, base_point(curve_ideal.ring))
     shaped = _cone_cut_shape(curve)
@@ -388,7 +388,7 @@ def _curve_certificate(curve_ideal, trace):
     if hilbert.dimension != 1:
         return hilbert.dimension, None
     if mult is None:
-        mult = _tangent_cone_multiplicity(curve) if shaped else multiplicity_at(curve)
+        mult = _local_multiplicity(curve) if shaped else multiplicity_at(curve)
     ratio = Fraction(hilbert.degree, mult)
     return 1, CurveCertificate(curve_ideal, hilbert.degree, mult, ratio, trace)
 

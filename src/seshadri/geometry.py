@@ -9,15 +9,15 @@ Hilbert question goes through `groebner.hilbert_data`, which asks one prime
 before a basis over Q (see `groebner.certified_hilbert_data`).
 
 The local answers come from reduced Groebner bases for the order comparing
-x_0 degrees first, which are local standard bases at the point: the lowest
-forms of the normalized ideal's basis generate the tangent cone, whose
-Hilbert-series numerator gives mult_p; reduction by the basis is a local
-normal form (ord_p); and equal local leading ideals show that a subideal
-cuts out the same scheme near the point (d_p, and ord_p = INFINITE).
-Whether a zero-dimensional scheme is supported at the point alone is read
-off two Hilbert-series numerators as well: its degree against its length
-there.  Every answer is exact; no truncation level, cap or degree bound is
-involved.
+x_0 degrees first, which are local standard bases at the point: their
+leading monomials generate the local leading ideal, whose Hilbert-series
+numerator gives the local dimension and mult_p, with no tangent-cone basis;
+reduction by the basis is a local normal form (ord_p); and equal local
+leading ideals show that a subideal cuts out the same scheme near the
+point (d_p, and ord_p = INFINITE).  Whether a zero-dimensional scheme is
+supported at the point alone is read off two Hilbert-series numerators as
+well: its degree against its length there.  Every answer is exact; no
+truncation level, cap or degree bound is involved.
 
 When the prime proves the r < n normalized generators a regular sequence,
 the dimension and degree of X are in closed form, and so are those of the
@@ -31,7 +31,8 @@ complete intersection of degrees ord_p(g_i), so mult_p = prod ord_p(g_i).
 Dimension counts decide before any basis where they can: `cut_out_degree`
 skips every degree whose generators are too few to cut out X near the
 point, by Krull's principal ideal theorem, so a complete intersection has
-d_p equal to its top cutting degree without a local basis.
+d_p equal to its top cutting degree without a local basis; and a degree
+whose generators have local dimension above dim X skips X's local basis.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from . import linalg
 from .groebner import (
     HilbertData,
     Ideal,
-    _leading_multiplicity,
+    _at_one,
+    _hilbert_numerator,
     certified_hilbert_data,
     hilbert_data,
 )
@@ -273,7 +275,9 @@ def cut_out_degree(X):
     "Commutative Ring Theory", Thm. 13.5); and codim X is at most the
     codimension of any component, so #J >= codim X.  For a complete
     intersection in P^N no lower degree passes, and d_p is the top
-    cutting degree.
+    cutting degree.  A degree past the count is skipped on J's local basis
+    alone when V(J) has local dimension above dim X at p: were J to agree
+    with I there, that would be the local dimension of X, at most dim X.
     """
     I = X.normalized_ideal
     if X.hilbert.is_empty:
@@ -281,10 +285,15 @@ def cut_out_degree(X):
     degrees = sorted({g.total_degree() for g in I.generators})
     if not degrees:
         return 1
-    codim = X.ambient_dimension - X.dimension
+    N = X.ambient_dimension
+    codim = N - X.dimension
     for d in degrees[:-1]:
-        J = [g for g in I.generators if g.total_degree() <= d]
-        if len(J) >= codim and _agree_at_point(Ideal(X.ring, J), I):
+        J = Ideal(X.ring, [g for g in I.generators if g.total_degree() <= d])
+        if (
+            len(J.generators) >= codim
+            and len(_local_series(_local_leads(J), N)) - 1 <= X.dimension
+            and _agree_at_point(J, I)
+        ):
             return d
     return degrees[-1]
 
@@ -298,7 +307,7 @@ def supported_only_at_basepoint(K):
     "Using Algebraic Geometry", ch. 4, sec. 2).  Every term is positive, so
     the base point p is the only point, over the algebraic closure too,
     exactly when the degree equals the length at p, which `multiplicity_at`
-    reads off the tangent cone.
+    reads off the local leading ideal.
     """
     hd = hilbert_data(K)
     if hd.dimension != 0:
@@ -378,6 +387,17 @@ def _local_leads(ideal):
     return [g.leading_monomial()[1:] for g in _local_basis(ideal)[1]]
 
 
+def _local_series(leads, N):
+    """`groebner._at_one` of S/L, S = k[x_1..x_N] and L the local leading
+    ideal that `leads` generate: D + 1 entries, D = dim O_p at [1:0:...:0],
+    the first the multiplicity of O_p (its length for D = 0).  S/L has the
+    Hilbert function of the tangent cone gr(O_p) (Greuel-Pfister, sec.
+    5.5), of series Q(t)/(1 - t)^D, and Q(1) is the Hilbert-Samuel
+    multiplicity (Cox, Little and O'Shea, "Ideals, Varieties, and
+    Algorithms", sec. 9.3).  No leads, X = P^N near p, give D = N."""
+    return _at_one(_hilbert_numerator(leads, N), N)
+
+
 def _agree_at_point(J, I):
     """Whether J inside I generate the same ideal at [1:0:...:0], that is, their
     local leading ideals coincide (Greuel-Pfister, sec. 1.6)."""
@@ -389,24 +409,14 @@ def multiplicity_at(X):
     """Hilbert-Samuel multiplicity of the local ring of X at its base point:
     the product of the orders when one prime proves the lowest forms of
     the generators a regular sequence (`lowest_forms_multiplicity`), else
-    read off the tangent cone (`_tangent_cone_multiplicity`)."""
+    read off the local leading ideal (`_local_multiplicity`)."""
     mult = lowest_forms_multiplicity(X)
-    return _tangent_cone_multiplicity(X) if mult is None else mult
+    return _local_multiplicity(X) if mult is None else mult
 
 
-def _tangent_cone_multiplicity(X):
-    """mult_p from the tangent cone, over any field.
-
-    The tangent cone ideal TC is generated by the lowest forms of the
-    local basis.  The chart ring modulo TC is the associated graded ring
-    gr(O_p) of the local ring, of its dimension D, which may be lower than
-    dim X.  Its Hilbert series is Q(t)/(1 - t)^D with Q(1) != 0, and Q(1)
-    is the Hilbert-Samuel multiplicity of O_p for every D (Greuel-Pfister,
-    sec. 5.5; Cox, Little and O'Shea, "Ideals, Varieties, and Algorithms",
-    sec. 9.3).  For D = 0 the point is isolated, and Q(1) = sum_d H(TC, d)
-    is the length of O_p.
-    """
-    return _leading_multiplicity(_tangent_cone(X))
+def _local_multiplicity(X):
+    """mult_p over any field, off the local leading ideal."""
+    return _local_series(_local_leads(X.normalized_ideal), X.ambient_dimension)[0]
 
 
 def lowest_forms_multiplicity(X):
@@ -434,12 +444,6 @@ def lowest_forms_multiplicity(X):
 def _lowest_forms(gens):
     """The lowest form at [1:0:...:0] of each form: its first nonzero slice."""
     return [next(s for s in slice_decomposition(g) if s) for g in gens]
-
-
-def _tangent_cone(X):
-    """The ideal TC of lowest forms at the base point, in the slice ring:
-    those of the local basis generate it."""
-    return Ideal(slice_ring(X.ring), _lowest_forms(_local_basis(X.normalized_ideal)[1]))
 
 
 def ord_at(f, X, normalized=False):

@@ -908,13 +908,6 @@ def _hilbert_from_numerator(numerator, nvars):
     return HilbertData(D - 1, a[0], tuple(coeffs))
 
 
-def _leading_multiplicity(I):
-    """Q(1) for the Hilbert series Q(t) / (1 - t)^D of R/LT(I), Q(1) != 0,
-    read off the basis leading terms: the degree of Proj(R/I) for D > 0
-    homogeneous I, and the length of R/I for D = 0."""
-    return _at_one(_leading_numerator(I), I.ring.nvars)[0]
-
-
 def regular_sequence_data(I):
     """The Hilbert data of R/I when the generators of I are a regular
     sequence: the closed form prod (1 - t^d_i) / (1 - t)^n of their

@@ -334,6 +334,23 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "variables, cutting, message",
+        [
+            (["x0", "x1", "x0"], [], "duplicate variable names"),
+            (["x0", "x1", "x2"], [{"expression": "x1 - x1", "degree": 1}],
+             "cutting expression 'x1 - x1' is zero"),
+        ],
+    )
+    def test_input_message_names_the_file(self, tmp_path, variables, cutting, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "variables": variables, "ambient": [], "cutting": cutting, "point": ["1", "0", "0"],
+        }))
+        report, code = run_report(["dp", str(bad)])
+        assert code == EXIT_INPUT
+        assert report["error"] == {"kind": "input", "message": f"{bad}: {message}"}
+
     def test_point_off_variety(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

@@ -20,7 +20,7 @@ import pytest
 from seshadri import constants
 from seshadri.cli import EXIT_HYPOTHESIS, EXIT_OK, load_instance, run
 from seshadri.geometry import (
-    _tangent_cone_multiplicity,
+    _local_multiplicity,
     base_point,
     lowest_forms_multiplicity,
     multiplicity_at,
@@ -82,7 +82,7 @@ def _over_q(I):
     fresh = Ideal(I.ring, I.generators)
     fresh.groebner_basis()
     data = hilbert_data(fresh)
-    return data, _tangent_cone_multiplicity(normalize_point(fresh, base_point(I.ring)))
+    return data, _local_multiplicity(normalize_point(fresh, base_point(I.ring)))
 
 
 def _certified(I):

@@ -1,7 +1,7 @@
-"""Dimension counts that decide before a basis: Krull's count in
-`cut_out_degree`, and the complete-intersection certificate mod one prime
-that `hilbert_data` tries on line schemes, each against the route over Q it
-replaces."""
+"""Dimension counts that decide before a basis: Krull's count and the
+local dimension count in `cut_out_degree`, and the complete-intersection
+certificate mod one prime that `hilbert_data` tries on line schemes, each
+against the route over Q it replaces."""
 
 import importlib.util
 import json
@@ -200,12 +200,43 @@ class TestCutOutDegree:
 
     @pytest.mark.parametrize("degrees", [(3, 4), (2, 2, 3)])
     def test_complete_intersections_build_no_local_basis(self, degrees, monkeypatch):
-        def refuse(J, I):
+        def refuse(ideal):
             raise AssertionError("local basis built")
 
         X = _p6(degrees)
-        monkeypatch.setattr(geometry, "_agree_at_point", refuse)
+        monkeypatch.setattr(geometry, "_local_basis", refuse)
         assert cut_out_degree(X) == degrees[-1]
+
+    def test_local_dimension_skips_the_local_basis_of_x(self, monkeypatch):
+        # a cuspidal plane cubic in x1 = 0 plus the line x2 = x3 = 0, both
+        # through p: the quadrics cut out the plane and the line, of local
+        # dimension 2 > dim X = 1 at p, so only their local basis is built
+        ring = PolynomialRing(("x0", "x1", "x2", "x3"))
+        gens = [ring.parse(g) for g in ("x1*x2", "x1*x3", "x2^3 - x0*x3^2")]
+        X = normalize_point(Ideal(ring, gens), base_point(ring))
+        assert (X.dimension, X.degree) == (1, 4)
+        built = []
+        local_basis = geometry._local_basis
+
+        def record(ideal):
+            built.append(ideal.generators)
+            return local_basis(ideal)
+
+        monkeypatch.setattr(geometry, "_local_basis", record)
+        assert cut_out_degree(X) == 3
+        assert built == [tuple(gens[:2])]
+        monkeypatch.undo()
+        assert _full_walk(X) == 3
+
+    def test_local_dimension_below_dim_x_does_not_skip(self):
+        # the line x2 = x3 = 0 through p plus the plane x0 = 0 away from it,
+        # with a redundant cubic: the quadrics cut X out, of local dimension
+        # 1 < dim X = 2 at p
+        ring = PolynomialRing(("x0", "x1", "x2", "x3"))
+        gens = [ring.parse(g) for g in ("x0*x2", "x0*x3", "x0*x1*x2 + x0^2*x3")]
+        X = normalize_point(Ideal(ring, gens), base_point(ring))
+        assert X.dimension == 2
+        assert cut_out_degree(X) == _full_walk(X) == 2
 
 
 class TestReach:

@@ -14,6 +14,7 @@ from seshadri.polynomials import (
 from seshadri.groebner import (
     EMPTINESS_PRIME,
     Ideal,
+    _at_one,
     _hilbert_from_numerator,
     _leading_numerator,
     graded_piece,
@@ -27,7 +28,11 @@ from seshadri.groebner import (
 from seshadri.geometry import (
     INFINITE,
     PointError,
-    _tangent_cone,
+    _local_basis,
+    _local_leads,
+    _local_multiplicity,
+    _local_series,
+    _lowest_forms,
     base_point,
     cone_ideal,
     cut_out_degree,
@@ -251,6 +256,21 @@ class TestMultiplicity:
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 
 
+def _tangent_cone(X):
+    """The ideal TC of lowest forms at the base point, in the slice ring:
+    those of the local basis generate it (Sturmfels, Groebner Bases and
+    Convex Polytopes, Prop. 1.13)."""
+    return Ideal(slice_ring(X.ring), _lowest_forms(_local_basis(X.normalized_ideal)[1]))
+
+
+def reference_cone_series(X):
+    """Q(1), ... of the tangent cone's own Hilbert series, read off its
+    grevlex basis: the route `multiplicity_at` took before it read the
+    local leading ideal."""
+    cone = _tangent_cone(X)
+    return _at_one(_leading_numerator(cone), cone.ring.nvars)
+
+
 def reference_length(X):
     """Length of the local ring at an isolated base point, as `multiplicity_at`
     summed it before reading the Hilbert-series numerator: the Hilbert
@@ -378,6 +398,79 @@ class TestLocalInvariantsAgainstReferences:
         K = Ideal(ring3, [ring3.parse("x0 - x1"), ring3.parse("x2")])
         assert not supported_only_at_basepoint(K)
         assert not reference_supported_only_at_basepoint(K)
+
+
+class TestLocalLeadingIdeal:
+    """mult_p and the local dimension read off the local leading ideal,
+    against Q(1) and the length of the series of the tangent cone's own
+    basis, on seeded coordinate changes that fix the point."""
+
+    @staticmethod
+    def check(X, mult, dim):
+        series = _local_series(_local_leads(X.normalized_ideal), X.ambient_dimension)
+        assert series == reference_cone_series(X)
+        assert _local_multiplicity(X) == series[0] == mult
+        assert len(series) - 1 == dim
+        if dim == 0:  # an isolated point: Q(1) is the length
+            assert mult == reference_length(X)
+
+    @FIELDS
+    @pytest.mark.parametrize(
+        "gens, mult, dim",
+        [
+            (("x0*x2^2 - x1^3",), 2, 1),  # a cusp
+            (("x0^2*x2^2 - x1^4",), 2, 1),  # a tacnode
+            (("x2*(x0*x2 - x1^2)",), 2, 1),  # a conic and its tangent line
+            (("x1^2",), 2, 1),  # a double line
+            (("x1^2", "x2"), 2, 0),  # a double point
+            (("x1^2", "x1*x2", "x2^2"), 3, 0),  # the square of a point
+            ((), 1, 2),  # the plane itself
+        ],
+    )
+    def test_plane_schemes(self, field, gens, mult, dim):
+        ring = PolynomialRing(("x0", "x1", "x2"), field)
+        ideal = Ideal(ring, [ring.parse(g) for g in gens])
+        moved = _moved(ideal, _fixing_p(ring, random.Random(f"plane {gens}")))
+        for K in (ideal, moved):
+            self.check(normalize_point(K, base_point(ring)), mult, dim)
+
+    @FIELDS
+    @pytest.mark.parametrize(
+        "gens, mult, dim",
+        [
+            (("x3", "x0*x2^2 - x1^3"), 2, 1),  # a cusp in a plane of P^3
+            (("x3 - x1", "x0^2*x2^2 - x1^4"), 2, 1),  # a tacnode in a plane of P^3
+            (("x1^2",), 2, 2),  # a double plane
+            (("x1^3 + x2^3 + x3^3",), 3, 2),  # the cone over a plane cubic
+            (("x1^2", "x1*x2"), 1, 2),  # a plane with an embedded line
+        ],
+    )
+    def test_space_schemes(self, field, gens, mult, dim):
+        ring = PolynomialRing(("x0", "x1", "x2", "x3"), field)
+        ideal = Ideal(ring, [ring.parse(g) for g in gens])
+        moved = _moved(ideal, _fixing_p(ring, random.Random(f"space {gens}")))
+        for K in (ideal, moved):
+            self.check(normalize_point(K, base_point(ring)), mult, dim)
+
+    @FIELDS
+    @pytest.mark.parametrize("nvars", [3, 4])
+    def test_seeded_singular_points(self, field, nvars):
+        # forms vanishing to order 2 at p, too few and as many as the slice
+        # variables, and zero-dimensional schemes supported at p alone
+        rng = random.Random(f"local leads {field!r} {nvars}")
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(nvars)), field)
+        for _ in range(3):
+            gens = [
+                _form_through_p(ring, rng.randint(2, 3), 2, rng)
+                for _ in range(rng.randint(1, nvars - 1))
+            ]
+            X = normalize_point(Ideal(ring, gens), base_point(ring))
+            series = reference_cone_series(X)
+            assert series[0] >= 2  # forms in the square of the maximal ideal
+            self.check(X, series[0], len(series) - 1)
+            fat = _moved(_fat_point(ring, rng), _fixing_p(ring, rng))
+            X = normalize_point(fat, base_point(ring))
+            self.check(X, reference_length(X), 0)
 
 
 class TestMultiplicityEdges:

@@ -325,6 +325,20 @@ class TestCountLines:
         X = normalize_point(Ideal(ring4, []), (1, 0, 0, 0))
         assert count_lines_mod_q(modular_instance(X, 3)).count == 13
 
+    @pytest.mark.parametrize(
+        "name, counts",
+        [
+            # lines through p on Gr(2,6): P^1 x P^3, (q + 1)(q^3 + q^2 + q + 1)
+            ("gr26-2-3", (160, 936, 3200)),
+            # on LG(3,6): the Veronese surface, q^2 + q + 1
+            ("lg36-3", (13, 31, 57)),
+        ],
+    )
+    def test_g_over_p_ambients(self, name, counts):
+        Y = load_instance(str(DATA / f"{name}.json")).ambient_variety()
+        for q, count in zip((3, 5, 7), counts):
+            assert count_lines_mod_q(modular_instance(Y, q)).count == count
+
     def test_fermat_cubic_no_lines_at_good_primes(self, ring4):
         X = normalize_point(
             Ideal(ring4, [ring4.parse("x0^3+x1^3+x2^3+x3^3")]), (3, 4, 5, -6)

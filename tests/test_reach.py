@@ -64,6 +64,12 @@ def test_reach(row, caplog, monkeypatch):
     check(row, json.loads(json.dumps(report)), code, messages, elapsed)
 
 
+def test_every_data_file_has_a_row():
+    used = {arg for row in OPS for arg in row["argv"]}
+    for path in (ROOT / "tests" / "data").glob("*.json"):
+        assert path.relative_to(ROOT).as_posix() in used, path.name
+
+
 GOOD = {"why": "a row", "argv": ["dp", "x.json"], "limit_s": 1, "exit": 0,
         "result": {"result.cut_out_degree": 4}}
 RUN = ({"result": {"cut_out_degree": 4}}, 0, ["mod 32003"], 0.9)
