@@ -43,7 +43,6 @@ from .geometry import (
 from .groebner import Ideal, saturate
 from .oracle import (
     DEFAULT_PRIMES,
-    BadReductionError,
     EnumerationLimitError,
     count_lines_mod_q,
     find_conic_mod_q,
@@ -114,7 +113,11 @@ def _coordinate(value):
 
 
 def _check_types(raw, path):
-    """Reject a JSON value of the wrong type before anything is parsed."""
+    """Reject a missing field or a JSON value of the wrong type before
+    anything is parsed."""
+    for field in ("variables", "point"):
+        if field not in raw:
+            raise InputError(f"{path}: missing field {field!r}")
     for field, kinds, wording in _LIST_FIELDS:
         value = raw.get(field, [])
         if not (
@@ -147,7 +150,7 @@ class Instance:
             names = list(raw["variables"])
             point = [_coordinate(x) for x in raw["point"]]
             self.ring = PolynomialRing(tuple(names))
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError(f"{path}: {exc}") from exc
         if len(point) != len(names):
             raise InputError(f"{path}: point length does not match variable count")
@@ -298,11 +301,7 @@ def _cmd_classify(instance, args):
         annotations = {}
         for q in args.primes:
             try:
-                inst = modular_instance(ci.variety(), q)
-            except BadReductionError:
-                continue
-            try:
-                conic = find_conic_mod_q(inst, seed=args.seed)
+                conic = find_conic_mod_q(modular_instance(ci.variety(), q), seed=args.seed)
             except EnumerationLimitError as exc:
                 annotations[str(q)] = {"error": str(exc)}
                 continue
@@ -343,11 +342,7 @@ def _cmd_oracle(instance, args):
     good = 0
     refused = None
     for q in args.primes:
-        try:
-            inst = modular_instance(X, q)
-        except BadReductionError as exc:
-            results[str(q)] = {"error": f"bad reduction: {exc}"}
-            continue
+        inst = modular_instance(X, q)
         try:
             lines = count_lines_mod_q(inst)
         except EnumerationLimitError as exc:
@@ -370,7 +365,7 @@ def _cmd_oracle(instance, args):
                 )
         results[str(q)] = entry
     if not good:
-        raise InputError(str(refused) if refused else "all primes had bad reduction")
+        raise InputError(str(refused))
     return {"oracle": results}
 
 

@@ -1,5 +1,10 @@
 """Independent finite-field brute-force checks.
 
+X is read mod q as integers of content 1 (`modular_instance`): the point
+as an integer vector whose entries have gcd 1, each generator as its
+primitive integer form.  So every prime reduces, and a form keeps a
+coefficient that q does not divide.
+
 Everything here avoids the Groebner machinery on purpose: lines through
 the base point are found among the directions of the embedded tangent
 space ker J(p) over F_q (plain linear algebra), one coset of the reduced
@@ -15,11 +20,13 @@ only evaluates that expansion at its c: one packed sum of integers whose
 fields, read in one pass, are the t-coefficients, split into the
 constraints linear in w and the higher ones, since each group of terms
 is classed once by its w-monomial; a higher one is read only when the
-draw tests it.  A bound read off the base-q digits of the exponents
-(`_conic_bound`) refuses, before anything is expanded, a prime whose
-expansion might exceed CONIC_TERM_LIMIT terms.  Both expansions run on
-packed exponent keys.  Plane-curve multiplicities read off the lowest
-form after translating the point to the affine origin.  Everything runs on plain ints mod q, the linear
+draw tests it.  One bound read off the base-q digits of the exponents
+(`_expansion_bound`) serves both searches, before anything is expanded:
+a coset whose expansion might exceed COSET_TERM_LIMIT terms is split,
+and a prime whose conic expansion might exceed CONIC_TERM_LIMIT terms is
+refused.  Both expansions run on packed exponent keys.  Plane-curve
+multiplicities read off the lowest form after translating the point to
+the affine origin.  Everything runs on plain ints mod q, the linear
 algebra too: the Jacobian comes from the terms, the tangent kernel and
 the solve for w are one reduced echelon form (`_echelon`, `_solve`), and
 the test that p, v, w are independent is two eliminations (`_reduce`),
@@ -39,7 +46,8 @@ import struct
 import sys
 import time
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, gcd, lcm
 from operator import mul
 from .polynomials import (
     BadReductionError,
@@ -74,11 +82,17 @@ class ModularInstance:
 
 
 def modular_instance(X, q):
-    """Reduce a pointed variety mod q; raises BadReductionError on bad primes."""
+    """Reduce a pointed variety mod q, read as integers of content 1: the
+    point scaled to an integer vector whose entries have gcd 1, keeping its
+    sign, and each generator to its primitive integer form.  Such a vector
+    has a coordinate prime to q, such a form a coefficient prime to q, and
+    g(p) = 0 over Z stays 0 mod q, so every prime reduces."""
     field = PrimeField(q)
     ring = X.ring.with_field(field)
-    gens = tuple(ring.from_terms(g.terms) for g in X.ideal.generators)
-    point = tuple(field.coerce(x) for x in X.point)
+    gens = tuple(ring.from_terms(g.primitive().terms) for g in X.ideal.generators)
+    point = X.point
+    scale = Fraction(lcm(*(x.denominator for x in point)), gcd(*(x.numerator for x in point)))
+    point = tuple(field.coerce(x * scale) for x in point)
     return ModularInstance(prime=q, ring=ring, generators=gens, point=point)
 
 
@@ -300,11 +314,12 @@ def _coset_directions(forms, point, lead, tail, q, span, tried):
     One `_expand` per form of g(point + t*v) with t and the digits c_j
     symbolic gives each t^k coefficient as a polynomial in the digits;
     `_common_zeros` finds the digits at which all of them vanish.  A coset
-    whose expansion may exceed COSET_TERM_LIMIT terms (`_expansion_bound`)
-    is split into q cosets with its lowest digit fixed.  A single
-    direction v is first tested on the t^(deg g) coefficient of each
-    g(point + t*v), the top form of g at v, which rejects all but about
-    1/q of the directions without an expansion.
+    whose expansion may exceed COSET_TERM_LIMIT terms (`_expansion_bound`,
+    with t and the digits as its symbols) is split into q cosets with its
+    lowest digit fixed.  A single direction v is first tested on the
+    t^(deg g) coefficient of each g(point + t*v), the top form of g at v,
+    which rejects all but about 1/q of the directions without an
+    expansion.
     """
     # x_l -> p_l + t*(lead_l + sum_j c_j*tail_jl); t^k*prod c_j^a_j has the
     # key k + sum_j a_j*span^(j+1), which stays additive: `_power` scales
@@ -318,7 +333,7 @@ def _coset_directions(forms, point, lead, tail, q, span, tried):
             degree = max((sum(e for _, e in f) for _, f in form), default=0)
             if _value([t for t in form if sum(e for _, e in t[1]) == degree], lead, q):
                 return []
-    elif _expansion_bound(forms, images, q, len(tail)) > COSET_TERM_LIMIT:
+    elif _expansion_bound(forms, images, q, len(tail) + 1) > COSET_TERM_LIMIT:
         return [
             v
             for a in range(q)
@@ -362,17 +377,31 @@ def _term_bound(factors, images, q):
     return size
 
 
-def _expansion_bound(forms, images, q, digits):
-    """An upper bound on the terms of every product `_expand` forms for
-    g(images), with images p + t*(linear form in `digits` digits): each
-    term's `_term_bound`, where a product of degree d holds only t^k*c^a
-    with |a| <= k <= d, at most C(d + digits + 1, digits + 1) monomials.
+def _expansion_bound(forms, images, q, symbols):
+    """An upper bound on the terms of every product `_expand` forms for the
+    forms at `images`, read off before anything is expanded.
+
+    Each term is bounded digit by digit (`_term_bound`).  Where none of
+    its exponents reaches q, `_power` scales no key, so a term of degree d
+    yields only monomials that match one to one monomials of degree at
+    most d in `symbols` symbols: in the line scan t^k*c^a with
+    |a| <= k <= d, that is t^(k - |a|)*c^a in t and the digits c_j; in
+    the conic search t^(|b| + 2|a|)*c^b*w^a with |a| + |b| <= d, in the
+    c_j and w_i.  Such terms of a generator of degree d together hold at
+    most C(d + symbols, symbols) monomials.  The terms with an exponent
+    past q, whose keys `_power` scales, count one by one.
     """
     total = 0
     for form in forms:
+        plain = carried = degree = 0
         for _, factors in form:
-            degree = sum(e for _, e in factors)
-            total += min(_term_bound(factors, images, q), comb(degree + digits + 1, digits + 1))
+            size = _term_bound(factors, images, q)
+            if all(e < q for _, e in factors):
+                plain += size
+            else:
+                carried += size
+            degree = max(degree, sum(e for _, e in factors))
+        total += min(plain, comb(degree + symbols, symbols)) + carried
     return total
 
 
@@ -387,7 +416,7 @@ class LineCount:
 ENUMERATION_LIMIT = 2_000_000
 
 # the conic search holds its whole expansion at once; a prime whose
-# expansion may exceed this many terms (`_conic_bound`) is refused
+# expansion may exceed this many terms (`_expansion_bound`) is refused
 CONIC_TERM_LIMIT = 1 << 16
 
 
@@ -452,35 +481,10 @@ class ConicSearchResult:
         return not self.found
 
 
-def _conic_bound(forms, images, q, symbols):
-    """An upper bound on the terms of `_conic_expansion`, read off the
-    generators and the images before anything is expanded.
-
-    Each term is bounded digit by digit (`_term_bound`).  Where none of
-    its exponents reaches q, `_power` scales no key, so a term of degree d
-    yields only t^(|b| + 2|a|)*c^b*w^a with |a| + |b| <= d, in `symbols`
-    c_j and w_i; such terms of a generator of degree d together hold at
-    most C(d + symbols, symbols) monomials.  The terms with an exponent
-    past q, whose keys `_power` scales, count one by one.
-    """
-    total = 0
-    for form in forms:
-        plain = carried = degree = 0
-        for _, factors in form:
-            size = _term_bound(factors, images, q)
-            if all(e < q for _, e in factors):
-                plain += size
-            else:
-                carried += size
-            degree = max(degree, sum(e for _, e in factors))
-        total += min(plain, comb(degree + symbols, symbols)) + carried
-    return total
-
-
 def _conic_expansion(forms, point, tangent_basis, q):
     """Every generator along p + t*v + t^2*w, v = sum_j c_j*b_j, expanded
     once with the tangent coordinates c_j and w symbolic; raises
-    EnumerationLimitError first when `_conic_bound` exceeds
+    EnumerationLimitError first when `_expansion_bound` exceeds
     CONIC_TERM_LIMIT.
 
     Returns (terms, constraints): the number of terms of the expansion,
@@ -520,7 +524,7 @@ def _conic_expansion(forms, point, tangent_basis, q):
             if b[i]:
                 image[1 + span * base**j] = b[i]
         images.append({k: x for k, x in image.items() if x})
-    bound = _conic_bound(forms, images, q, nvars + len(tangent_basis))
+    bound = _expansion_bound(forms, images, q, nvars + len(tangent_basis))
     if bound > CONIC_TERM_LIMIT:
         raise EnumerationLimitError(
             f"the conic expansion may hold {bound} terms, more than the limit "
@@ -727,17 +731,11 @@ def lowest_form_mult(plane_curve, point):
     if plane_curve.evaluate(point):
         raise ValueError("point does not lie on the curve")
     pivot = next(i for i, x in enumerate(point) if x)
-    basis = [[field.zero] * 3 for _ in range(3)]
-    for i in range(3):
-        basis[i][pivot] = point[i]
-    col = 0
-    for j in range(3):
-        if j == pivot:
-            continue
-        while col == pivot:
-            col += 1
-        basis[j][col] = field.one
-        col += 1
+    # the identity with the pivot column replaced by the point
+    basis = [
+        [point[i] if j == pivot else field.one if i == j else field.zero for j in range(3)]
+        for i in range(3)
+    ]
     shifted = substitute_linear(plane_curve, basis)
     lowest = None
     for mono, _ in shifted.terms:

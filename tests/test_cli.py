@@ -642,6 +642,19 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert report["error"] == {"kind": "input", "message": f"{bad}: {message}"}
 
+    @pytest.mark.parametrize("field", ["variables", "point"])
+    def test_missing_field_is_named(self, tmp_path, field):
+        raw = {"variables": ["x0", "x1", "x2"], "ambient": ["x1"], "point": ["1", "0", "0"]}
+        del raw[field]
+        bad = tmp_path / "missing.json"
+        bad.write_text(json.dumps(raw))
+        report, code = run_report(["dp", str(bad)])
+        assert code == EXIT_INPUT
+        assert report["error"] == {
+            "kind": "input",
+            "message": f"{bad}: missing field {field!r}",
+        }
+
     def test_component_that_does_not_parse(self, tmp_path):
         raw = json.loads(Path(bundled("two-quadrics-p4")).read_text())
         raw["component"] = ["x1 +"]
@@ -651,24 +664,28 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert report["error"]["message"].startswith(f"{bad}: component: ")
 
-    def test_bad_reduction_skips_the_prime(self, tmp_path):
-        # the same projective point with every coordinate divided by 7: its
-        # reduction mod 7 is undefined, mod 11 it is the bundled point's
+    def test_scaled_point_reduces_at_every_prime(self, tmp_path):
+        # the same projective point with every coordinate divided by 7 is
+        # read as the bundled integer point, so at 7 and at 11 the oracle
+        # gives the bundled file's entries and classify, with the value 2
+        # left a lower bound, searches both
         raw = json.loads(Path(bundled("gr24-hyperplanes")).read_text())
-        raw["point"] = [str(Fraction(x) / 7) for x in raw["point"]]
         raw["ambient_homogeneous"] = False
         raw["primes"] = [7, 11]
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(raw))
+        raw["point"] = [str(Fraction(x) / 7) for x in raw["point"]]
         scaled = tmp_path / "scaled.json"
         scaled.write_text(json.dumps(raw))
         report, code = run_report(["oracle", str(scaled)])
         assert code == EXIT_OK
-        results = report["result"]["oracle"]
-        assert results["7"] == {"error": "bad reduction: denominator 7 divisible by 7"}
-        assert isinstance(results["11"]["line_count"], int)
+        expected, _ = run_report(["oracle", str(plain)])
+        assert report["result"]["oracle"] == expected["result"]["oracle"]
+        assert list(report["result"]["oracle"]) == ["7", "11"]
         report, code = run_report(["classify", str(scaled)])
         assert code == EXIT_OK
         assert report["result"]["seshadri"]["status"] == "LOWER_BOUND_ONLY"
-        assert list(report["result"]["oracle"]["search"]) == ["11"]
+        assert list(report["result"]["oracle"]["search"]) == ["7", "11"]
 
     def test_inconsistency_carries_the_certificate(self, monkeypatch, capsys):
         # a curve whose ratio 5/2 misses the classified value 2 is a

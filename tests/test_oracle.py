@@ -554,15 +554,50 @@ class TestCountLines:
         (line,) = (r.getMessage() for r in caplog.records)
         assert line.startswith(f"line scan mod {q}: {message}, in ")
 
-    def test_bad_reduction_in_point(self, ring4):
+    def test_point_with_a_denominator_q_reduces(self, ring4):
+        # (1/5, 1, 1, 5) is read as the integer point (1, 5, 5, 25)
         X = quadric_surface(ring4, (Fraction(1, 5), 1, 1, 5))
-        with pytest.raises(BadReductionError):
-            modular_instance(X, 5)
+        assert modular_instance(X, 5).point == (1, 0, 0, 0)
 
-    def test_point_reducing_to_zero(self, ring3):
+    def test_point_with_common_factor_q_reduces(self, ring3):
+        # (5, 5, 5) is read as the integer point (1, 1, 1)
         X = normalize_point(Ideal(ring3, []), (5, 5, 5))
-        with pytest.raises(BadReductionError):
-            modular_instance(X, 5)
+        assert modular_instance(X, 5).point == (1, 1, 1)
+
+    def test_form_with_content_q_keeps_its_lines(self, ring3):
+        # 2*x0*x1 - 2*x2^2 is x0*x1 - x2^2 at q = 2, a smooth conic with no
+        # line, not the zero form with every tangent direction a line; so
+        # is its quarter, whose coefficients 1/2 have the denominator q
+        g = ring3.parse("2*x0*x1 - 2*x2^2")
+        for c in (1, Fraction(1, 4)):
+            X = normalize_point(Ideal(ring3, [g.scale(c)]), (1, 0, 0))
+            assert count_lines_mod_q(modular_instance(X, 2)).count == 0
+
+    @pytest.mark.parametrize("name", ["gr24-hyperplanes", "twisted-cubic", "two-quadrics-p4"])
+    def test_rational_multiples_reduce_alike(self, rng, name):
+        # a positive multiple of the point and nonzero multiples of the
+        # generators give the same integers of content 1, so the same
+        # instance at every prime, those dividing a multiplier too
+        X = load_instance(bundled(name)).variety()
+        small = (1, 2, 3, 5, 7, 11, 13)
+        for _ in range(4):
+            scale = Fraction(rng.choice(small) * rng.choice(small), rng.choice(small))
+            factors = [
+                Fraction(rng.choice((-1, 1)) * rng.choice(small), rng.choice(small))
+                for _ in X.ideal.generators
+            ]
+            Y = normalize_point(
+                Ideal(X.ring, [g.scale(c) for g, c in zip(X.ideal.generators, factors)]),
+                [scale * x for x in X.point],
+            )
+            primes = {2, 3, 5, 7} | {
+                p
+                for c in [scale, *factors]
+                for p in small[1:]
+                if c.numerator % p == 0 or c.denominator % p == 0
+            }
+            for q in sorted(primes):
+                assert modular_instance(Y, q) == modular_instance(X, q)
 
 
 class TestIntegerKernels:
@@ -965,15 +1000,15 @@ DATA = Path(__file__).parent / "data"
 
 
 def _bound_and_terms(inst, monkeypatch):
-    """(`_conic_bound`, terms of the built expansion) of one instance."""
+    """(`_expansion_bound`, terms of the built expansion) of one instance."""
     seen = []
-    bound = oracle._conic_bound
+    bound = oracle._expansion_bound
 
     def recording(*args):
         seen.append(bound(*args))
         return seen[-1]
 
-    monkeypatch.setattr(oracle, "_conic_bound", recording)
+    monkeypatch.setattr(oracle, "_expansion_bound", recording)
     q, point = inst.prime, list(inst.point)
     forms = [_form(g) for g in inst.generators]
     gradient = _gradient(forms, point, q) or [[0] * len(point)]
