@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .constants import (
-    LOWER_BOUND_ONLY,
     CompleteIntersectionInput,
     HypothesisError,
     InconsistencyError,
@@ -288,32 +287,13 @@ def _cmd_dp(instance, args):
 
 def _cmd_classify(instance, args):
     ci = instance.ci_input(validate=args.validate)
-    report = classify_ci(ci)
-    out = {"seshadri": _render_value(asdict(report))}
-    ambient = ci.ambient
-    out["ambient"] = {
-        "cut_out_degree": ambient.d_p,
-        "line_scheme_dimension": line_scheme(ambient).dimension,
+    return {
+        "seshadri": _render_value(asdict(classify_ci(ci))),
+        "ambient": {
+            "cut_out_degree": ci.ambient.d_p,
+            "line_scheme_dimension": line_scheme(ci.ambient).dimension,
+        },
     }
-    if report.status == LOWER_BOUND_ONLY and ci.degrees[-1] == 1:
-        # corroborating conic search; a modular witness never upgrades the
-        # status, and NOT_FOUND is inconclusive
-        annotations = {}
-        for q in args.primes:
-            try:
-                conic = find_conic_mod_q(modular_instance(ci.variety(), q), seed=args.seed)
-            except EnumerationLimitError as exc:
-                annotations[str(q)] = {"error": str(exc)}
-                continue
-            annotations[str(q)] = {
-                "conic_found": conic.found,
-                "inconclusive": conic.inconclusive,
-            }
-        out["oracle"] = {
-            "note": "modular conic witnesses corroborate the value 2 but do not prove it",
-            "search": annotations,
-        }
-    return out
 
 
 def _cmd_curve(instance, args):
@@ -420,37 +400,49 @@ def _non_negative(text):
     return value
 
 
+# every flag once, with its add_argument keywords
+FLAGS = {
+    "--json": dict(dest="json_path", default=None, help="write the machine-readable report here"),
+    "--validate": dict(action="store_true", default=False,
+                       help="extra saturation/smoothness checks"),
+    "--seed": dict(type=int, default=None, help="random seed"),
+    "--retries": dict(type=_non_negative, default=4, help="retry budget for random draws"),
+    "--primes": dict(type=_primes, default=None, help="comma-separated primes for the oracle"),
+    "--conics": dict(action="store_true", default=False, help="also search for conics"),
+    "--budget": dict(type=_non_negative, default=200, help="conic search draws"),
+}
+
+# the flags each command reads; any other flag is an unrecognized argument
+COMMAND_FLAGS = {
+    "bound": ("--json", "--validate"),
+    "fano": ("--json", "--validate"),
+    "dp": ("--json", "--validate"),
+    "classify": ("--json", "--validate"),
+    "curve": ("--json", "--validate", "--seed", "--retries"),
+    "oracle": ("--json", "--primes", "--seed", "--conics", "--budget"),
+    "sharpness": ("--json", "--seed", "--retries"),
+}
+
+
 def build_parser():
     parser = _ArgumentParser(
         prog="seshadri",
         description="Exact Seshadri-constant bounds, certificates and oracles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_file=True):
-        if needs_file:
+    # a flag a command does not take still has its default, so `run` reads
+    # and echoes the same attributes for every command
+    defaults = {spec.get("dest", flag[2:]): spec["default"] for flag, spec in FLAGS.items()}
+    for name, flags in COMMAND_FLAGS.items():
+        p = sub.add_parser(name)
+        if name == "sharpness":
+            p.add_argument("n", type=int, help="dimension")
+            p.add_argument("d", type=int, help="degree (at least n + 1)")
+        else:
             p.add_argument("file", help="instance file (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--primes", type=_primes,
-                       default=None, help="comma-separated primes for the oracle")
-        p.add_argument("--json", dest="json_path", default=None,
-                       help="write the machine-readable report here")
-        p.add_argument("--validate", action="store_true",
-                       help="extra saturation/smoothness checks")
-        p.add_argument("--retries", type=_non_negative, default=4,
-                       help="retry budget for random draws")
-
-    for name in ("bound", "fano", "dp", "classify", "curve"):
-        common(sub.add_parser(name))
-    oracle = sub.add_parser("oracle")
-    common(oracle)
-    oracle.add_argument("--conics", action="store_true", help="also search for conics")
-    oracle.add_argument("--budget", type=_non_negative, default=200,
-                        help="conic search draws")
-    sharp = sub.add_parser("sharpness")
-    sharp.add_argument("n", type=int, help="dimension")
-    sharp.add_argument("d", type=int, help="degree (at least n + 1)")
-    common(sharp, needs_file=False)
+        p.set_defaults(**defaults)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -537,9 +529,14 @@ def run(argv=None):
 def main(argv=None):
     report, code, args = run(argv)
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "json_path", None):
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+    path = getattr(args, "json_path", None)
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error (input): cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT
     if "error" in report:
         print(f"error ({report['error']['kind']}): {report['error']['message']}",
               file=sys.stderr)

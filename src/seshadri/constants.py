@@ -283,7 +283,7 @@ def classify_ci(ci):
     elif d_r == 1:
         assumptions.append(
             "ambient homogeneity not asserted: lower bound only; "
-            "a conic through the point (see the oracle search) would close the gap"
+            "a conic through the point (see seshadri oracle --conics) would close the gap"
         )
     degree = max(d_r, 2)
     value = Fraction(degree, degree - 1)

@@ -234,36 +234,25 @@ class TestCommands:
         assert code == EXIT_OK
         assert report["result"]["cut_out_degree"] == 2
 
-    def test_downgraded_classify_carries_conic_annotation(self, tmp_path, monkeypatch):
+    def test_downgraded_classify_leaves_the_conic_search_to_the_oracle(self, tmp_path):
+        # without the flag classify reports the certified lower bound 2 and
+        # runs no conic search; `oracle --conics` is the mod-q cross-check
         raw = json.loads(Path(bundled("gr24-hyperplanes")).read_text())
         raw["ambient_homogeneous"] = False
         unflagged = tmp_path / "unflagged.json"
         unflagged.write_text(json.dumps(raw))
-
-        # the conic search reads the X that classify_ci built
-        def rebuilt(instance):
-            raise AssertionError("classify built X a second time")
-
-        monkeypatch.setattr(cli.Instance, "variety", rebuilt)
         report, code = run_report(["classify", str(unflagged)])
         assert code == EXIT_OK
-        assert report["result"]["seshadri"]["status"] == "LOWER_BOUND_ONLY"
-        search = report["result"]["oracle"]["search"]
-        assert any(entry["conic_found"] for entry in search.values())
-
-    def test_downgraded_classify_records_a_refused_conic_search(self, tmp_path, monkeypatch):
-        raw = json.loads(Path(bundled("gr24-hyperplanes")).read_text())
-        raw["ambient_homogeneous"] = False
-        unflagged = tmp_path / "unflagged.json"
-        unflagged.write_text(json.dumps(raw))
-        monkeypatch.setattr(oracle, "CONIC_TERM_LIMIT", 0)
-        report, code = run_report(["classify", str(unflagged)])
+        seshadri = report["result"]["seshadri"]
+        assert (seshadri["status"], seshadri["lower_bound"]) == ("LOWER_BOUND_ONLY", "2")
+        assert "oracle" not in report["result"]
+        assert "seshadri oracle --conics" in seshadri["assumptions"][-1]
+        report, code = run_report(["oracle", str(unflagged), "--conics"])
         assert code == EXIT_OK
-        assert report["result"]["seshadri"]["status"] == "LOWER_BOUND_ONLY"
-        search = report["result"]["oracle"]["search"]
-        assert list(search) == ["7", "11", "13"]
-        assert all(entry == {"error": "the conic expansion may hold 34 terms, more than "
-                             "the limit 0"} for entry in search.values())
+        conics = {q: entry["conic"] for q, entry in report["result"]["oracle"].items()}
+        assert {q: (c["found"], c["attempts"]) for q, c in conics.items()} == {
+            "7": (True, 3), "11": (True, 10), "13": (True, 3)
+        }
 
 
 class TestDeterminism:
@@ -582,6 +571,44 @@ class TestExitCodes:
         assert main(argv) == EXIT_INPUT
         assert "error (input)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", list(cli.FLAGS))
+    @pytest.mark.parametrize("command", list(cli.COMMAND_FLAGS))
+    def test_each_command_takes_only_the_flags_it_reads(self, command, flag):
+        if command == "sharpness":
+            head = ["sharpness", "2", "3"]
+        else:
+            head = [command, bundled("fermat-cubic")]
+        values = {"--json": "r.json", "--seed": "1", "--retries": "1", "--primes": "7",
+                  "--budget": "5"}
+        argv = [*head, flag, *([values[flag]] if flag in values else [])]
+        if flag in cli.COMMAND_FLAGS[command]:
+            assert cli.build_parser().parse_args(argv).command == command
+        else:
+            report, code = run_report(argv)
+            assert code == EXIT_INPUT
+            assert report["error"]["kind"] == "input"
+            assert "unrecognized arguments" in report["error"]["message"]
+
+    def test_flags_echo_the_defaults_of_every_flag(self):
+        # a flag a command does not take is still echoed with its default
+        for command in ("bound", "classify"):
+            report, code = run_report([command, bundled("fermat-cubic")])
+            assert code == EXIT_OK
+            assert report["flags"] == {"seed": 0, "primes": [5, 11, 17], "max_m": 24,
+                                       "validate": False, "retries": 4}
+        report, code = run_report(["sharpness", "2", "3"])
+        assert code == EXIT_OK
+        assert report["flags"] == {"seed": 0, "retries": 4, "n": 2, "d": 3}
+
+    @pytest.mark.parametrize("unwritable", ["missing-directory", "directory"])
+    def test_unwritable_json_path_is_input(self, tmp_path, capsys, unwritable):
+        path = tmp_path / "missing" / "r.json" if unwritable == "missing-directory" else tmp_path
+        code = main(["bound", bundled("quadric-surface"), "--json", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error (input): cannot write {path}: ")
+        assert "Traceback" not in err
+
     def test_max_m_option_is_gone(self, tmp_path):
         # mult and ord are exact, so no option caps them; the instance key
         # is still echoed into the flags, so recorded reports stay the same
@@ -667,8 +694,8 @@ class TestExitCodes:
     def test_scaled_point_reduces_at_every_prime(self, tmp_path):
         # the same projective point with every coordinate divided by 7 is
         # read as the bundled integer point, so at 7 and at 11 the oracle
-        # gives the bundled file's entries and classify, with the value 2
-        # left a lower bound, searches both
+        # gives the bundled file's entries, and classify leaves the value 2
+        # a lower bound
         raw = json.loads(Path(bundled("gr24-hyperplanes")).read_text())
         raw["ambient_homogeneous"] = False
         raw["primes"] = [7, 11]
@@ -685,7 +712,6 @@ class TestExitCodes:
         report, code = run_report(["classify", str(scaled)])
         assert code == EXIT_OK
         assert report["result"]["seshadri"]["status"] == "LOWER_BOUND_ONLY"
-        assert list(report["result"]["oracle"]["search"]) == ["7", "11"]
 
     def test_inconsistency_carries_the_certificate(self, monkeypatch, capsys):
         # a curve whose ratio 5/2 misses the classified value 2 is a
