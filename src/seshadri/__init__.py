@@ -16,7 +16,6 @@ from .polynomials import (
     PrimeField,
     QQ,
     compose,
-    evaluate,
     parse_polynomial,
     restrict_to_line,
     substitute_linear,

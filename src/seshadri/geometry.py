@@ -377,7 +377,7 @@ def _local_basis(ideal):
     its elements generate the ideal of lowest forms (Sturmfels, Groebner
     Bases and Convex Polytopes, Prop. 1.13).
     """
-    order = MonomialOrder.elimination(ideal.ring.nvars, 1)
+    order = MonomialOrder.elimination(ideal.ring.nvars)
     return order, ideal.groebner_basis(order)
 
 

@@ -131,24 +131,22 @@ class _Overflow(Exception):
 class _Packing:
     """Monomials of `order` packed into one int each: 2n + 1 fields of `bits`
     value bits under a guard bit, high to low the order key as non-negative
-    partial sums (grevlex S_n ... S_1 of the exponents, lex the exponents,
-    elimination each block's sums), the n exponents and the degree.  Packing
-    is linear, so a product is a sum and ints compare as their monomials;
-    m | m' iff (m' - m) & guard == 0, because a field of m' below that of m
-    borrows into its guard bit.  A new monomial with a guard bit set has
-    outgrown the fields and raises `_Overflow`."""
+    partial sums (grevlex S_n ... S_1 of the exponents, elimination the
+    exponent of x_0 and then the same sums of the other exponents), the n
+    exponents and the degree.  Packing is linear, so a product is a sum and
+    ints compare as their monomials; m | m' iff (m' - m) & guard == 0,
+    because a field of m' below that of m borrows into its guard bit.  A new
+    monomial with a guard bit set has outgrown the fields and raises
+    `_Overflow`."""
 
     __slots__ = ("order", "units", "guard", "mask", "shifts")
 
     def __init__(self, order, bits):
         self.order = order
         n, width = order.nvars, bits + 1
-        if order.kind == "lex":
-            fields = [(j,) for j in range(n)]
-        else:
-            split = order.split if order.kind == "elimination" else n
-            blocks = (range(split), range(split, n))
-            fields = [block[:k] for block in blocks for k in range(len(block), 0, -1)]
+        split = 1 if order.kind == "elimination" else n
+        blocks = (range(split), range(split, n))
+        fields = [block[:k] for block in blocks for k in range(len(block), 0, -1)]
         fields += [(j,) for j in range(n)] + [range(n)]
         top = len(fields) - 1
         self.units = [
@@ -685,7 +683,7 @@ def _eliminate_tag(ring, pairs):
     while tag in ring.names:
         tag += "_"
     ext = PolynomialRing(
-        (tag, *ring.names), ring.field, MonomialOrder.elimination(ring.nvars + 1, 1)
+        (tag, *ring.names), ring.field, MonomialOrder.elimination(ring.nvars + 1)
     )
     gens = [
         ext.from_terms(
@@ -891,7 +889,8 @@ def _hilbert_from_numerator(numerator, nvars):
     a_k read off at t = 1 in one pass (`_at_one`): the terms k >= D add a
     polynomial in t to the series, and each k < D adds a_k binom(m + e, e),
     e = D - 1 - k, to the Hilbert polynomial, one cached binomial per
-    dimension.  D = 0 and the zero numerator give the empty scheme.
+    dimension.  Its top coefficient is a_0 / (D - 1)!, never zero.  D = 0
+    and the zero numerator give the empty scheme.
     """
     if not numerator:
         return HilbertData(-1, None, ())
@@ -903,8 +902,6 @@ def _hilbert_from_numerator(numerator, nvars):
     for k, a_k in enumerate(a[:D]):
         for i, c in enumerate(_binomial_polynomial(D - 1 - k, D - 1 - k)):
             coeffs[i] += a_k * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     return HilbertData(D - 1, a[0], tuple(coeffs))
 
 

@@ -469,7 +469,7 @@ class ConicSearchResult:
     """Witness (point, tangent, curvature) for p + t*v + t^2*w, or NOT_FOUND.
 
     NOT_FOUND is inconclusive and never downgrades a classification; it
-    only annotates reports.
+    appears only in `oracle --conics` reports.
     """
 
     found: bool

@@ -159,50 +159,42 @@ class MonomialOrder:
     key is additive, key(m * x^u) = key(m) + key(x^u) slot by slot.
     """
 
-    __slots__ = ("kind", "nvars", "split")
+    __slots__ = ("kind", "nvars")
 
-    def __init__(self, kind, nvars, split=0):
-        if kind not in ("grevlex", "lex", "elimination"):
+    def __init__(self, kind, nvars):
+        if kind not in ("grevlex", "elimination"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.nvars = nvars
-        self.split = split
 
     @classmethod
     def grevlex(cls, nvars):
         return cls("grevlex", nvars)
 
     @classmethod
-    def lex(cls, nvars):
-        return cls("lex", nvars)
-
-    @classmethod
-    def elimination(cls, nvars, split):
-        """Block order: grevlex on the first `split` variables dominates."""
-        if not 0 < split < nvars:
-            raise ValueError("split must cut the variables into two nonempty blocks")
-        return cls("elimination", nvars, split=split)
+    def elimination(cls, nvars):
+        """The degree in the first variable first, then grevlex on the rest."""
+        if nvars < 2:
+            raise ValueError("elimination needs a variable besides the first")
+        return cls("elimination", nvars)
 
     def key(self, exps):
         if self.kind == "grevlex":
             return (sum(exps), *map(neg, reversed(exps)))
-        if self.kind == "lex":
-            return tuple(exps)
-        head, tail = exps[: self.split], exps[self.split :]
-        return (sum(head), *map(neg, reversed(head)), sum(tail), *map(neg, reversed(tail)))
+        tail = exps[1:]
+        return (exps[0], sum(tail), *map(neg, reversed(tail)))
 
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
-            and (self.kind, self.nvars, self.split) == (other.kind, other.nvars, other.split)
+            and (self.kind, self.nvars) == (other.kind, other.nvars)
         )
 
     def __hash__(self):
-        return hash((self.kind, self.nvars, self.split))
+        return hash((self.kind, self.nvars))
 
     def __repr__(self):
-        extra = f", split={self.split}" if self.kind == "elimination" else ""
-        return f"MonomialOrder({self.kind!r}, {self.nvars}{extra})"
+        return f"MonomialOrder({self.kind!r}, {self.nvars})"
 
 
 class PolynomialRing:
@@ -764,7 +756,3 @@ def restrict_to_line(f, point, direction, parameter_ring=None):
         for p, v in zip(point, direction)
     ]
     return compose(f, images)
-
-
-def evaluate(f, point):
-    return f.evaluate(point)

@@ -281,9 +281,9 @@ def test_criterion_11_kernel_property_suites():
         names = tuple(f"x{i}" for i in range(nvars))
         gens_ring = PolynomialRing(names)
         gens = [random_homogeneous(gens_ring, rng.randint(1, 3), rng) for _ in range(2)]
-        lex_ring = PolynomialRing(names, order=MonomialOrder.lex(nvars))
+        elim_ring = PolynomialRing(names, order=MonomialOrder.elimination(nvars))
         a = hilbert_data(Ideal(gens_ring, gens))
-        b = hilbert_data(Ideal(lex_ring, [lex_ring.from_terms(g.terms) for g in gens]))
+        b = hilbert_data(Ideal(elim_ring, [elim_ring.from_terms(g.terms) for g in gens]))
         if (a.dimension, a.degree) != (b.dimension, b.degree):
             failures.append(("hilbert-order", a, b))
 

@@ -917,10 +917,7 @@ class TestConicExpansion:
     @pytest.mark.parametrize("name, q", BUNDLED)
     def test_bundled_instances(self, name, q):
         instance = load_instance(bundled(name))
-        try:
-            inst = modular_instance(instance.variety(), q)
-        except BadReductionError:
-            pytest.skip("bad reduction")
+        inst = modular_instance(instance.variety(), q)
         result = find_conic_mod_q(inst, seed=instance.seed)
         expected = reference_find_conic(inst, seed=instance.seed)
         assert (result.found, result.witness, result.attempts) == expected
@@ -1051,10 +1048,7 @@ class TestConicBound:
         for path in paths:
             instance = load_instance(path)
             for q in sorted({*instance.primes, 7, 13}):
-                try:
-                    inst = modular_instance(instance.variety(), q)
-                except BadReductionError:
-                    continue
+                inst = modular_instance(instance.variety(), q)
                 bound, terms = _bound_and_terms(inst, monkeypatch)
                 assert terms <= bound <= oracle.CONIC_TERM_LIMIT, (path, q)
 
