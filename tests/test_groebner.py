@@ -165,8 +165,23 @@ def reference_normal_form(f, basis, order=None):
 FIELDS = [QQ, PrimeField(7), PrimeField(2), PrimeField(32003)]
 FIELD_IDS = ["QQ", "GF7", "GF2", "GF32003"]
 
-KERNEL_ORDERS = [MonomialOrder.grevlex(4), MonomialOrder.elimination(4)]
-ORDER_IDS = ["grevlex", "elimination"]
+# in two variables the grevlex block of the elimination order is a single
+# variable, the narrowest block the packed kernel sees
+KERNEL_ORDERS = [
+    MonomialOrder.grevlex(4),
+    MonomialOrder.elimination(4),
+    MonomialOrder.grevlex(2),
+    MonomialOrder.elimination(2),
+]
+ORDER_IDS = ["grevlex", "elimination", "grevlex-2vars", "elimination-2vars"]
+
+
+def _names(order):
+    return tuple(f"x{i}" for i in range(order.nvars))
+
+
+def _small_monomials(nvars):
+    return [e for d in range(5) for e in monomials_of_degree(nvars, d)]
 
 
 def _random_fraction(field, rng):
@@ -194,7 +209,7 @@ class TestDivisionKernel:
         # Groebner bases, so the remainder depends on which divisor reduces
         # each term; the kernel must pick the same (first) one every time
         rng = random.Random(f"{field!r} {order!r}")
-        names = ("x0", "x1", "x2", "x3")
+        names = _names(order)
         for ring in (PolynomialRing(names, field), PolynomialRing(names, field, order)):
             for _ in range(12):
                 f = _random_rational_poly(ring, 5, rng)
@@ -207,7 +222,7 @@ class TestDivisionKernel:
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     def test_matches_the_reference_against_a_groebner_basis(self, field, rng):
         for order in KERNEL_ORDERS:
-            ring = PolynomialRing(("x0", "x1", "x2", "x3"), field, order)
+            ring = PolynomialRing(_names(order), field, order)
             gens = [random_homogeneous(ring, 2, rng) for _ in range(3)]
             basis = list(Ideal(ring, gens).groebner_basis())
             for _ in range(5):
@@ -227,7 +242,7 @@ class TestDivisionKernel:
 
     @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
     def test_flat_key_sorts_like_the_nested_key(self, order):
-        monomials = [e for d in range(5) for e in monomials_of_degree(4, d)]
+        monomials = _small_monomials(order.nvars)
         by_flat = sorted(monomials, key=order.key)
         assert by_flat == sorted(monomials, key=lambda m: reference_key(order, m))
         assert len({order.key(m) for m in monomials}) == len(monomials)
@@ -235,8 +250,8 @@ class TestDivisionKernel:
     @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
     def test_flat_key_is_additive(self, order, rng):
         for _ in range(50):
-            a = tuple(rng.randint(0, 4) for _ in range(4))
-            b = tuple(rng.randint(0, 4) for _ in range(4))
+            a = tuple(rng.randint(0, 4) for _ in range(order.nvars))
+            b = tuple(rng.randint(0, 4) for _ in range(order.nvars))
             total = tuple(x + y for x, y in zip(a, b))
             summed = tuple(x + y for x, y in zip(order.key(a), order.key(b)))
             assert order.key(total) == summed
@@ -393,7 +408,7 @@ def reference_pair_loop(forms, packing, q, size=None, numerator=None):
 
 
 def _random_generators(ring, rng, homogeneous):
-    """2-3 generators in 3 variables with non-integer rational coefficients."""
+    """2-3 generators with non-integer rational coefficients."""
     gens = []
     for _ in range(rng.randint(2, 3)):
         degrees = [rng.randint(2, 3)] if homogeneous else [0, 1, 2]
@@ -414,8 +429,13 @@ def assert_identical_bases(computed, expected):
         assert [type(c) for _, c in g.terms] == [type(c) for _, c in h.terms]
 
 
-LOOP_ORDERS = [MonomialOrder.grevlex(3), MonomialOrder.elimination(3)]
-LOOP_ORDER_IDS = ["grevlex", "elimination"]
+LOOP_ORDERS = [
+    MonomialOrder.grevlex(3),
+    MonomialOrder.elimination(3),
+    MonomialOrder.grevlex(2),
+    MonomialOrder.elimination(2),
+]
+LOOP_ORDER_IDS = ["grevlex", "elimination", "grevlex-2vars", "elimination-2vars"]
 
 
 class TestIntegerBuchbergerLoop:
@@ -424,7 +444,7 @@ class TestIntegerBuchbergerLoop:
     @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
     def test_matches_the_reference_loop(self, order, field, homogeneous):
         rng = random.Random(f"{order!r} {field!r} {homogeneous}")
-        names = ("x0", "x1", "x2")
+        names = _names(order)
         # the ring's own order, and another one passed to buchberger
         for ring in (PolynomialRing(names, field, order), PolynomialRing(names, field)):
             for _ in range(4):
@@ -472,7 +492,7 @@ class TestIntegerBuchbergerLoop:
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
     def test_unit_ideal(self, order, field):
-        ring = PolynomialRing(("x0", "x1", "x2"), field, order)
+        ring = PolynomialRing(_names(order), field, order)
         # over Q the ideal of 3/2*x0^2 - x1, 5*x0*x1 - 1, x1^2 - 2/3, written
         # without denominators so that it reads in every field
         gens = [ring.parse("3*x0^2 - 2*x1"), ring.parse("5*x0*x1 - 1"), ring.parse("3*x1^2 - 2")]
@@ -484,7 +504,7 @@ class TestIntegerBuchbergerLoop:
     @pytest.mark.parametrize("order", LOOP_ORDERS, ids=LOOP_ORDER_IDS)
     def test_s_polynomial_is_the_field_formula(self, order, field):
         rng = random.Random(f"s-polynomial {order!r} {field!r}")
-        ring = PolynomialRing(("x0", "x1", "x2"), field, order)
+        ring = PolynomialRing(_names(order), field, order)
         for _ in range(20):
             f, g = (_random_rational_poly(ring, 3, rng, 0.4) for _ in range(2))
             if not (f and g):
@@ -521,42 +541,41 @@ class TestIntegerBuchbergerLoop:
 
 # -- packed monomials ------------------------------------------------------------
 
-PACKING_ORDERS = [MonomialOrder.grevlex(4), MonomialOrder.elimination(4)]
-PACKING_ORDER_IDS = ["grevlex", "elimination"]
-SMALL_MONOMIALS = [e for d in range(5) for e in monomials_of_degree(4, d)]
-
 
 class TestPackedMonomials:
     # 4 value bits hold every field of a product of two monomials of degree <= 4
 
-    @pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_ORDER_IDS)
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
     def test_packed_ints_sort_like_the_order_key(self, order):
         pack = _packing(order, 4).pack
-        assert sorted(SMALL_MONOMIALS, key=pack) == sorted(SMALL_MONOMIALS, key=order.key)
-        assert len({pack(e) for e in SMALL_MONOMIALS}) == len(SMALL_MONOMIALS)
+        monomials = _small_monomials(order.nvars)
+        assert sorted(monomials, key=pack) == sorted(monomials, key=order.key)
+        assert len({pack(e) for e in monomials}) == len(monomials)
 
-    @pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_ORDER_IDS)
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
     def test_packing_is_additive_and_unpacks(self, order):
         packing = _packing(order, 4)
         pack = packing.pack
-        for a in SMALL_MONOMIALS:
+        monomials = _small_monomials(order.nvars)
+        for a in monomials:
             assert packing.unpack(pack(a)) == a
             assert pack(a) & packing.mask == sum(a)  # the degree field
-            for b in SMALL_MONOMIALS:
+            for b in monomials:
                 product = pack(tuple(x + y for x, y in zip(a, b)))
                 assert pack(a) + pack(b) == product
                 assert not product & packing.guard
 
-    @pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_ORDER_IDS)
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
     def test_guard_test_is_divisibility(self, order):
         packing = _packing(order, 4)
         pack, guard = packing.pack, packing.guard
-        for a in SMALL_MONOMIALS:
-            for b in SMALL_MONOMIALS:
+        monomials = _small_monomials(order.nvars)
+        for a in monomials:
+            for b in monomials:
                 divides = all(x <= y for x, y in zip(a, b))
                 assert (not (pack(b) - pack(a)) & guard) == divides
 
-    @pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_ORDER_IDS)
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=ORDER_IDS)
     def test_update_pairs_keeps_the_reference_pairs(self, order):
         # the criteria on packed leads, each unpacked once, keep the pairs
         # of the criteria on exponent tuples, with their lcm degrees; the
@@ -565,8 +584,9 @@ class TestPackedMonomials:
         # first of least rank first; repeated leads included
         packing = _packing(order, 4)
         rng = random.Random(f"pairs {order!r}")
+        monomials = _small_monomials(order.nvars)
         for _ in range(30):
-            leads = [rng.choice(SMALL_MONOMIALS) for _ in range(8)]
+            leads = [rng.choice(monomials) for _ in range(8)]
             packed = [packing.pack(e) for e in leads]
             sugars = [sum(e) for e in leads]
             pairs, expected = [], []

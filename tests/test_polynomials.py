@@ -362,7 +362,14 @@ class TestAlgebraProperties:
             assert degrees == {3}
 
 
-SUM_ORDERS = [MonomialOrder.grevlex(3), MonomialOrder.elimination(3)]
+# in two variables the grevlex block of the elimination order is a single variable
+SUM_ORDERS = [
+    MonomialOrder.grevlex(3),
+    MonomialOrder.elimination(3),
+    MonomialOrder.grevlex(2),
+    MonomialOrder.elimination(2),
+]
+ORDER_IDS = ["grevlex", "elimination", "grevlex-2vars", "elimination-2vars"]
 
 
 def _random_sparse(ring, rng, max_degree=3):
@@ -410,9 +417,10 @@ class TestSummation:
         assert _as_dict(result) == expected
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-    @pytest.mark.parametrize("order", SUM_ORDERS, ids=["grevlex", "elimination"])
+    @pytest.mark.parametrize("order", SUM_ORDERS, ids=ORDER_IDS)
     def test_operations_match_reference_dicts(self, field, order):
-        ring = PolynomialRing(("x0", "x1", "x2"), field, order)
+        n = order.nvars
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(n)), field, order)
         rng = random.Random(4)
         for _ in range(20):
             f, g = _random_sparse(ring, rng), _random_sparse(ring, rng)
@@ -423,7 +431,7 @@ class TestSummation:
             self.check(f - g, _reference_sum(field, [*F.items(), *negated]))
             self.check(f * g, _reference_product(field, F, G))
             coeff = field.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-            shift = tuple(rng.randint(0, 2) for _ in range(3))
+            shift = tuple(rng.randint(0, 2) for _ in range(n))
             scaled = [(e, coeff * c) for e, c in G.items()]
             self.check(g.scale(coeff), _reference_sum(field, scaled))
             shifted = [(tuple(x + y for x, y in zip(e, shift)), coeff * c) for e, c in G.items()]
@@ -432,15 +440,15 @@ class TestSummation:
                 f.sub_scaled(coeff, shift, g),
                 _reference_sum(field, [*F.items(), *((e, -c) for e, c in shifted)]),
             )
-            for i in range(3):
+            for i in range(n):
                 lowered = [
                     (e[:i] + (e[i] - 1,) + e[i + 1 :], e[i] * c) for e, c in F.items() if e[i]
                 ]
                 self.check(f.derivative(i), _reference_sum(field, lowered))
-            images = [_random_sparse(ring, rng, max_degree=1) for _ in range(3)]
+            images = [_random_sparse(ring, rng, max_degree=1) for _ in range(n)]
             expected = {}
             for exps, c in F.items():
-                piece = {(0, 0, 0): c}
+                piece = {(0,) * n: c}
                 for image, e in zip(images, exps):
                     for _ in range(e):
                         piece = _reference_product(field, piece, _as_dict(image))
@@ -459,28 +467,36 @@ def _product(a, b):
 
 
 class TestMonomialOrders:
-    ORDERS = [MonomialOrder.grevlex(4), MonomialOrder.elimination(4)]
+    ORDERS = [
+        MonomialOrder.grevlex(4),
+        MonomialOrder.elimination(4),
+        MonomialOrder.grevlex(2),
+        MonomialOrder.elimination(2),
+    ]
 
-    @pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "elimination"])
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
     def test_total_and_multiplicative(self, order, rng):
+        n = order.nvars
         for _ in range(200):
-            a = _random_monomial(4, rng)
-            b = _random_monomial(4, rng)
+            a = _random_monomial(n, rng)
+            b = _random_monomial(n, rng)
             ka, kb = order.key(a), order.key(b)
             assert (ka == kb) == (a == b)
             if ka > kb:
-                c = _random_monomial(4, rng)
+                c = _random_monomial(n, rng)
                 assert order.key(_product(a, c)) > order.key(_product(b, c))
 
-    @pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "elimination"])
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
     def test_degree_and_homogeneity_match_the_definition(self, order, rng):
-        ring = PolynomialRing(("x0", "x1", "x2", "x3"), order=order)
+        ring = PolynomialRing(tuple(f"x{i}" for i in range(order.nvars)), order=order)
         polys = [ring.zero(), ring.one()]
         for _ in range(40):
             degree = rng.randint(1, 4)
             polys.append(random_homogeneous(ring, degree, rng))
             polys.append(random_poly(ring, degree, rng))
-            polys.append(random_homogeneous(ring, degree, rng) + ring.variable(rng.randrange(4)))
+            polys.append(
+                random_homogeneous(ring, degree, rng) + ring.variable(rng.randrange(ring.nvars))
+            )
         assert any(not f.is_homogeneous() for f in polys)
         for f in polys:
             degrees = {sum(m) for m, _ in f.terms}
@@ -496,9 +512,18 @@ class TestMonomialOrders:
         # anything containing the first variable beats anything without it
         assert order.key((1, 0, 0)) > order.key((0, 5, 5))
 
-    def test_elimination_needs_a_second_variable(self):
+    @pytest.mark.parametrize("nvars", [0, 1])
+    def test_elimination_needs_a_second_variable(self, nvars):
         with pytest.raises(ValueError):
-            MonomialOrder.elimination(1)
+            MonomialOrder.elimination(nvars)
+
+    def test_orders_are_equal_by_kind_and_size(self):
+        orders = [MonomialOrder(kind, n) for kind in ("grevlex", "elimination") for n in (2, 3)]
+        assert [o for o in orders if o == MonomialOrder.elimination(3)] == [orders[3]]
+        assert len(set(orders)) == 4 and MonomialOrder.elimination(3) in set(orders)
+        assert repr(MonomialOrder.elimination(3)) == "MonomialOrder('elimination', 3)"
+        with pytest.raises(ValueError):
+            MonomialOrder("lex", 3)
 
 
 class TestMonomial:
